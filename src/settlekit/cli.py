@@ -21,7 +21,7 @@ from .certify import Certificate, certificate_from_dict, settling_bound, \
     verify_drift, verify_sandwich
 from .errors import ConfigError, ConstantConditionError
 from .fileio import ensure_dir, fmt, write_json
-from .integrate import IntegratorConfig, integrate_path, steps_per_cell, \
+from .integrate import IntegratorConfig, check_run, integrate_path, \
     trajectory_to_csv
 from .montecarlo import McConfig, estimate_settling, reproduce_figure, \
     write_settle_csv
@@ -79,18 +79,22 @@ class ExperimentConfig:
             self.process, self.h_noise = self._parse_noise(raw["noise"])
 
         self.integrator = self._parse_integrator(raw.get("integrator", {}))
-        try:
-            steps_per_cell(self.integrator.h, self.h_noise)
-        except ValueError as e:
-            raise ConfigError(f"field integrator.h: {e}")
 
         mc = raw.get("mc", {})
         self.master_seed = int(mc.get("master_seed", 0))
         if seed_override is not None:
             self.master_seed = int(seed_override)
         self.n_paths = int(mc.get("n_paths", 100))
-        if self.n_paths < 2:
-            raise ConfigError("field mc.n_paths must be >= 2")
+        # n_paths, --jobs and h | h_noise via McConfig; x0, the noise
+        # dimension and the horizon grid via the integrator's own check
+        try:
+            self.mc_config()
+            if (self.model is not None and self.x0 is not None
+                    and self.process is not None):
+                check_run(self.model, self.x0, self.process.dimension,
+                          self.h_noise, self.integrator)
+        except ValueError as e:
+            raise ConfigError(str(e))
 
         self.certificate = None
         if "certificate" in raw:

@@ -20,9 +20,7 @@ MIN_PATHS_FOR_BOUND = 100      # n_paths needed before a settling-bound check
 SETTLED_FRACTION_THRESHOLD = 0.99
 
 # Verification tolerances
-IDENTITY_TOL = 1e-9            # algebraic identities checked on grids
 SAMPLED_INEQUALITY_TOL = 1e-6  # sampled inequality margins
-ORIGIN_TOL = 1e-15             # |f(0,t)|, |g(0,t)| at the origin
 
 # Noise-check command
 NOISE_CHECK_PATHS = 200

@@ -1,5 +1,10 @@
 """Pathwise fixed-step RK4 integration with settling detection.
 
+One kernel, ``integrate_batch``, integrates every path: a Monte Carlo chunk
+is a batch of b rows and ``integrate_path`` is a batch of one that keeps its
+states, so both entry points share the validation (``check_run``), the
+absorption clamp, the blow-up and NaN policy and the settling bookkeeping.
+
 The realized disturbance is piecewise constant (zero-order hold on the noise
 grid), so one integration step never straddles a noise jump: the step size h
 must divide the noise grid step, and the held value for a step is the one in
@@ -7,16 +12,17 @@ force at the step's start.  Within each step the vector field is smooth and
 classical RK4 applies at full order.
 
 Near the origin the cube-root gains make explicit schemes chatter with
-amplitude about (h/2)^(3/2); once the state enters the absorption ball it is
+amplitude about (h/2)^(3/2); once a row enters the absorption ball it is
 clamped to exactly 0 and stays there (valid because drift and gain vanish at
 the origin).  The config validator keeps the absorption radius above the
-chatter floor.
+chatter floor.  A row whose state holds inf or exceeds the blow-up threshold
+is a blow-up; NaN without inf is an evaluator fault and raises.  Absorbed
+and blown-up rows leave the active set and are not integrated further.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -105,80 +111,125 @@ def steps_per_cell(h: float, h_noise: float) -> int:
     return m_int
 
 
-def integrate_path(model: SystemModel, path: NoisePath, x0,
-                   cfg: IntegratorConfig) -> Trajectory:
-    """Integrate xdot = f + g xi along one realized noise path.
+def check_run(model: SystemModel, x0, dimension: int, h_noise: float,
+              cfg: IntegratorConfig, t0: float = 0.0):
+    """Validate one run's inputs; return (x0 as floats, m, n_steps).
 
-    The state is clamped to exactly 0 once it enters the absorption ball
-    (and then stays 0); integration stops with a blow-up marker if any
-    component exceeds the blow-up threshold.  NaN from an evaluator at a
-    finite state raises EvaluatorError.
+    x0 must have the model's shape, the noise dimension must be the model's
+    l, h must divide h_noise (m steps per noise cell) and horizon - t0 must
+    be a positive integer multiple n_steps of h.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.n,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({model.n},)")
-    if path.dimension != model.l:
-        raise ValueError(f"noise dimension {path.dimension} != model l={model.l}")
-    m = steps_per_cell(cfg.h, path.h)
-    t0 = path.t0
+    if dimension != model.l:
+        raise ValueError(f"noise dimension {dimension} != model l={model.l}")
+    m = steps_per_cell(cfg.h, h_noise)
     span = cfg.horizon - t0
-    if span <= 0:
-        raise ValueError("horizon must exceed the path start time")
     n_steps = int(round(span / cfg.h))
-    if abs(n_steps * cfg.h - span) > 1e-9 * max(1.0, abs(cfg.horizon)):
-        raise ValueError("horizon - t0 must be an integer multiple of h")
+    if span <= 0 or abs(n_steps * cfg.h - span) > 1e-9 * max(1.0, abs(cfg.horizon)):
+        raise ValueError(f"horizon - t0 = {span:g} must be a positive integer "
+                         f"multiple of h={cfg.h:g}")
+    return x0, m, n_steps
+
+
+def integrate_batch(model: SystemModel, x0: np.ndarray, values: np.ndarray,
+                    t0: float, n_steps: int, m: int, cfg: IntegratorConfig,
+                    observer=None, keep_states: bool = False):
+    """Integrate b paths from x0 under the held noise values (b, cells+1, l).
+
+    Only live rows are stepped: a row that enters the absorption ball or
+    blows up leaves the active set and is held at exactly 0, and the sweep
+    ends once no row is live.  ``observer(j, norms, blown)`` still sees
+    every node j = 0..n_steps, with zero norms for the rows that left.
+
+    Returns per-row (last_out, blow_step, absorb_step, states): the last
+    node outside the settling ball (-1 if none), the node at which the row
+    blew up or was absorbed (-1 if never), and the (n_steps+1, b, n) states
+    when ``keep_states`` is set (else None).
+    """
+    b = values.shape[0]
+    h, eps_absorb = cfg.h, cfg.eps_absorb
+    x = np.tile(x0, (b, 1))
+    norms = np.sqrt(np.add.reduce(x * x, 1))
+    absorb_step = np.full(b, -1)
+    if cfg.absorb_at_origin:
+        absorb_step[norms <= eps_absorb] = 0
+    rows = np.flatnonzero(absorb_step < 0)
+    x = x[rows]
+    norms[absorb_step == 0] = 0.0
+    last_out = np.where(norms > cfg.eps_settle, 0, -1)
+    blow_step = np.full(b, -1)
+    states = None
+    if keep_states:
+        states = np.zeros((n_steps + 1, b, x0.shape[0]))
+        states[0, rows] = x
+    if observer is not None:
+        observer(0, norms, blow_step >= 0)
+    for j in range(n_steps):
+        if rows.size:
+            t = t0 + j * h
+            if j % m == 0 or xi.shape[0] != rows.size:
+                xi = values[rows, j // m]
+            x_next = rk4_step(model, x, t, h, xi)
+            nrm = np.sqrt(np.add.reduce(x_next * x_next, 1))
+            gone = None
+            # |x| bounds every component; NaN or inf anywhere fails the test
+            if not nrm.max() <= defaults.BLOWUP_THRESHOLD:
+                gone = ~(np.abs(x_next).max(1) <= defaults.BLOWUP_THRESHOLD)
+                nan = np.isnan(x_next).any(1) & ~np.isinf(x_next).any(1)
+                if nan.any():
+                    r = int(np.argmax(nan))
+                    raise EvaluatorError(f"evaluator returned NaN at t={t + h:g}",
+                                         x=x[r].copy(), t=t)
+                blow_step[rows[gone]] = j + 1
+            # min() is NaN when a blown row holds NaN; nrm <= eps is exact
+            if cfg.absorb_at_origin and not nrm.min() > eps_absorb:
+                hit = nrm <= eps_absorb
+                absorb_step[rows[hit]] = j + 1
+                gone = hit if gone is None else gone | hit
+            if gone is not None:
+                nrm[gone] = 0.0
+                x_next[gone] = 0.0
+            last_out[rows[nrm > cfg.eps_settle]] = j + 1
+            if keep_states:
+                states[j + 1, rows] = x_next
+            if observer is not None:
+                norms[rows] = nrm
+            if gone is not None:
+                rows, x_next = rows[~gone], x_next[~gone]
+            x = x_next
+        elif observer is None:
+            break
+        if observer is not None:
+            observer(j + 1, norms, blow_step >= 0)
+    return last_out, blow_step, absorb_step, states
+
+
+def integrate_path(model: SystemModel, path: NoisePath, x0,
+                   cfg: IntegratorConfig) -> Trajectory:
+    """Integrate xdot = f + g xi along one realized noise path.
+
+    A batch of one through ``integrate_batch``: the state is clamped to
+    exactly 0 once it enters the absorption ball (and then stays 0);
+    integration stops with a blow-up marker if any component is inf or
+    exceeds the blow-up threshold.  NaN from an evaluator at a finite state
+    raises EvaluatorError.
+    """
+    x0, m, n_steps = check_run(model, x0, path.dimension, path.h, cfg, path.t0)
     if path.t_end < cfg.horizon - 1e-9:
         raise ValueError("noise path does not cover the horizon")
-
-    states = np.empty((n_steps + 1, model.n))
-    x = x0.copy()
-    absorbed = False
-    absorb_index = None
-    if cfg.absorb_at_origin and float(np.linalg.norm(x)) <= cfg.eps_absorb:
-        x = np.zeros(model.n)
-        absorbed = True
-        absorb_index = 0
-    states[0] = x
-
-    blowup = False
-    blowup_time = None
-    last = n_steps
-    for j in range(n_steps):
-        if absorbed:
-            states[j + 1] = 0.0
-            continue
-        t = t0 + j * cfg.h
-        xi = path.values[j // m]
-        x_next = rk4_step(model, x, t, cfg.h, xi)
-        if not np.all(np.isfinite(x_next)):
-            if np.any(np.isnan(x_next)) and not np.any(np.isinf(x_next)):
-                raise EvaluatorError(
-                    f"evaluator returned NaN at t={t + cfg.h:g}", x=x.copy(), t=t)
-            blowup = True
-            blowup_time = t + cfg.h
-            last = j
-            break
-        if np.max(np.abs(x_next)) > defaults.BLOWUP_THRESHOLD:
-            blowup = True
-            blowup_time = t + cfg.h
-            last = j
-            break
-        if cfg.absorb_at_origin and float(np.linalg.norm(x_next)) <= cfg.eps_absorb:
-            x_next = np.zeros(model.n)
-            absorbed = True
-            absorb_index = j + 1
-        x = x_next
-        states[j + 1] = x
-
-    states = states[:last + 1]
-    traj = Trajectory(t0=t0, h=cfg.h, states=states, seed=path.seed,
-                      settled=False, settle_time=None, blowup=blowup,
-                      blowup_time=blowup_time, absorb_index=absorb_index,
-                      eps_settle=cfg.eps_settle)
-    if not blowup:
-        st = detect_settling(traj, cfg.eps_settle)
-        traj = replace(traj, settled=st is not None, settle_time=st)
-    return traj
+    last_out, blow_step, absorb_step, states = integrate_batch(
+        model, x0, path.values[None], path.t0, n_steps, m, cfg, keep_states=True)
+    last, blow, absorb = int(last_out[0]), int(blow_step[0]), int(absorb_step[0])
+    settled = blow < 0 and last < n_steps
+    return Trajectory(
+        t0=path.t0, h=cfg.h, states=states[:blow if blow >= 0 else None, 0],
+        seed=path.seed, settled=settled,
+        settle_time=float(path.t0 + (last + 1) * cfg.h) if settled else None,
+        blowup=blow >= 0,
+        blowup_time=path.t0 + (blow - 1) * cfg.h + cfg.h if blow >= 0 else None,
+        absorb_index=absorb if absorb >= 0 else None, eps_settle=cfg.eps_settle)
 
 
 def detect_settling(traj: Trajectory, eps_settle: float) -> Optional[float]:

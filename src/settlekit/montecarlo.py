@@ -2,11 +2,10 @@
 
 Each path's randomness is derived only from (master_seed, path_index), so
 results do not depend on execution order or on how the batch is chunked;
-``jobs`` merely splits the path set into contiguous chunks that are
-integrated as vectorized batches (one RK4 step advances a whole chunk).
-Batch rows evolve by exactly the same elementwise arithmetic as
-``integrate.integrate_path``, so a chunk of size 1 reproduces the
-single-path integrator bit for bit.
+``jobs`` merely splits the path set into contiguous chunks.  A chunk is
+sampled here and integrated by ``integrate.integrate_batch``, the same
+kernel that ``integrate_path`` runs as a batch of one, so a path gives the
+same states in a batch and on its own.
 
 Censoring: paths that have not settled by the horizon are excluded from the
 settle-time mean and reported separately; blown-up paths are censored and
@@ -25,7 +24,8 @@ import numpy as np
 from . import defaults
 from .certify import Certificate, Envelope, PowerLaw, settling_bound
 from .fileio import ensure_dir, write_csv
-from .integrate import IntegratorConfig, integrate_path, rk4_step, steps_per_cell
+from .integrate import (IntegratorConfig, check_run, integrate_batch,
+                        integrate_path, steps_per_cell)
 from .noise import (NoiseProcess, make_filtered_white_noise,
                     make_random_phase_cosine, path_seed, sample_path)
 from .systems import SystemModel, get_model, stabilizing_controller
@@ -109,74 +109,31 @@ def _chunks(n_paths: int, jobs: int):
 
 
 class _BatchRun:
-    """Vectorized RK4 sweep over a chunk of paths with streaming observers."""
+    """Samples a chunk of paths and integrates it with ``integrate_batch``."""
 
     def __init__(self, model: SystemModel, process: NoiseProcess, x0,
                  cfg: McConfig, t0: float = 0.0):
         self.model = model
+        self.process = process
         self.cfg = cfg
         self.t0 = t0
-        self.x0 = np.asarray(x0, dtype=float)
-        if self.x0.shape != (model.n,):
-            raise ValueError(f"x0 has shape {self.x0.shape}, expected ({model.n},)")
-        if process.dimension != model.l:
-            raise ValueError("noise dimension does not match the model")
-        self.process = process
-        icfg = cfg.integrator
-        self.m = steps_per_cell(icfg.h, cfg.h_noise)
-        span = icfg.horizon - t0
-        self.n_steps = int(round(span / icfg.h))
-        if abs(self.n_steps * icfg.h - span) > 1e-9 * max(1.0, abs(icfg.horizon)):
-            raise ValueError("horizon - t0 must be an integer multiple of h")
+        self.x0, self.m, self.n_steps = check_run(
+            model, x0, process.dimension, cfg.h_noise, cfg.integrator, t0)
 
     def sweep(self, lo: int, hi: int, step_observer=None):
-        """Integrate paths [lo, hi); call step_observer(j, norms, blown) after
-        each step (j indexes the new node, 1..n_steps).  Returns per-path
-        (seeds, values, last_out, blown, blow_step)."""
-        icfg = self.cfg.integrator
-        b = hi - lo
+        """Integrate paths [lo, hi); ``step_observer(j, norms, blown)`` sees
+        every node j = 0..n_steps.  Returns per-path (seeds, last_out,
+        blow_step)."""
         seeds = np.array([path_seed(self.cfg.master_seed, i) for i in range(lo, hi)],
                          dtype=np.uint64)
         values = np.stack([
-            sample_path(self.process, self.t0, icfg.horizon, self.cfg.h_noise,
-                        int(s)).values
+            sample_path(self.process, self.t0, self.cfg.integrator.horizon,
+                        self.cfg.h_noise, int(s)).values
             for s in seeds])                              # (b, cells+1, l)
-        x = np.tile(self.x0, (b, 1))
-        absorbed = np.zeros(b, dtype=bool)
-        blown = np.zeros(b, dtype=bool)
-        blow_step = np.full(b, -1, dtype=int)
-        norms = np.linalg.norm(x, axis=1)
-        if icfg.absorb_at_origin:
-            absorbed |= norms <= icfg.eps_absorb
-            x[absorbed] = 0.0
-            norms = np.linalg.norm(x, axis=1)
-        last_out = np.where(norms > icfg.eps_settle, 0, -1)
-        if step_observer is not None:
-            step_observer(0, norms, blown)
-        h = icfg.h
-        for j in range(self.n_steps):
-            t = self.t0 + j * h
-            xi = values[:, j // self.m, :]
-            x_next = rk4_step(self.model, x, t, h, xi)
-            bad = ~np.all(np.isfinite(x_next), axis=1)
-            bad |= np.max(np.abs(x_next), axis=1) > defaults.BLOWUP_THRESHOLD
-            newly_blown = bad & ~blown
-            blow_step[newly_blown] = j + 1
-            blown |= bad
-            x_next = np.where((blown | absorbed)[:, None], 0.0, x_next)
-            x_next[absorbed] = 0.0
-            norms = np.linalg.norm(x_next, axis=1)
-            if icfg.absorb_at_origin:
-                hit = (~blown) & (norms <= icfg.eps_absorb)
-                x_next[hit] = 0.0
-                absorbed |= hit
-                norms = np.linalg.norm(x_next, axis=1)
-            outside = (~blown) & (norms > icfg.eps_settle)
-            last_out[outside] = j + 1
-            x = x_next
-            if step_observer is not None:
-                step_observer(j + 1, norms, blown)
-        return seeds, values, last_out, blown, blow_step
+        last_out, blow_step, _, _ = integrate_batch(
+            self.model, self.x0, values, self.t0, self.n_steps, self.m,
+            self.cfg.integrator, step_observer)
+        return seeds, last_out, blow_step
 
 
 def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
@@ -198,7 +155,8 @@ def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
     blown_all = np.zeros(n, dtype=bool)
     seeds_all = np.zeros(n, dtype=np.uint64)
     for lo, hi in _chunks(n, cfg.jobs):
-        seeds, _values, last_out, blown, _ = run.sweep(lo, hi)
+        seeds, last_out, blow_step = run.sweep(lo, hi)
+        blown = blow_step >= 0
         ok = (~blown) & (last_out < run.n_steps)
         idx = np.arange(lo, hi)
         settled[idx[ok]] = True
@@ -276,13 +234,11 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
         ok_all = np.ones(b, dtype=bool)
         ok_from = np.ones(b, dtype=bool)
 
-        state = {}
-
         def observe(j, norms, blown):
             inside = (~blown) & (norms <= env_vals[j] + slack)
             inside_counts[j] += int(np.sum(inside))
             ok_all[:] &= inside
-            ok_from[:] &= inside | (j < state["start_idx"])
+            ok_from[:] &= inside | (j < start_idx)
 
         # first integration-grid index from which the accumulated |xi| ratio
         # is below 1, computed per path before the sweep
@@ -299,7 +255,6 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
             good = np.nonzero(ratio <= 1.0)[0]
             cell = int(good[0]) if len(good) else len(tt) - 1
             start_idx[r] = cell * run.m
-        state["start_idx"] = start_idx
 
         run.sweep(lo, hi, observe)
         n_inside_all += int(np.sum(ok_all))

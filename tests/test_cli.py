@@ -70,6 +70,23 @@ class TestConfigErrors:
         cfg["integrator"]["h"] = 0.003
         assert main(["--config", write_config(tmp_path, cfg), "simulate"]) == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "settle"])
+    def test_horizon_must_be_multiple_of_step(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        cfg = base_config(out)
+        cfg["integrator"]["horizon"] = 5.001     # h = 0.002
+        assert main(["--config", write_config(tmp_path, cfg), command]) == 2
+        assert "multiple of h" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "settle"])
+    def test_jobs_must_be_positive(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, base_config(out))
+        assert main(["--config", path, "--jobs", "0", command]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bound_check_needs_enough_paths(self, tmp_path):
         cfg = base_config(tmp_path / "out", n_paths=20)
         cfg["certificate"] = {"gamma": 2.0 / 3.0, "c1": TWO_23, "c2": TWO_23,

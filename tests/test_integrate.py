@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import settlekit as sk
-from settlekit.integrate import Trajectory, chatter_floor, steps_per_cell
+from settlekit.integrate import (Trajectory, chatter_floor, integrate_batch,
+                                 steps_per_cell)
 
 
 def scalar_model(f, name="scalar"):
@@ -114,6 +115,54 @@ class TestIntegratePath:
         cfg = sk.IntegratorConfig(h=1e-3, horizon=1.0, absorb_at_origin=False)
         with pytest.raises(sk.EvaluatorError):
             sk.integrate_path(m, zero_path(1.0), np.array([0.3]), cfg)
+
+
+class TestIntegrateBatch:
+    # x' = (x^3 + sqrt(x)) xi from 1: xi = +1 blows up, xi = -1 reaches the
+    # origin in finite time, xi = 0 holds the state at 1.
+    XI = (1.0, -1.0, 0.0)
+
+    def model(self):
+        return sk.SystemModel(
+            n=1, l=1, f=lambda x, t: np.zeros_like(x),
+            g=lambda x, t: (x ** 3 + sk.signed_power(x, 0.5))[..., None],
+            name="mixed")
+
+    def test_rows_leave_and_match_single_paths(self):
+        m, cfg = self.model(), sk.IntegratorConfig(h=1e-3, horizon=3.0)
+        values = np.array(self.XI)[:, None, None] * np.ones((3, 301, 1))
+        seen = []
+        with np.errstate(over="ignore"):
+            last_out, blow, absorb, states = integrate_batch(
+                m, np.array([1.0]), values, 0.0, 3000, 10, cfg,
+                observer=lambda j, norms, blown: seen.append(
+                    (j, norms.copy(), blown.copy())),
+                keep_states=True)
+        assert [j for j, _, _ in seen] == list(range(3001))
+        assert blow[0] > 0 and blow[1] == blow[2] == -1
+        assert absorb[1] > 0 and absorb[0] == absorb[2] == -1
+        assert last_out[2] == 3000
+        assert np.all(states[absorb[1]:, 1] == 0.0)
+        assert all(norms[1] == 0.0 for _, norms, _ in seen[absorb[1]:])
+        assert seen[-1][2].tolist() == [True, False, False]
+        for r, xi in enumerate(self.XI):
+            path = sk.NoisePath(t0=0.0, h=0.01, values=np.full((301, 1), xi),
+                                seed=0)
+            with np.errstate(over="ignore"):
+                traj = sk.integrate_path(m, path, np.array([1.0]), cfg)
+            assert traj.blowup == (blow[r] > 0)
+            assert np.array_equal(traj.states, states[:len(traj.states), r])
+
+    def test_observer_sees_every_node_after_the_sweep_ends(self):
+        m = scalar_model(lambda x, t: -sk.signed_power(x, 0.5))
+        cfg = sk.IntegratorConfig(h=1e-3, horizon=4.0)
+        seen = []
+        _, _, absorb, _ = integrate_batch(
+            m, np.array([1.0]), np.zeros((2, 401, 1)), 0.0, 4000, 10, cfg,
+            observer=lambda j, norms, blown: seen.append((j, norms.copy())))
+        assert 0 < absorb[0] == absorb[1] < 4000
+        assert [j for j, _ in seen] == list(range(4001))
+        assert all(not norms.any() for _, norms in seen[absorb[0]:])
 
 
 class TestDetectSettling:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import settlekit as sk
+from settlekit import integrate
 from settlekit.certify import LYAPUNOV_FUNCTIONS, Certificate, PowerLaw
 from settlekit.montecarlo import write_settle_csv
 
@@ -37,6 +38,37 @@ class TestEstimateSettling:
         assert stats.half_width == 0.0
         assert stats.min_time == stats.max_time == stats.mean
         assert abs(stats.mean - 1.98) <= 0.05
+
+    def test_sweep_stops_once_no_row_is_live(self, monkeypatch):
+        calls = []
+        rk4_step = integrate.rk4_step
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return rk4_step(*args, **kwargs)
+
+        monkeypatch.setattr(integrate, "rk4_step", counted)
+        cfg = mc_config()
+        stats = sk.estimate_settling(sqrt_model(), sk.zero_process(1),
+                                     np.array([1.0]), cfg)
+        n_steps = round(cfg.integrator.horizon / cfg.integrator.h)
+        assert 0 < len(calls) < n_steps
+        assert stats.n_settled == stats.n_paths
+        assert stats.half_width == 0.0
+        assert stats.min_time == stats.max_time == stats.mean
+        assert abs(stats.mean - 1.98) <= 0.05
+
+    def test_evaluator_nan_raises(self):
+        m = sk.SystemModel(
+            n=1, l=1, f=lambda x, t: np.where(np.abs(x - 0.3) < 0.05, np.nan, -x),
+            g=lambda x, t: np.zeros(x.shape + (1,)), name="nan")
+        cfg = sk.McConfig(n_paths=3, master_seed=1,
+                          integrator=sk.IntegratorConfig(h=1e-3, horizon=1.0,
+                                                         absorb_at_origin=False),
+                          h_noise=0.01)
+        with pytest.raises(sk.EvaluatorError) as err:
+            sk.estimate_settling(m, sk.zero_process(1), np.array([0.3]), cfg)
+        assert err.value.t == 0.0 and np.array_equal(err.value.x, [0.3])
 
     def test_censoring(self):
         short = sk.estimate_settling(sqrt_model(), sk.zero_process(1),
