@@ -25,9 +25,9 @@ from .integrate import IntegratorConfig, check_run, integrate_path, \
     trajectory_to_csv
 from .montecarlo import McConfig, estimate_settling, reproduce_figure, \
     write_settle_csv
-from .noise import (check_l1_bound, check_wlln, estimate_mean_square,
-                    make_filtered_white_noise, make_random_phase_cosine,
-                    path_seed, sample_path, zero_process)
+from .noise import (check_noise, make_filtered_white_noise,
+                    make_random_phase_cosine, path_seed, sample_path,
+                    zero_process)
 from .systems import get_model
 
 
@@ -37,14 +37,25 @@ def _require(block: dict, key: str, where: str):
     return block[key]
 
 
-def _positive(value, where: str) -> float:
+def _require_fields(cfg, *keys) -> None:
+    for key in keys:
+        if key not in cfg.raw:
+            raise ConfigError(f"missing required field: {key}")
+
+
+def _number(value, where: str, kind=float, above=None):
+    """``kind(value)``, which must exceed ``above`` when that is given."""
     try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"field {where} must be a number, got {value!r}")
-    if v <= 0:
-        raise ConfigError(f"field {where} must be positive, got {v}")
+        v = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"field {where} must be numeric, got {value!r}")
+    if above is not None and v <= above:
+        raise ConfigError(f"field {where} must be > {above:g}, got {v}")
     return v
+
+
+def _positive(value, where: str) -> float:
+    return _number(value, where, above=0)
 
 
 class ExperimentConfig:
@@ -67,7 +78,8 @@ class ExperimentConfig:
 
         self.x0 = None
         if "x0" in raw:
-            x0 = np.atleast_1d(np.asarray(raw["x0"], dtype=float))
+            x0 = np.atleast_1d(_number(raw["x0"], "x0",
+                                       lambda v: np.asarray(v, dtype=float)))
             if self.model is not None and x0.shape != (self.model.n,):
                 raise ConfigError(
                     f"field x0: expected {self.model.n} components, got {x0.shape}")
@@ -81,10 +93,10 @@ class ExperimentConfig:
         self.integrator = self._parse_integrator(raw.get("integrator", {}))
 
         mc = raw.get("mc", {})
-        self.master_seed = int(mc.get("master_seed", 0))
+        self.master_seed = _number(mc.get("master_seed", 0), "mc.master_seed", int)
         if seed_override is not None:
             self.master_seed = int(seed_override)
-        self.n_paths = int(mc.get("n_paths", 100))
+        self.n_paths = _number(mc.get("n_paths", 100), "mc.n_paths", int)
         # n_paths, --jobs and h | h_noise via McConfig; x0, the noise
         # dimension and the horizon grid via the integrator's own check
         try:
@@ -101,22 +113,29 @@ class ExperimentConfig:
             self.certificate = self._parse_certificate(raw["certificate"])
 
         nc = raw.get("noise_check", {})
-        self.nc_paths = int(nc.get("n_paths", defaults.NOISE_CHECK_PATHS))
+        self.nc_paths = _number(nc.get("n_paths", defaults.NOISE_CHECK_PATHS),
+                                "noise_check.n_paths", int, above=1)
         self.nc_horizon = _positive(nc.get("horizon", defaults.NOISE_CHECK_HORIZON),
                                     "noise_check.horizon")
         self.nc_delta = _positive(nc.get("delta", defaults.WLLN_DELTA),
                                   "noise_check.delta")
-        self.nc_times = [float(t) for t in nc.get("check_times",
-                                                  [self.nc_horizon])]
+        times = nc.get("check_times", [self.nc_horizon])
+        if not isinstance(times, list) or not times:
+            raise ConfigError("field noise_check.check_times must be a non-empty list")
+        self.nc_times = [_positive(t, "noise_check.check_times") for t in times]
         self.nc_k_bound = nc.get("k_bound")
         if self.nc_k_bound is not None:
             self.nc_k_bound = _positive(self.nc_k_bound, "noise_check.k_bound")
         self.nc_t_min = _positive(nc.get("t_min", defaults.L1_T_MIN),
                                   "noise_check.t_min")
+        if self.nc_t_min > self.nc_horizon:    # no grid time would be checked
+            raise ConfigError(f"field noise_check.t_min = {self.nc_t_min:g} must not "
+                              f"exceed noise_check.horizon = {self.nc_horizon:g}")
 
         settle = raw.get("settle", {})
-        self.settled_threshold = float(settle.get(
-            "settled_fraction_threshold", defaults.SETTLED_FRACTION_THRESHOLD))
+        self.settled_threshold = _number(settle.get(
+            "settled_fraction_threshold", defaults.SETTLED_FRACTION_THRESHOLD),
+            "settle.settled_fraction_threshold")
 
     @staticmethod
     def _parse_noise(block):
@@ -194,22 +213,11 @@ def load_config(path, seed_override=None, jobs=1, out_override=None) -> Experime
 
 
 def cmd_noise_check(cfg: ExperimentConfig) -> int:
-    if cfg.process is None:
-        raise ConfigError("missing required field: noise")
-    moment = estimate_mean_square(cfg.process, cfg.nc_paths, cfg.nc_horizon,
-                                  cfg.h_noise, cfg.master_seed,
-                                  k_bound=cfg.nc_k_bound)
-    wlln = check_wlln(cfg.process, cfg.nc_times, cfg.nc_delta, cfg.nc_paths,
-                      cfg.h_noise, cfg.master_seed)
-    k_for_l1 = cfg.nc_k_bound or cfg.process.declared_mean_square
-    ratios = []
-    if k_for_l1 > 0:
-        for i in range(cfg.nc_paths):
-            p = sample_path(cfg.process, 0.0, cfg.nc_horizon, cfg.h_noise,
-                            path_seed(cfg.master_seed, i))
-            ratios.append(check_l1_bound(p, k_for_l1, cfg.nc_t_min))
-    max_ratio = max(ratios) if ratios else 0.0
-
+    _require_fields(cfg, "noise")
+    moment, wlln, max_ratio = check_noise(
+        cfg.process, cfg.nc_paths, cfg.nc_horizon, cfg.h_noise, cfg.master_seed,
+        cfg.nc_times, cfg.nc_delta,
+        cfg.nc_k_bound or cfg.process.declared_mean_square, cfg.nc_t_min)
     wlln_ok = bool(wlln.fractions[-1] <= defaults.WLLN_FRACTION_THRESHOLD)
     l1_ok = bool(max_ratio <= 1.0)
     report = {
@@ -229,12 +237,7 @@ def cmd_noise_check(cfg: ExperimentConfig) -> int:
 
 
 def cmd_certify(cfg: ExperimentConfig) -> int:
-    if "certificate" not in cfg.raw:
-        raise ConfigError("missing required field: certificate")
-    if cfg.model is None:
-        raise ConfigError("missing required field: model")
-    if cfg.x0 is None:
-        raise ConfigError("missing required field: x0")
+    _require_fields(cfg, "certificate", "model", "x0")
     cert = cfg.certificate
     sandwich = verify_sandwich(cert, box_radius=5.0, n=4000,
                                tol=defaults.SAMPLED_INEQUALITY_TOL,
@@ -265,12 +268,7 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    if cfg.model is None:
-        raise ConfigError("missing required field: model")
-    if cfg.x0 is None:
-        raise ConfigError("missing required field: x0")
-    if cfg.process is None:
-        raise ConfigError("missing required field: noise")
+    _require_fields(cfg, "model", "x0", "noise")
     path = sample_path(cfg.process, 0.0, cfg.integrator.horizon, cfg.h_noise,
                        path_seed(cfg.master_seed, 0))
     traj = integrate_path(cfg.model, path, cfg.x0, cfg.integrator)
@@ -286,14 +284,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_settle(cfg: ExperimentConfig) -> int:
-    if cfg.model is None:
-        raise ConfigError("missing required field: model")
-    if cfg.x0 is None:
-        raise ConfigError("missing required field: x0")
-    if cfg.process is None:
-        raise ConfigError("missing required field: noise")
-    if "mc" not in cfg.raw:
-        raise ConfigError("missing required field: mc")
+    _require_fields(cfg, "model", "x0", "noise", "mc")
     if cfg.certificate is not None and cfg.n_paths < defaults.MIN_PATHS_FOR_BOUND:
         raise ConfigError(
             f"field mc.n_paths: bound checks need at least "

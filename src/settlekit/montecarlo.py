@@ -26,7 +26,7 @@ from .certify import Certificate, Envelope, PowerLaw, settling_bound
 from .fileio import ensure_dir, write_csv
 from .integrate import (IntegratorConfig, check_run, integrate_batch,
                         integrate_path, steps_per_cell)
-from .noise import (NoiseProcess, make_filtered_white_noise,
+from .noise import (NoiseProcess, l1_ratios, make_filtered_white_noise,
                     make_random_phase_cosine, path_seed, sample_path)
 from .systems import SystemModel, get_model, stabilizing_controller
 
@@ -121,9 +121,10 @@ class _BatchRun:
             model, x0, process.dimension, cfg.h_noise, cfg.integrator, t0)
 
     def sweep(self, lo: int, hi: int, step_observer=None):
-        """Integrate paths [lo, hi); ``step_observer(j, norms, blown)`` sees
-        every node j = 0..n_steps.  Returns per-path (seeds, last_out,
-        blow_step)."""
+        """Sample paths [lo, hi) once and integrate them;
+        ``step_observer(j, norms, blown)`` sees every node j = 0..n_steps.
+        Returns the seeds, per-path last_out and blow_step, and the sampled
+        noise values (b, cells+1, l)."""
         seeds = np.array([path_seed(self.cfg.master_seed, i) for i in range(lo, hi)],
                          dtype=np.uint64)
         values = np.stack([
@@ -133,7 +134,7 @@ class _BatchRun:
         last_out, blow_step, _, _ = integrate_batch(
             self.model, self.x0, values, self.t0, self.n_steps, self.m,
             self.cfg.integrator, step_observer)
-        return seeds, last_out, blow_step
+        return seeds, last_out, blow_step, values
 
 
 def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
@@ -155,7 +156,8 @@ def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
     blown_all = np.zeros(n, dtype=bool)
     seeds_all = np.zeros(n, dtype=np.uint64)
     for lo, hi in _chunks(n, cfg.jobs):
-        seeds, last_out, blow_step = run.sweep(lo, hi)
+        # [:3] frees this chunk's noise values before the next is sampled
+        seeds, last_out, blow_step = run.sweep(lo, hi)[:3]
         blown = blow_step >= 0
         ok = (~blown) & (last_out < run.n_steps)
         idx = np.arange(lo, hi)
@@ -226,44 +228,28 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
     slack = 1e-12 * max(1.0, x0_norm)
 
     inside_counts = np.zeros(run.n_steps + 1, dtype=int)
-    n_inside_all = 0
-    n_inside_from_l1 = 0
+    last_outside = np.full(cfg.n_paths, -1)    # last node above the envelope
+    start_idx = np.empty(cfg.n_paths, dtype=int)
     k_bound = max(cert.noise_bound, 1e-300)
     for lo, hi in _chunks(cfg.n_paths, cfg.jobs):
-        b = hi - lo
-        ok_all = np.ones(b, dtype=bool)
-        ok_from = np.ones(b, dtype=bool)
+        chunk = last_outside[lo:hi]
 
         def observe(j, norms, blown):
             inside = (~blown) & (norms <= env_vals[j] + slack)
             inside_counts[j] += int(np.sum(inside))
-            ok_all[:] &= inside
-            ok_from[:] &= inside | (j < start_idx)
+            chunk[~inside] = j
 
         # first integration-grid index from which the accumulated |xi| ratio
-        # is below 1, computed per path before the sweep
-        seeds = [path_seed(cfg.master_seed, i) for i in range(lo, hi)]
-        start_idx = np.zeros(b, dtype=int)
-        for r, s in enumerate(seeds):
-            p = sample_path(process, t0, icfg.horizon, cfg.h_noise, int(s))
-            mags = np.sqrt(np.sum(p.values ** 2, axis=1))
-            tt = p.times()
-            cum = np.concatenate([[0.0], np.cumsum(mags[:-1]) * p.h])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = cum / (2.0 * math.sqrt(k_bound) * (tt - t0))
-            ratio[0] = np.inf
-            good = np.nonzero(ratio <= 1.0)[0]
-            cell = int(good[0]) if len(good) else len(tt) - 1
-            start_idx[r] = cell * run.m
-
-        run.sweep(lo, hi, observe)
-        n_inside_all += int(np.sum(ok_all))
-        n_inside_from_l1 += int(np.sum(ok_from))
+        # is below 1, from the noise values the sweep integrated
+        good = l1_ratios(run.sweep(lo, hi, observe)[3], cfg.h_noise, t0,
+                         k_bound) <= 1.0
+        start_idx[lo:hi] = np.where(good.any(1), good.argmax(1), good.shape[1] - 1)
 
     return CoverageReport(
         times=grid, per_time_fraction=inside_counts / cfg.n_paths,
-        overall_fraction=n_inside_all / cfg.n_paths,
-        overall_fraction_from_l1_time=n_inside_from_l1 / cfg.n_paths,
+        overall_fraction=int(np.sum(last_outside < 0)) / cfg.n_paths,
+        overall_fraction_from_l1_time=(
+            int(np.sum(last_outside < start_idx * run.m)) / cfg.n_paths),
         epsilon_target=float(epsilon_target), extinction_time=env.t_ext)
 
 

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 from scipy.signal import lfilter
 
-from .defaults import CONFIDENCE_Z
+from .defaults import CONFIDENCE_Z, L1_T_MIN
 from .fileio import write_csv
 
 KIND_COSINE = "random-phase-cosine"
@@ -177,18 +177,24 @@ def path_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _n_cells(t0: float, horizon: float, h_noise: float) -> int:
+    """Number of noise cells of the grid t0, t0+h, ... covering horizon."""
+    return int(math.ceil((horizon - t0) / h_noise - 1e-12))
+
+
 def sample_path(process: NoiseProcess, t0: float, horizon: float,
                 h_noise: float, seed: int) -> NoisePath:
     """Sample one path of ``process`` on the grid t0, t0+h, ... covering horizon.
 
     Pure function of (process, grid, seed): identical arguments give
-    bit-identical values.
+    bit-identical values, and a longer horizon extends the path exactly
+    (the shorter path is a prefix of the longer one).
     """
     if horizon <= t0:
         raise ValueError("horizon must exceed t0")
     if h_noise <= 0:
         raise ValueError("h_noise must be positive")
-    n = int(math.ceil((horizon - t0) / h_noise - 1e-12))
+    n = _n_cells(t0, horizon, h_noise)
     t = t0 + h_noise * np.arange(n + 1)
     l = process.dimension
     rng = np.random.default_rng(int(seed))
@@ -218,6 +224,70 @@ def sample_path(process: NoiseProcess, t0: float, horizon: float,
     return NoisePath(t0=float(t0), h=float(h_noise), values=values, seed=int(seed))
 
 
+def _path_statistics(process: NoiseProcess, n_paths: int, horizon: float,
+                     h_noise: float, seed: int, t_grid=(),
+                     l1_bound: float = 0.0, t_min: float = 0.0,
+                     t0: float = 0.0):
+    """Sample each path i once, from path_seed(seed, i), over
+    [t0, max(horizon, t_grid)] and reduce it to per-path statistics.
+
+    Returns (means, averages, ratios): the mean of |xi|^2 over the left
+    endpoints of [t0, horizon); the running time average of |xi|^2 at each
+    time in ``t_grid``, shape (len(t_grid), n_paths); and, when
+    ``l1_bound`` > 0, ``check_l1_bound`` of the [t0, horizon] prefix
+    (else 0).  A longer path extends a shorter one exactly, so each
+    statistic has the bits it has on a path sampled to its own horizon.
+    Paths are streamed one at a time to keep memory flat in n_paths.
+    """
+    n_cells = _n_cells(t0, horizon, h_noise)
+    span = max([horizon, *t_grid])
+    means = np.empty(n_paths)
+    averages = np.empty((len(t_grid), n_paths))
+    ratios = np.zeros(n_paths)
+    for i in range(n_paths):
+        p = sample_path(process, t0, span, h_noise, path_seed(seed, i))
+        sq = np.sum(p.values ** 2, axis=1)
+        means[i] = np.mean(sq[:n_cells])
+        # running integral: left-rectangle sum, partial final cell pro rata
+        cum = np.concatenate([[0.0], np.cumsum(sq[:-1]) * p.h])
+        for j, t in enumerate(t_grid):
+            k = p.cell_index(t)
+            averages[j, i] = (cum[k] + (t - (p.t0 + k * p.h)) * sq[k]) / (t - t0)
+        if l1_bound > 0:
+            prefix = NoisePath(p.t0, p.h, p.values[:n_cells + 1], p.seed)
+            ratios[i] = check_l1_bound(prefix, l1_bound, t_min)
+    return means, averages, ratios
+
+
+def _check_times(t_grid, delta: float, t0: float) -> np.ndarray:
+    """Sorted check times; each must exceed t0, and delta must be positive."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    t_grid = np.sort(np.asarray(t_grid, dtype=float))
+    if t_grid.size == 0 or np.any(t_grid <= t0):
+        raise ValueError("check times must be non-empty and all exceed t0")
+    return t_grid
+
+
+def _moment_report(means: np.ndarray, horizon: float, k_bound: float) -> MomentReport:
+    n_paths = len(means)
+    if n_paths < 2:
+        raise ValueError("n_paths must be >= 2")
+    est = float(np.mean(means))
+    hw = float(CONFIDENCE_Z * np.std(means, ddof=1) / math.sqrt(n_paths))
+    return MomentReport(estimate=est, half_width=hw, n_paths=n_paths,
+                        horizon=horizon, k_bound=float(k_bound),
+                        passed=bool(est - hw <= k_bound))
+
+
+def _wlln_report(process: NoiseProcess, t_grid: np.ndarray,
+                 averages: np.ndarray, delta: float) -> WllnReport:
+    k_true = process.exact_mean_square
+    fractions = (np.abs(averages - k_true) >= delta).mean(axis=1)
+    return WllnReport(times=t_grid, fractions=fractions, delta=float(delta),
+                      n_paths=averages.shape[1], exact_mean_square=k_true)
+
+
 def estimate_mean_square(process: NoiseProcess, n_paths: int, horizon: float,
                          h_noise: float, seed: int,
                          k_bound: Optional[float] = None) -> MomentReport:
@@ -228,20 +298,10 @@ def estimate_mean_square(process: NoiseProcess, n_paths: int, horizon: float,
     averages.  ``k_bound`` defaults to the process's declared mean square;
     passing a different value checks the estimate against that bound instead.
     """
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
     if k_bound is None:
         k_bound = process.declared_mean_square
-    per_path = np.empty(n_paths)
-    for i in range(n_paths):
-        p = sample_path(process, 0.0, horizon, h_noise, path_seed(seed, i))
-        sq = np.sum(p.values[:-1] ** 2, axis=1)   # |xi|^2 at left endpoints
-        per_path[i] = np.mean(sq)
-    est = float(np.mean(per_path))
-    hw = float(CONFIDENCE_Z * np.std(per_path, ddof=1) / math.sqrt(n_paths))
-    return MomentReport(estimate=est, half_width=hw, n_paths=n_paths,
-                        horizon=horizon, k_bound=float(k_bound),
-                        passed=bool(est - hw <= k_bound))
+    means = _path_statistics(process, n_paths, horizon, h_noise, seed)[0]
+    return _moment_report(means, horizon, k_bound)
 
 
 def check_wlln(process: NoiseProcess, t_grid, delta: float, n_paths: int,
@@ -252,47 +312,55 @@ def check_wlln(process: NoiseProcess, t_grid, delta: float, n_paths: int,
     The running integral is the left-rectangle sum on the noise grid (exact
     under zero-order hold); a partial final cell is included pro rata.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    if np.any(t_grid <= t0):
-        raise ValueError("all check times must exceed t0")
-    k_true = process.exact_mean_square
-    horizon = float(t_grid[-1])
-    violations = np.zeros((len(t_grid), n_paths), dtype=bool)
-    for i in range(n_paths):
-        p = sample_path(process, t0, horizon, h_noise, path_seed(seed, i))
-        sq = np.sum(p.values ** 2, axis=1)
-        cum = np.concatenate([[0.0], np.cumsum(sq[:-1]) * p.h])
-        for j, t in enumerate(t_grid):
-            k = p.cell_index(t)
-            integral = cum[k] + (t - (p.t0 + k * p.h)) * sq[k]
-            avg = integral / (t - t0)
-            violations[j, i] = abs(avg - k_true) >= delta
-    fractions = violations.mean(axis=1)
-    return WllnReport(times=t_grid, fractions=fractions, delta=float(delta),
-                      n_paths=n_paths, exact_mean_square=k_true)
+    t_grid = _check_times(t_grid, delta, t0)
+    averages = _path_statistics(process, n_paths, t_grid[-1], h_noise, seed,
+                                t_grid, t0=t0)[1]
+    return _wlln_report(process, t_grid, averages, delta)
+
+
+def check_noise(process: NoiseProcess, n_paths: int, horizon: float,
+                h_noise: float, seed: int, t_grid, delta: float,
+                k_bound: float, t_min: float = L1_T_MIN):
+    """The moment, WLLN and L1 checks from one sampling pass, each path
+    sampled once; the same numbers as ``estimate_mean_square``,
+    ``check_wlln`` and the maximum of ``check_l1_bound`` over the paths.
+
+    ``k_bound`` is the bound K on the mean square and scales the L1 budget;
+    with K = 0 there is no L1 budget and the ratio is reported as 0.
+    Returns (MomentReport, WllnReport, max L1 ratio).
+    """
+    t_grid = _check_times(t_grid, delta, 0.0)
+    means, averages, ratios = _path_statistics(
+        process, n_paths, horizon, h_noise, seed, t_grid, k_bound, t_min)
+    return (_moment_report(means, horizon, k_bound),
+            _wlln_report(process, t_grid, averages, delta), float(np.max(ratios)))
+
+
+def l1_ratios(values: np.ndarray, h: float, t0: float, k_bound: float) -> np.ndarray:
+    """integral_{t0}^{t} |xi| ds / (2 sqrt(K) (t - t0)) at every grid time t
+    of held values (..., n_points, l) on the grid t0 + k h; NaN at t0."""
+    mags = np.sqrt(np.sum(values ** 2, axis=-1))
+    cum = np.zeros(mags.shape)
+    np.cumsum(mags[..., :-1], axis=-1, out=cum[..., 1:])
+    t = t0 + h * np.arange(mags.shape[-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return cum * h / (2.0 * math.sqrt(k_bound) * (t - t0))
 
 
 def check_l1_bound(path: NoisePath, k_bound: float, t_min: float) -> float:
     """Max over grid times t >= t_min of integral |xi| ds / (2 sqrt(K) (t - t0)).
 
     A value <= 1 certifies the path stays within the accumulated-magnitude
-    budget that the decay envelope argument relies on.
+    budget that the decay envelope argument relies on.  No grid time at or
+    after t_min gives 0.
     """
     if k_bound <= 0:
         raise ValueError("k_bound must be positive")
     if t_min <= path.t0:
         raise ValueError("t_min must exceed the path start time")
-    mags = np.sqrt(np.sum(path.values ** 2, axis=1))
-    t = path.times()
-    cum = np.concatenate([[0.0], np.cumsum(mags[:-1]) * path.h])
-    denom = 2.0 * math.sqrt(k_bound) * (t - path.t0)
-    mask = t >= t_min - 1e-12
-    if not np.any(mask):
-        return 0.0
-    ratios = cum[mask] / denom[mask]
-    return float(np.max(ratios))
+    ratios = l1_ratios(path.values, path.h, path.t0, k_bound)
+    ratios = ratios[path.times() >= t_min - 1e-12]
+    return float(np.max(ratios)) if ratios.size else 0.0
 
 
 def path_to_csv(path: NoisePath, file_path) -> None:

@@ -7,6 +7,7 @@ so every run is reproducible.
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -206,12 +207,16 @@ def test_criterion_11_reproducibility_across_jobs(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     outputs = {}
+    # the child imports the settlekit this test imported
+    src = os.path.dirname(os.path.dirname(sk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     for jobs, sub in (("1", "a"), ("4", "b")):
         out = tmp_path / sub
         r = subprocess.run(
             [sys.executable, "-m", "settlekit", "--config", str(cfg_path),
              "settle", "--out", str(out), "--jobs", jobs],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert r.returncode == 0, r.stderr
         outputs[jobs] = {name: (out / name).read_bytes()
                          for name in ("settle_stats.json", "settle_paths.csv")}

@@ -6,7 +6,10 @@ import os
 
 import pytest
 
+import settlekit as sk
+from settlekit import defaults, noise
 from settlekit.cli import main
+from settlekit.fileio import write_json
 
 TWO_23 = 2.0 ** (2.0 / 3.0)
 
@@ -87,6 +90,32 @@ class TestConfigErrors:
         assert "jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,field,value", [
+        ("settle", "mc.n_paths", "ten"),
+        ("simulate", "x0", ["a", 1]),
+        ("simulate", "mc.master_seed", "x"),
+        ("settle", "settle.settled_fraction_threshold", "x"),
+        ("noise-check", "noise_check.n_paths", 1),
+        ("noise-check", "noise_check.n_paths", "x"),
+        ("noise-check", "noise_check.check_times", []),
+        ("noise-check", "noise_check.check_times", [0.0]),
+        ("noise-check", "noise_check.t_min", 60.0),    # above horizon 50
+    ], ids=["n_paths-ten", "x0-string", "master_seed-x", "threshold-x",
+            "nc_paths-1", "nc_paths-x", "check_times-empty", "check_times-0",
+            "t_min-above-horizon"])
+    def test_malformed_field_is_a_config_error(self, tmp_path, capsys, command,
+                                               field, value):
+        out = tmp_path / "out"
+        cfg = base_config(out)
+        cfg["noise_check"] = {"n_paths": 5, "horizon": 50.0}
+        block, _, key = field.rpartition(".")
+        (cfg.setdefault(block, {}) if block else cfg)[key] = value
+        assert main(["--config", write_config(tmp_path, cfg), command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: field ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_bound_check_needs_enough_paths(self, tmp_path):
         cfg = base_config(tmp_path / "out", n_paths=20)
         cfg["certificate"] = {"gamma": 2.0 / 3.0, "c1": TWO_23, "c2": TWO_23,
@@ -114,6 +143,60 @@ class TestNoiseCheck:
         assert main(["--config", write_config(tmp_path, cfg), "noise-check"]) == 0
         report = json.loads((out / "noise_check.json").read_text())
         assert report["moment"]["k_bound"] == pytest.approx(0.09)
+
+    def test_each_path_is_sampled_once(self, tmp_path, monkeypatch):
+        calls = []
+        sample_path = noise.sample_path
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return sample_path(*args, **kwargs)
+
+        monkeypatch.setattr(noise, "sample_path", counted)
+        cfg = base_config(tmp_path / "out")
+        cfg["noise_check"] = {"n_paths": 12, "horizon": 10.0,
+                              "check_times": [4.0, 15.0]}
+        main(["--config", write_config(tmp_path, cfg), "noise-check"])
+        assert len(calls) == 12
+
+    @pytest.mark.parametrize("check_times", [[3.0, 12.5], [7.5, 30.0]],
+                             ids=["below-horizon", "above-horizon"])
+    @pytest.mark.parametrize("noise_block", [
+        {"kind": "random-phase-cosine", "amplitudes": [0.3, 0.3],
+         "omegas": [1.0, 2.0], "h_noise": 0.01},
+        {"kind": "filtered-white-noise", "intensity": 0.5, "tau_f": 1.0,
+         "dimension": 2, "h_noise": 0.01},
+    ], ids=["cosine", "filtered"])
+    def test_report_matches_separate_statistics(self, tmp_path, noise_block,
+                                                check_times):
+        out = tmp_path / "out"
+        cfg = {"noise": noise_block, "mc": {"master_seed": 8}, "out_dir": str(out),
+               "noise_check": {"n_paths": 15, "horizon": 20.0, "delta": 0.05,
+                               "check_times": check_times, "t_min": 2.0}}
+        main(["--config", write_config(tmp_path, cfg), "noise-check"])
+        process = sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0]) \
+            if noise_block["kind"] == "random-phase-cosine" \
+            else sk.make_filtered_white_noise(0.5, 1.0, 2)
+        k = process.declared_mean_square
+        moment = sk.estimate_mean_square(process, 15, 20.0, 0.01, 8)
+        wlln = sk.check_wlln(process, check_times, 0.05, 15, 0.01, 8)
+        max_ratio = max(
+            sk.check_l1_bound(sk.sample_path(process, 0.0, 20.0, 0.01,
+                                             sk.path_seed(8, i)), k, 2.0)
+            for i in range(15))
+        expected = {
+            "moment": {"estimate": moment.estimate,
+                       "half_width": moment.half_width, "n_paths": 15,
+                       "k_bound": k, "passed": moment.passed},
+            "wlln": {"times": list(wlln.times), "fractions": list(wlln.fractions),
+                     "delta": 0.05, "passed": bool(
+                         wlln.fractions[-1] <= defaults.WLLN_FRACTION_THRESHOLD)},
+            "l1": {"max_ratio": max_ratio, "t_min": 2.0,
+                   "passed": max_ratio <= 1.0},
+        }
+        write_json(tmp_path / "expected.json", expected)
+        assert ((out / "noise_check.json").read_bytes()
+                == (tmp_path / "expected.json").read_bytes())
 
     def test_low_declared_bound_fails(self, tmp_path):
         out = tmp_path / "out"

@@ -165,6 +165,24 @@ class TestEnvelopeCoverage:
         assert cov.overall_fraction == 1.0
         assert np.all(cov.per_time_fraction == 1.0)
 
+    def test_each_path_is_sampled_once(self, monkeypatch):
+        from settlekit import montecarlo, noise
+        calls = []
+        sample_path = noise.sample_path
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return sample_path(*args, **kwargs)
+
+        for module in (montecarlo, noise):
+            monkeypatch.setattr(module, "sample_path", counted)
+        proc = sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0])
+        cov = sk.envelope_coverage(sk.make_example1(), proc, np.array([1.0, 1.0]),
+                                   ex1_cert(), mc_config(n_paths=7, horizon=2.0,
+                                                         jobs=3, h=2e-3), 0.05)
+        assert len(calls) == 7
+        assert cov.overall_fraction_from_l1_time >= cov.overall_fraction
+
     def test_loosening_alpha1_never_reduces_coverage(self):
         model = sk.make_example1()
         proc = sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0])

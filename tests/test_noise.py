@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import settlekit as sk
-from settlekit.noise import ar1_step_coefficients, path_to_csv
+from settlekit.defaults import CONFIDENCE_Z
+from settlekit.noise import (ar1_step_coefficients, check_noise, l1_ratios,
+                             path_to_csv)
 
 
 class TestCosineProcess:
@@ -135,6 +137,20 @@ class TestSamplePath:
         with pytest.raises(ValueError):
             path.values[0, 0] = 1.0
 
+    @pytest.mark.parametrize("process", [
+        sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0]),
+        sk.make_filtered_white_noise(0.5, 1.0, 2),
+        sk.zero_process(2),
+    ], ids=["cosine", "filtered", "zero"])
+    def test_longer_horizon_extends_path_exactly(self, process):
+        for seed in range(5):
+            short = sk.sample_path(process, 0.3, 50.0, 0.01, seed)
+            long = sk.sample_path(process, 0.3, 80.0, 0.01, seed)
+            n = short.values.shape[0]
+            assert long.values.shape[0] > n
+            assert np.array_equal(long.values[:n], short.values)
+            assert np.array_equal(long.times()[:n], short.times())
+
 
 class TestMeanSquareEstimate:
     def test_requires_two_paths(self):
@@ -214,6 +230,49 @@ class TestL1Bound:
             sk.check_l1_bound(path, 0.0, 1.0)
         with pytest.raises(ValueError):
             sk.check_l1_bound(path, 1.0, 0.0)
+
+    def test_batch_ratios_match_per_path_loop(self):
+        p = sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0])
+        paths = [sk.sample_path(p, 0.5, 10.0, 0.01, seed) for seed in range(4)]
+        batch = l1_ratios(np.stack([q.values for q in paths]), 0.01, 0.5, 0.09)
+        for row, q in zip(batch, paths):
+            mags = np.sqrt(np.sum(q.values ** 2, axis=1))
+            cum = np.concatenate([[0.0], np.cumsum(mags[:-1]) * q.h])
+            ref = cum[1:] / (2.0 * math.sqrt(0.09) * (q.times()[1:] - q.t0))
+            assert np.isnan(row[0]) and np.array_equal(row[1:], ref)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("times", [[5.0, 12.5], [8.0, 30.0]])
+    def test_matches_per_statistic_loops(self, times):
+        """check_noise against one freshly sampled path per statistic."""
+        p = sk.make_filtered_white_noise(0.5, 1.0, 2)
+        n, horizon, h, seed, k = 12, 20.0, 0.01, 3, 0.3
+        moment, wlln, max_ratio = check_noise(p, n, horizon, h, seed, times,
+                                              0.1, k, t_min=1.5)
+        per_path, ratios = [], []
+        viol = np.zeros((len(times), n), dtype=bool)
+        for i in range(n):
+            q = sk.sample_path(p, 0.0, horizon, h, sk.path_seed(seed, i))
+            per_path.append(np.mean(np.sum(q.values[:-1] ** 2, axis=1)))
+            ratios.append(sk.check_l1_bound(q, k, 1.5))
+            q = sk.sample_path(p, 0.0, times[-1], h, sk.path_seed(seed, i))
+            sq = np.sum(q.values ** 2, axis=1)
+            cum = np.concatenate([[0.0], np.cumsum(sq[:-1]) * h])
+            for j, t in enumerate(times):
+                c = q.cell_index(t)
+                avg = (cum[c] + (t - c * h) * sq[c]) / t
+                viol[j, i] = abs(avg - p.exact_mean_square) >= 0.1
+        assert moment.estimate == np.mean(per_path)
+        assert moment.half_width == (CONFIDENCE_Z * np.std(per_path, ddof=1)
+                                     / math.sqrt(n))
+        assert np.array_equal(wlln.fractions, viol.mean(axis=1))
+        assert max_ratio == max(ratios)
+
+    def test_zero_bound_skips_l1(self):
+        _, _, max_ratio = check_noise(sk.zero_process(1), 3, 2.0, 0.1, 0,
+                                      [2.0], 0.1, 0.0)
+        assert max_ratio == 0.0
 
 
 def test_csv_round_trip(tmp_path):
