@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import ConstantConditionError, RateIntegralError
 from .systems import ConditionReport, SystemModel
@@ -169,6 +167,9 @@ def _theta_quadrature(rate_fn: Callable, v: float) -> float:
     Raises RateIntegralError when the refinement has not converged by
     u ~ 1e-300 (1/r not integrable at 0, or too slowly integrable to tell).
     """
+    # imported on use: no CLI command needs scipy
+    from scipy.integrate import quad
+
     s0 = -math.log(v)
 
     def integrand(s):
@@ -210,6 +211,9 @@ def theta_inverse(cert: Certificate, y: float) -> float:
         return 0.0
     if cert.gamma is not None:
         return ((1.0 - cert.gamma) * y) ** (1.0 / (1.0 - cert.gamma))
+    # imported on use: no CLI command needs scipy
+    from scipy.optimize import brentq
+
     hi = 1.0
     for _ in range(200):
         if theta(cert, hi) >= y:

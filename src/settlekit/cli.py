@@ -165,6 +165,10 @@ class ExperimentConfig:
     def _parse_integrator(block):
         if not isinstance(block, dict):
             raise ConfigError("field integrator must be an object")
+        absorb = block.get("absorb_at_origin", True)
+        if not isinstance(absorb, bool):
+            raise ConfigError("field integrator.absorb_at_origin must be "
+                              f"true or false, got {absorb!r}")
         try:
             return IntegratorConfig(
                 h=float(block.get("h", defaults.STEP)),
@@ -172,7 +176,7 @@ class ExperimentConfig:
                 eps_settle=float(block.get("eps_settle", defaults.EPS_SETTLE)),
                 eps_absorb=(None if block.get("eps_absorb") is None
                             else float(block["eps_absorb"])),
-                absorb_at_origin=bool(block.get("absorb_at_origin", True)))
+                absorb_at_origin=absorb)
         except ValueError as e:
             raise ConfigError(f"field integrator: {e}")
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import defaults
 from .errors import EvaluatorError
@@ -259,6 +258,8 @@ def _cumulative_simpson_uniform(y: np.ndarray, h: float) -> np.ndarray:
         out = np.zeros_like(y)
         out[1] = 0.5 * h * (y[0] + y[1])
         return out
+    # imported on use: no CLI command needs scipy
+    from scipy.integrate import cumulative_simpson
     return cumulative_simpson(y, dx=h, axis=0, initial=0.0)
 
 

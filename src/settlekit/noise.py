@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .defaults import CONFIDENCE_Z, L1_T_MIN
 from .fileio import write_csv
@@ -213,9 +212,12 @@ def sample_path(process: NoiseProcess, t0: float, horizon: float,
         eta = eta_std * rng.standard_normal((n, l))
         values = np.empty((n + 1, l))
         values[0] = xi0
-        # AR(1) recursion xi_{k+1} = phi xi_k + eta_k, run in C via lfilter
+        # AR(1) recursion xi_{k+1} = eta_k + phi xi_k in Python floats, so the
+        # CLI needs no scipy: each product and sum rounds once, as in
+        # scipy.signal.lfilter, which gives the same bits
         for j in range(l):
-            values[1:, j] = lfilter([1.0], [1.0, -phi], eta[:, j], zi=[phi * xi0[j]])[0]
+            x = float(xi0[j])
+            values[1:, j] = [x := e + phi * x for e in eta[:, j].tolist()]
     else:
         raise ValueError(f"unknown noise kind: {process.kind}")
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .defaults import DIVERGENCE_INCREMENT_FLOOR
 from .errors import QuadratureError
@@ -350,6 +349,9 @@ class DivergenceReport:
 
 def _log_substituted_integral(denom: Callable, delta: float, gamma: float) -> float:
     """Integral of du/denom(u) over [delta, gamma] via u = exp(-s)."""
+    # imported on use: no CLI command needs scipy
+    from scipy.integrate import quad
+
     s_lo = np.log(1.0 / gamma)
     s_hi = np.log(1.0 / delta)
 

@@ -100,9 +100,14 @@ class TestConfigErrors:
         ("noise-check", "noise_check.check_times", []),
         ("noise-check", "noise_check.check_times", [0.0]),
         ("noise-check", "noise_check.t_min", 60.0),    # above horizon 50
+        ("simulate", "integrator.absorb_at_origin", "false"),
+        ("simulate", "integrator.absorb_at_origin", "true"),
+        ("settle", "integrator.absorb_at_origin", 0),
+        ("settle", "integrator.absorb_at_origin", None),
     ], ids=["n_paths-ten", "x0-string", "master_seed-x", "threshold-x",
             "nc_paths-1", "nc_paths-x", "check_times-empty", "check_times-0",
-            "t_min-above-horizon"])
+            "t_min-above-horizon", "absorb-string-false", "absorb-string-true",
+            "absorb-0", "absorb-null"])
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, command,
                                                field, value):
         out = tmp_path / "out"

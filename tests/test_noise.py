@@ -93,6 +93,28 @@ class TestFilteredProcess:
         se = math.sqrt((1.0 - rho ** 2) / n)
         assert abs(rho - math.exp(-h / tau)) <= 3.0 * se
 
+    @pytest.mark.parametrize("dimension", [1, 3])
+    @pytest.mark.parametrize("tau_f,h_noise", [(1.0, 0.01), (0.05, 0.02),
+                                               (20.0, 0.1), (1e-3, 0.5)])
+    def test_recursion_matches_lfilter_bit_for_bit(self, tau_f, h_noise, dimension):
+        # the sampler's draws, run through scipy's direct-form filter
+        from scipy.signal import lfilter
+        p = sk.make_filtered_white_noise(0.7, tau_f, dimension)
+        phi, eta_std = ar1_step_coefficients(0.7, tau_f, h_noise)
+        for seed in (0, 1, 17, 2024, 2 ** 40 + 3):
+            path = sk.sample_path(p, 0.0, 12.3, h_noise, seed)
+            n = path.values.shape[0] - 1
+            rng = np.random.default_rng(seed)
+            xi0 = math.sqrt(0.7 / (2.0 * tau_f)) * rng.standard_normal(dimension)
+            eta = eta_std * rng.standard_normal((n, dimension))
+            expected = np.empty((n + 1, dimension))
+            expected[0] = xi0
+            for j in range(dimension):
+                expected[1:, j] = lfilter([1.0], [1.0, -phi], eta[:, j],
+                                          zi=[phi * xi0[j]])[0]
+            assert np.array_equal(path.values.view(np.uint64),
+                                  expected.view(np.uint64))
+
 
 class TestZeroProcess:
     def test_values_exactly_zero(self):
