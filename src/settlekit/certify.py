@@ -44,8 +44,8 @@ class PowerLaw:
     b: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("power law needs a > 0 and b > 0")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise ValueError("power law needs finite a > 0 and b > 0")
 
     def __call__(self, s):
         return self.a * np.asarray(s, dtype=float) ** self.b
@@ -103,10 +103,10 @@ class Certificate:
             raise ValueError("specify exactly one of gamma or rate_fn")
         if self.gamma is not None and not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("c1 and c2 must be positive")
-        if self.noise_bound < 0:
-            raise ValueError("noise bound K must be nonnegative")
+        if not (0 < self.c1 < math.inf and 0 < self.c2 < math.inf):
+            raise ValueError("c1 and c2 must be positive and finite")
+        if not 0 <= self.noise_bound < math.inf:
+            raise ValueError("noise bound K must be nonnegative and finite")
         if self.c1 <= 2.0 * self.c2 * math.sqrt(self.noise_bound):
             raise ConstantConditionError(
                 f"constant condition violated: need c1 > 2 c2 sqrt(K), got "

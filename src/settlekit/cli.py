@@ -43,12 +43,23 @@ def _require_fields(cfg, *keys) -> None:
             raise ConfigError(f"missing required field: {key}")
 
 
+def _block(raw: dict, key: str) -> dict:
+    """The object ``raw[key]``, empty when the key is absent."""
+    block = raw.get(key, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"field {key} must be an object")
+    return block
+
+
 def _number(value, where: str, kind=float, above=None):
-    """``kind(value)``, which must exceed ``above`` when that is given."""
+    """``kind(value)``, which must be finite and exceed ``above`` when that
+    is given."""
     try:
         v = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"field {where} must be numeric, got {value!r}")
+    if kind is not int and not np.all(np.isfinite(v)):
+        raise ConfigError(f"field {where} must be finite, got {value!r}")
     if above is not None and v <= above:
         raise ConfigError(f"field {where} must be > {above:g}, got {v}")
     return v
@@ -61,13 +72,13 @@ def _positive(value, where: str) -> float:
 class ExperimentConfig:
     """Validated experiment description (see README for the JSON schema)."""
 
-    def __init__(self, raw: dict, seed_override=None, jobs: int = 1,
-                 out_override=None):
+    def __init__(self, raw: dict, seed_override=None, out_override=None):
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         self.raw = raw
         self.out_dir = out_override or raw.get("out_dir", "out")
-        self.jobs = int(jobs)
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ConfigError("field out_dir must be a non-empty string")
 
         self.model = None
         if "model" in raw:
@@ -88,17 +99,19 @@ class ExperimentConfig:
         self.process = None
         self.h_noise = defaults.H_NOISE
         if "noise" in raw:
-            self.process, self.h_noise = self._parse_noise(raw["noise"])
+            self.process, self.h_noise = self._parse_noise(_block(raw, "noise"))
 
-        self.integrator = self._parse_integrator(raw.get("integrator", {}))
+        self.integrator = self._parse_integrator(_block(raw, "integrator"))
 
-        mc = raw.get("mc", {})
-        self.master_seed = _number(mc.get("master_seed", 0), "mc.master_seed", int)
+        mc = _block(raw, "mc")
+        self.master_seed = _number(mc.get("master_seed", 0), "mc.master_seed",
+                                   int, above=-1)
         if seed_override is not None:
-            self.master_seed = int(seed_override)
+            self.master_seed = _number(seed_override, "mc.master_seed",
+                                       int, above=-1)
         self.n_paths = _number(mc.get("n_paths", 100), "mc.n_paths", int)
-        # n_paths, --jobs and h | h_noise via McConfig; x0, the noise
-        # dimension and the horizon grid via the integrator's own check
+        # n_paths and h | h_noise via McConfig; x0, the noise dimension
+        # and the horizon grid via the integrator's own check
         try:
             self.mc_config()
             if (self.model is not None and self.x0 is not None
@@ -110,9 +123,9 @@ class ExperimentConfig:
 
         self.certificate = None
         if "certificate" in raw:
-            self.certificate = self._parse_certificate(raw["certificate"])
+            self.certificate = self._parse_certificate(_block(raw, "certificate"))
 
-        nc = raw.get("noise_check", {})
+        nc = _block(raw, "noise_check")
         self.nc_paths = _number(nc.get("n_paths", defaults.NOISE_CHECK_PATHS),
                                 "noise_check.n_paths", int, above=1)
         self.nc_horizon = _positive(nc.get("horizon", defaults.NOISE_CHECK_HORIZON),
@@ -132,15 +145,13 @@ class ExperimentConfig:
             raise ConfigError(f"field noise_check.t_min = {self.nc_t_min:g} must not "
                               f"exceed noise_check.horizon = {self.nc_horizon:g}")
 
-        settle = raw.get("settle", {})
+        settle = _block(raw, "settle")
         self.settled_threshold = _number(settle.get(
             "settled_fraction_threshold", defaults.SETTLED_FRACTION_THRESHOLD),
             "settle.settled_fraction_threshold")
 
     @staticmethod
     def _parse_noise(block):
-        if not isinstance(block, dict):
-            raise ConfigError("field noise must be an object")
         kind = _require(block, "kind", "noise")
         h_noise = _positive(block.get("h_noise", defaults.H_NOISE), "noise.h_noise")
         try:
@@ -152,37 +163,39 @@ class ExperimentConfig:
                 process = make_filtered_white_noise(
                     _positive(_require(block, "intensity", "noise"), "noise.intensity"),
                     _positive(_require(block, "tau_f", "noise"), "noise.tau_f"),
-                    int(block.get("dimension", 1)))
+                    _number(block.get("dimension", 1), "noise.dimension", int))
             elif kind == "zero":
-                process = zero_process(int(block.get("dimension", 1)))
+                process = zero_process(
+                    _number(block.get("dimension", 1), "noise.dimension", int))
             else:
                 raise ConfigError(f"field noise.kind: unknown kind {kind!r}")
-        except ValueError as e:
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as e:
             raise ConfigError(f"field noise: {e}")
         return process, h_noise
 
     @staticmethod
     def _parse_integrator(block):
-        if not isinstance(block, dict):
-            raise ConfigError("field integrator must be an object")
         absorb = block.get("absorb_at_origin", True)
         if not isinstance(absorb, bool):
             raise ConfigError("field integrator.absorb_at_origin must be "
                               f"true or false, got {absorb!r}")
         try:
             return IntegratorConfig(
-                h=float(block.get("h", defaults.STEP)),
-                horizon=float(block.get("horizon", 10.0)),
-                eps_settle=float(block.get("eps_settle", defaults.EPS_SETTLE)),
+                h=_number(block.get("h", defaults.STEP), "integrator.h"),
+                horizon=_number(block.get("horizon", 10.0), "integrator.horizon"),
+                eps_settle=_number(block.get("eps_settle", defaults.EPS_SETTLE),
+                                   "integrator.eps_settle"),
                 eps_absorb=(None if block.get("eps_absorb") is None
-                            else float(block["eps_absorb"])),
+                            else _number(block["eps_absorb"], "integrator.eps_absorb")),
                 absorb_at_origin=absorb)
+        except ConfigError:
+            raise
         except ValueError as e:
             raise ConfigError(f"field integrator: {e}")
 
     def _parse_certificate(self, block):
-        if not isinstance(block, dict):
-            raise ConfigError("field certificate must be an object")
         if self.model is None:
             raise ConfigError("field certificate requires a model")
         data = dict(block)
@@ -200,11 +213,10 @@ class ExperimentConfig:
 
     def mc_config(self) -> McConfig:
         return McConfig(n_paths=self.n_paths, master_seed=self.master_seed,
-                        integrator=self.integrator, h_noise=self.h_noise,
-                        jobs=self.jobs)
+                        integrator=self.integrator, h_noise=self.h_noise)
 
 
-def load_config(path, seed_override=None, jobs=1, out_override=None) -> ExperimentConfig:
+def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig:
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -212,7 +224,7 @@ def load_config(path, seed_override=None, jobs=1, out_override=None) -> Experime
         raise ConfigError(f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
-    return ExperimentConfig(raw, seed_override=seed_override, jobs=jobs,
+    return ExperimentConfig(raw, seed_override=seed_override,
                             out_override=out_override)
 
 
@@ -325,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="override the master seed")
     shared.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="number of batch chunks (never changes results)")
+                        help="accepted for compatibility, must be >= 1; "
+                             "changes neither the work nor the results")
     parser = argparse.ArgumentParser(
         prog="settlekit", parents=[shared],
         description="Simulate randomly forced nonlinear systems and check "
@@ -349,8 +362,9 @@ def main(argv=None) -> int:
             return cmd_reproduce(args.figure, out_dir or "out")
         if not config_path:
             raise ConfigError("--config is required for this command")
-        cfg = load_config(config_path, seed_override=seed, jobs=jobs,
-                          out_override=out_dir)
+        cfg = load_config(config_path, seed_override=seed, out_override=out_dir)
+        if jobs < 1:
+            raise ConfigError("jobs must be >= 1")
         handler = {"noise-check": cmd_noise_check, "certify": cmd_certify,
                    "simulate": cmd_simulate, "settle": cmd_settle}[args.command]
         return handler(cfg)

@@ -1,11 +1,11 @@
 """Monte Carlo settling studies over many noise realizations.
 
 Each path's randomness is derived only from (master_seed, path_index), so
-results do not depend on execution order or on how the batch is chunked;
-``jobs`` merely splits the path set into contiguous chunks.  A chunk is
-sampled here and integrated by ``integrate.integrate_batch``, the same
-kernel that ``integrate_path`` runs as a batch of one, so a path gives the
-same states in a batch and on its own.
+a path's result does not depend on the other paths of the batch.  Every
+path is sampled here once and all of them are integrated in one call of
+``integrate.integrate_batch``, the same kernel that ``integrate_path`` runs
+as a batch of one, so a path gives the same states in a batch and on its
+own.
 
 Censoring: paths that have not settled by the horizon are excluded from the
 settle-time mean and reported separately; blown-up paths are censored and
@@ -37,15 +37,12 @@ class McConfig:
     master_seed: int
     integrator: IntegratorConfig
     h_noise: float = defaults.H_NOISE
-    jobs: int = 1
 
     def __post_init__(self):
         if self.n_paths < 2:
             raise ValueError("n_paths must be >= 2")
         if self.h_noise <= 0:
             raise ValueError("h_noise must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         steps_per_cell(self.integrator.h, self.h_noise)  # validates divisibility
 
 
@@ -102,14 +99,8 @@ class CoverageReport:
                 "times": self.times, "per_time_fraction": self.per_time_fraction}
 
 
-def _chunks(n_paths: int, jobs: int):
-    size = math.ceil(n_paths / jobs)
-    for lo in range(0, n_paths, size):
-        yield lo, min(lo + size, n_paths)
-
-
 class _BatchRun:
-    """Samples a chunk of paths and integrates it with ``integrate_batch``."""
+    """Samples every path and integrates them with ``integrate_batch``."""
 
     def __init__(self, model: SystemModel, process: NoiseProcess, x0,
                  cfg: McConfig, t0: float = 0.0):
@@ -120,17 +111,23 @@ class _BatchRun:
         self.x0, self.m, self.n_steps = check_run(
             model, x0, process.dimension, cfg.h_noise, cfg.integrator, t0)
 
-    def sweep(self, lo: int, hi: int, step_observer=None):
-        """Sample paths [lo, hi) once and integrate them;
+    def sweep(self, step_observer=None):
+        """Sample the n_paths paths once and integrate them in one batch;
         ``step_observer(j, norms, blown)`` sees every node j = 0..n_steps.
         Returns the seeds, per-path last_out and blow_step, and the sampled
         noise values (b, cells+1, l)."""
-        seeds = np.array([path_seed(self.cfg.master_seed, i) for i in range(lo, hi)],
+        n = self.cfg.n_paths
+        seeds = np.array([path_seed(self.cfg.master_seed, i) for i in range(n)],
                          dtype=np.uint64)
-        values = np.stack([
-            sample_path(self.process, self.t0, self.cfg.integrator.horizon,
-                        self.cfg.h_noise, int(s)).values
-            for s in seeds])                              # (b, cells+1, l)
+        # each path is copied into its row of one block: a list of paths
+        # stacked afterwards would hold the block twice at its peak
+        values = None
+        for i, s in enumerate(seeds):
+            path = sample_path(self.process, self.t0, self.cfg.integrator.horizon,
+                               self.cfg.h_noise, int(s)).values
+            if values is None:
+                values = np.empty((n,) + path.shape)      # (b, cells+1, l)
+            values[i] = path
         last_out, blow_step, _, _ = integrate_batch(
             self.model, self.x0, values, self.t0, self.n_steps, self.m,
             self.cfg.integrator, step_observer)
@@ -149,22 +146,11 @@ def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
         raise ValueError(
             f"bound checks need n_paths >= {defaults.MIN_PATHS_FOR_BOUND}")
     run = _BatchRun(model, process, x0, cfg, t0)
-    icfg = cfg.integrator
     n = cfg.n_paths
-    settle_times = np.full(n, np.nan)
-    settled = np.zeros(n, dtype=bool)
-    blown_all = np.zeros(n, dtype=bool)
-    seeds_all = np.zeros(n, dtype=np.uint64)
-    for lo, hi in _chunks(n, cfg.jobs):
-        # [:3] frees this chunk's noise values before the next is sampled
-        seeds, last_out, blow_step = run.sweep(lo, hi)[:3]
-        blown = blow_step >= 0
-        ok = (~blown) & (last_out < run.n_steps)
-        idx = np.arange(lo, hi)
-        settled[idx[ok]] = True
-        settle_times[idx[ok]] = t0 + (last_out[ok] + 1) * icfg.h
-        blown_all[idx] = blown
-        seeds_all[idx] = seeds
+    seeds, last_out, blow_step = run.sweep()[:3]
+    blown = blow_step >= 0
+    settled = (~blown) & (last_out < run.n_steps)
+    settle_times = np.where(settled, t0 + (last_out + 1) * cfg.integrator.h, np.nan)
 
     n_settled = int(settled.sum())
     times = settle_times[settled]
@@ -184,10 +170,10 @@ def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
         bound_ok = bool(mean is not None and mean - hw <= bound)
     return SettlingStats(
         n_paths=n, n_settled=n_settled, n_censored=n - n_settled,
-        n_blowups=int(blown_all.sum()), mean=mean, half_width=hw,
+        n_blowups=int(blown.sum()), mean=mean, half_width=hw,
         min_time=tmin, max_time=tmax, bound_from_certificate=bound,
         bound_satisfied=bound_ok, settle_times=settle_times,
-        settled_mask=settled, blown_mask=blown_all, seeds=seeds_all)
+        settled_mask=settled, blown_mask=blown, seeds=seeds)
 
 
 def estimate_stability_probability(model: SystemModel, process: NoiseProcess,
@@ -197,16 +183,13 @@ def estimate_stability_probability(model: SystemModel, process: NoiseProcess,
     radius gamma_fn(|x0|)."""
     run = _BatchRun(model, process, x0, cfg, t0)
     level = float(gamma_fn(float(np.linalg.norm(np.asarray(x0, dtype=float)))))
-    inside_count = 0
-    for lo, hi in _chunks(cfg.n_paths, cfg.jobs):
-        sup = np.zeros(hi - lo)
+    sup = np.zeros(cfg.n_paths)
 
-        def observe(_j, norms, blown):
-            np.maximum(sup, np.where(blown, np.inf, norms), out=sup)
+    def observe(_j, norms, blown):
+        np.maximum(sup, np.where(blown, np.inf, norms), out=sup)
 
-        run.sweep(lo, hi, observe)
-        inside_count += int(np.sum(sup <= level))
-    return inside_count / cfg.n_paths
+    run.sweep(observe)
+    return int(np.sum(sup <= level)) / cfg.n_paths
 
 
 def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
@@ -229,21 +212,17 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
 
     inside_counts = np.zeros(run.n_steps + 1, dtype=int)
     last_outside = np.full(cfg.n_paths, -1)    # last node above the envelope
-    start_idx = np.empty(cfg.n_paths, dtype=int)
-    k_bound = max(cert.noise_bound, 1e-300)
-    for lo, hi in _chunks(cfg.n_paths, cfg.jobs):
-        chunk = last_outside[lo:hi]
 
-        def observe(j, norms, blown):
-            inside = (~blown) & (norms <= env_vals[j] + slack)
-            inside_counts[j] += int(np.sum(inside))
-            chunk[~inside] = j
+    def observe(j, norms, blown):
+        inside = (~blown) & (norms <= env_vals[j] + slack)
+        inside_counts[j] += int(np.sum(inside))
+        last_outside[~inside] = j
 
-        # first integration-grid index from which the accumulated |xi| ratio
-        # is below 1, from the noise values the sweep integrated
-        good = l1_ratios(run.sweep(lo, hi, observe)[3], cfg.h_noise, t0,
-                         k_bound) <= 1.0
-        start_idx[lo:hi] = np.where(good.any(1), good.argmax(1), good.shape[1] - 1)
+    # first integration-grid index from which the accumulated |xi| ratio is
+    # below 1, from the noise values the sweep integrated
+    good = l1_ratios(run.sweep(observe)[3], cfg.h_noise, t0,
+                     max(cert.noise_bound, 1e-300)) <= 1.0
+    start_idx = np.where(good.any(1), good.argmax(1), good.shape[1] - 1)
 
     return CoverageReport(
         times=grid, per_time_fraction=inside_counts / cfg.n_paths,

@@ -133,8 +133,8 @@ def make_random_phase_cosine(amplitudes, omegas) -> NoiseProcess:
         raise ValueError("amplitudes must be non-empty")
     if len(amplitudes) != len(omegas):
         raise ValueError("amplitudes and omegas must have equal length")
-    if any(a <= 0 for a in amplitudes) or any(w <= 0 for w in omegas):
-        raise ValueError("amplitudes and omegas must be strictly positive")
+    if not all(0 < v < math.inf for v in amplitudes + omegas):
+        raise ValueError("amplitudes and omegas must be positive and finite")
     k = sum(a * a / 2.0 for a in amplitudes)
     return NoiseProcess(kind=KIND_COSINE, dimension=len(amplitudes),
                         amplitudes=amplitudes, omegas=omegas,

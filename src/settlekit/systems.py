@@ -12,7 +12,7 @@ confidence, not prove it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -151,6 +151,29 @@ def make_example2(control: Optional[Callable] = None,
     return SystemModel(n=1, l=1, f=f, g=g, name=name, field_fn=field_fn)
 
 
+def make_example2_closed() -> SystemModel:
+    """``make_example2(control=stabilizing_controller)`` with one fused field.
+
+    The field computes arctan z, 1 + z^2 and (arctan z)^(1/3) once per call
+    instead of once in the drift and again in the controller.  Every
+    operation keeps the order of the unfused drift, controller and gain, so
+    the field has the same bits.
+    """
+    base = make_example2(control=stabilizing_controller, name="example2-closed")
+
+    def field_fn(x, t, xi):
+        z = x[..., 0]
+        a = np.arctan(z)
+        one_p = 1.0 + z * z
+        c = np.cbrt(a)
+        taa = 3.0 * z * a * a
+        u = -one_p * c - (taa - z) / one_p
+        drift = taa / one_p + u - z / one_p
+        return (drift + 0.5 * one_p * c * xi[..., 0])[..., None]
+
+    return replace(base, field_fn=field_fn)
+
+
 def make_unstable_cubic() -> SystemModel:
     """Diagnostic scalar model x' = x^3 (finite-time blow-up from any x0 > 0)."""
 
@@ -168,11 +191,10 @@ def get_model(name: str) -> SystemModel:
     builders = {
         "example1": make_example1,
         "example2-open": lambda: make_example2(name="example2-open"),
-        "example2-closed": lambda: make_example2(control=stabilizing_controller,
-                                                 name="example2-closed"),
+        "example2-closed": make_example2_closed,
         "unstable-cubic": make_unstable_cubic,
     }
-    if name not in builders:
+    if not isinstance(name, str) or name not in builders:
         raise ValueError(f"unknown model name: {name!r} "
                          f"(known: {sorted(builders)})")
     return builders[name]()
@@ -264,7 +286,8 @@ class ConditionReport:
     def to_dict(self) -> dict:
         return {"n_samples": self.n_samples,
                 "worst_margin": self.worst_margin,
-                "violations": [list(map(list, v)) if isinstance(v, tuple) else v
+                "violations": [[list(e) if isinstance(e, tuple) else e for e in v]
+                               if isinstance(v, tuple) else v
                                for v in self.violations],
                 "tolerance": self.tolerance,
                 "passed": self.passed}

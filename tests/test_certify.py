@@ -32,7 +32,8 @@ class TestPowerLaw:
         s = np.logspace(-3, 3, 13)
         assert np.allclose(p.inverse(p(s)), s, rtol=1e-12)
 
-    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 2.0), (1.0, 0.0)])
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 2.0), (1.0, 0.0),
+                                     (math.nan, 2.0), (1.0, math.inf)])
     def test_invalid(self, a, b):
         with pytest.raises(ValueError):
             PowerLaw(a, b)
@@ -45,6 +46,13 @@ class TestCertificateValidation:
         with pytest.raises(sk.ConstantConditionError):
             quad_cert(c1=0.5, c2=0.25, k=1.0)     # equality also rejected
         quad_cert(c1=0.51, c2=0.25, k=1.0)
+
+    @pytest.mark.parametrize("constants", [
+        {"c1": math.nan}, {"c1": math.inf}, {"c2": math.nan}, {"k": math.nan}],
+        ids=["c1-nan", "c1-inf", "c2-nan", "K-nan"])
+    def test_constants_must_be_finite(self, constants):
+        with pytest.raises(ValueError):
+            quad_cert(**constants)
 
     def test_gamma_range(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,21 @@
 """Tests for the CLI: exit codes, outputs, and reproducibility."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import settlekit as sk
 from settlekit import defaults, noise
 from settlekit.cli import main
 from settlekit.fileio import write_json
+from test_imports import readme_config
 
 TWO_23 = 2.0 ** (2.0 / 3.0)
 
@@ -104,10 +110,22 @@ class TestConfigErrors:
         ("simulate", "integrator.absorb_at_origin", "true"),
         ("settle", "integrator.absorb_at_origin", 0),
         ("settle", "integrator.absorb_at_origin", None),
+        ("settle", "mc", 3),
+        ("simulate", "integrator.h", None),
+        ("simulate", "integrator.horizon", math.inf),
+        ("noise-check", "noise.h_noise", math.inf),
+        ("noise-check", "noise.amplitudes", None),
+        ("simulate", "noise.amplitudes", [math.nan, 0.3]),
+        ("simulate", "mc.master_seed", -1),
+        ("simulate", "model", ["example1"]),
+        ("simulate", "out_dir", ""),
     ], ids=["n_paths-ten", "x0-string", "master_seed-x", "threshold-x",
             "nc_paths-1", "nc_paths-x", "check_times-empty", "check_times-0",
             "t_min-above-horizon", "absorb-string-false", "absorb-string-true",
-            "absorb-0", "absorb-null"])
+            "absorb-0", "absorb-null", "mc-not-object", "h-null", "horizon-inf",
+            "h_noise-inf", "amplitudes-null", "amplitudes-nan",
+            "master_seed-negative",
+            "model-list", "out_dir-empty"])
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, command,
                                                field, value):
         out = tmp_path / "out"
@@ -321,3 +339,69 @@ class TestReproduce:
 
     def test_unknown_figure(self, tmp_path):
         assert main(["reproduce", "fig9", "--out", str(tmp_path)]) == 2
+
+
+def _field_paths(block, prefix=()):
+    """Every key path of a config, blocks as well as leaves."""
+    for key, value in block.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+def reduced_readme_config() -> dict:
+    """README's config cut to 4 paths and short horizons."""
+    cfg = readme_config()
+    cfg["integrator"]["horizon"] = 0.5
+    cfg["mc"]["n_paths"] = 4
+    cfg["noise_check"].update(n_paths=4, horizon=1.0, check_times=[1.0], t_min=0.5)
+    return cfg
+
+
+FIELD_PATHS = list(_field_paths(reduced_readme_config()))
+# small magnitudes keep every run short; the odd values are the point
+ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6),
+    st.sampled_from([0.0, -0.0, -1.0, 1e-3, 0.5, 2.5, math.nan, math.inf,
+                     -math.inf]),
+    st.text(max_size=3), st.lists(st.sampled_from([0, 1.0, "a"]), max_size=3),
+    st.just({}))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["noise-check", "certify", "simulate", "settle"]),
+       field=st.sampled_from(FIELD_PATHS), value=ODD_VALUES,
+       delete=st.booleans(), jobs=st.sampled_from([-1, 0, 1, 4]))
+def test_one_mutated_field_keeps_the_cli_contract(command, field, value, delete,
+                                                  jobs):
+    """One field of the README config changed or deleted, with a valid or
+    invalid --jobs: exit 0, 1 or 2, no traceback, and no file on exit 2."""
+    cfg = reduced_readme_config()
+    if command == "settle":
+        assume(field[0] != "certificate")
+        del cfg["certificate"]    # a bound check needs 100 paths
+    *blocks, key = field
+    parent = cfg
+    for name in blocks:
+        parent = parent[name]
+    if delete:
+        parent.pop(key, None)
+    else:
+        parent[key] = value
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)     # a mutated relative out_dir lands in tmp
+        try:
+            with open("config.json", "w") as fh:
+                json.dump(cfg, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["--config", "config.json", "--jobs", str(jobs),
+                             command])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert os.listdir(".") == ["config.json"]
+        finally:
+            os.chdir(cwd)

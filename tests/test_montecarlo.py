@@ -18,10 +18,10 @@ def sqrt_model():
                           g=lambda x, t: np.zeros(x.shape + (1,)), name="sqrt")
 
 
-def mc_config(n_paths=10, horizon=4.0, seed=1, jobs=1, h=1e-3):
+def mc_config(n_paths=10, horizon=4.0, seed=1, h=1e-3):
     return sk.McConfig(n_paths=n_paths, master_seed=seed,
                        integrator=sk.IntegratorConfig(h=h, horizon=horizon),
-                       h_noise=0.01, jobs=jobs)
+                       h_noise=0.01)
 
 
 def ex1_cert(k=0.09):
@@ -88,17 +88,25 @@ class TestEstimateSettling:
                                  mc_config(n_paths=20, horizon=4.0, seed=5, h=2e-3))
         assert b.n_settled >= a.n_settled
 
-    def test_chunking_does_not_change_results(self):
+    def test_each_path_depends_only_on_its_seed(self):
         model = sk.make_example1()
         proc = sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0])
-        runs = [sk.estimate_settling(model, proc, np.array([1.0, 1.0]),
-                                     mc_config(n_paths=12, horizon=3.0, seed=7,
-                                               jobs=j, h=2e-3))
-                for j in (1, 3, 12)]
-        for other in runs[1:]:
-            assert np.array_equal(runs[0].settle_times, other.settle_times,
+        x0 = np.array([1.0, 1.0])
+        cfg = mc_config(n_paths=12, horizon=1.7, seed=7, h=2e-3)
+        full = sk.estimate_settling(model, proc, x0, cfg)
+        assert 0 < full.n_settled < 12     # settled and censored paths both occur
+        for i in range(12):
+            path = sk.sample_path(proc, 0.0, 1.7, 0.01, sk.path_seed(7, i))
+            traj = sk.integrate_path(model, path, x0, cfg.integrator)
+            assert full.settled_mask[i] == traj.settled
+            assert np.array_equal(full.settle_times[i],
+                                  traj.settle_time if traj.settled else np.nan,
                                   equal_nan=True)
-            assert runs[0].mean == other.mean
+        prefix = sk.estimate_settling(model, proc, x0, mc_config(
+            n_paths=5, horizon=1.7, seed=7, h=2e-3))
+        for name in ("settle_times", "settled_mask", "blown_mask", "seeds"):
+            assert np.array_equal(getattr(prefix, name),
+                                  getattr(full, name)[:5], equal_nan=True)
 
     def test_bound_requires_enough_paths(self):
         with pytest.raises(ValueError):
@@ -179,7 +187,7 @@ class TestEnvelopeCoverage:
         proc = sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0])
         cov = sk.envelope_coverage(sk.make_example1(), proc, np.array([1.0, 1.0]),
                                    ex1_cert(), mc_config(n_paths=7, horizon=2.0,
-                                                         jobs=3, h=2e-3), 0.05)
+                                                         h=2e-3), 0.05)
         assert len(calls) == 7
         assert cov.overall_fraction_from_l1_time >= cov.overall_fraction
 

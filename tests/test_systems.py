@@ -1,5 +1,6 @@
 """Tests for the built-in models and structural condition checks."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -111,6 +112,39 @@ class TestExample2:
         m = sk.make_example2(noise_gain_scale=0.0)
         assert np.all(m.g(np.array([2.0]), 0.0) == 0.0)
 
+    def test_fused_closed_loop_field_has_the_unfused_bits(self):
+        fused = sk.get_model("example2-closed")
+        unfused = sk.make_example2(control=sk.stabilizing_controller)
+        rng = np.random.default_rng(2024)
+        z = rng.standard_normal(5000) * 10.0 ** rng.uniform(-200, 5, 5000)
+        xi = rng.standard_normal(5000) * 10.0 ** rng.uniform(-3, 3, 5000)
+        edge = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                         1e154, -1e154, 1e308, -1e308])
+        ones = np.ones(edge.size)
+        z = np.concatenate([z, edge, ones])
+        xi = np.concatenate([xi, ones, edge])
+        with np.errstate(all="ignore"):
+            a = fused.field(z[:, None], 0.0, xi[:, None])
+            b = unfused.field(z[:, None], 0.0, xi[:, None])
+            assert a.shape == (z.size, 1)
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+            for zi, xii in zip(z[::50].tolist() + edge.tolist(),
+                               xi[::50].tolist() + ones.tolist()):
+                a = fused.field(np.array([zi]), 0.0, np.array([xii]))
+                b = unfused.field(np.array([zi]), 0.0, np.array([xii]))
+                assert a.shape == (1,)
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize("figure,sha256", [
+        ("fig2", "d2516ce3f78af2a018626e2a41cfae171550e4200000c2c38aba7c591afb3c0c"),
+        ("fig3", "b0aa60cc56d4d57eb0d3d7347f4fc6946bf252b838976d14e64f46a448913509"),
+    ])
+    def test_closed_loop_figures_keep_their_bytes(self, tmp_path, figure, sha256):
+        # digests of the figure CSVs written with the unfused field
+        path = sk.reproduce_figure(figure, tmp_path)[0]
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == sha256
+
 
 class TestRegistry:
     @pytest.mark.parametrize("name,n", [
@@ -140,6 +174,7 @@ class TestCheckOrigin:
         rep = sk.check_origin(bad, [0.0, 1.0, 2.0], tol=1e-12)
         assert not rep.passed
         assert len(rep.violations) == 3
+        assert rep.to_dict()["violations"][1] == [[0.0, 0.0], 1.0]
 
 
 class TestModulus:
