@@ -95,7 +95,6 @@ class Certificate:
     alpha2: PowerLaw
     gamma: Optional[float] = None       # power rate r(v) = v^gamma
     rate_fn: Optional[Callable] = None  # general rate, used when gamma is None
-    rate_integrable: bool = False       # caller-asserted integrability of 1/r at 0
     lyapunov_name: str = ""
 
     def __post_init__(self):
@@ -229,11 +228,16 @@ def theta_inverse(cert: Certificate, y: float) -> float:
 # Sampled verification
 # ---------------------------------------------------------------------------
 
-def _ball_samples(rng, dim: int, radius: float, count: int) -> np.ndarray:
-    direction = rng.standard_normal((count, dim))
+def _sample_states(dim: int, radius: float, n: int, seed: int) -> np.ndarray:
+    """n seeded uniform samples of the ball of the given radius, followed by
+    the deterministic extras."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rng = np.random.default_rng(seed)
+    direction = rng.standard_normal((n, dim))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    radii = radius * rng.random(count) ** (1.0 / dim)
-    return direction * radii[:, None]
+    radii = radius * rng.random(n) ** (1.0 / dim)
+    return np.vstack([direction * radii[:, None], _deterministic_extras(dim, radius)])
 
 
 def _deterministic_extras(dim: int, radius: float) -> np.ndarray:
@@ -273,56 +277,46 @@ class DriftReport:
         return self.drift.passed and self.gain.passed
 
 
-def _report(samples, margins, tol: float) -> ConditionReport:
-    worst = float(np.min(margins))
-    bad = np.where(margins < -tol)[0]
-    violations = tuple(tuple(samples[i]) for i in bad[:10])
-    return ConditionReport(n_samples=len(samples), worst_margin=worst,
-                           violations=violations, tolerance=tol)
+def _lie_derivatives(model: SystemModel, gradV: Callable, x, t_grid):
+    """gradV.f and |gradV.g| at the states x, shape (len(t_grid), len(x))."""
+    grad = gradV(x)
+    lf, lg = [], []
+    for t in t_grid:
+        lf.append(np.einsum("...i,...i->...", grad, model.f(x, t)))
+        lg.append(np.linalg.norm(np.einsum("...i,...il->...l", grad, model.g(x, t)),
+                                 axis=-1))
+    return np.array(lf), np.array(lg)
 
 
 def verify_sandwich(cert: Certificate, box_radius: float, n: int, tol: float,
                     seed: int) -> SandwichReport:
     """Sample the ball and check alpha1(|x|) <= V(x) <= alpha2(|x|)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    x = np.vstack([_ball_samples(rng, cert.state_dim, box_radius, n),
-                   _deterministic_extras(cert.state_dim, box_radius)])
+    x = _sample_states(cert.state_dim, box_radius, n, seed)
     norms = np.linalg.norm(x, axis=1)
     v = cert.V(x)
-    return SandwichReport(lower=_report(x, v - cert.alpha1(norms), tol),
-                          upper=_report(x, cert.alpha2(norms) - v, tol))
+
+    def where(i, j):
+        return tuple(x[j])
+
+    return SandwichReport(
+        lower=ConditionReport.from_margins(v - cert.alpha1(norms), tol, where),
+        upper=ConditionReport.from_margins(cert.alpha2(norms) - v, tol, where))
 
 
 def verify_drift(cert: Certificate, model: SystemModel, box_radius: float,
                  n: int, t_grid, tol: float, seed: int) -> DriftReport:
     """Sample (x, t) and check the two rate inequalities of the certificate."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    x = np.vstack([_ball_samples(rng, cert.state_dim, box_radius, n),
-                   _deterministic_extras(cert.state_dim, box_radius)])
-    grad = cert.gradV(x)
-    rv = cert.rate(cert.V(x))
-    worst_d, worst_g = np.inf, np.inf
-    viol_d, viol_g = [], []
+    x = _sample_states(cert.state_dim, box_radius, n, seed)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    for t in t_grid:
-        lf = np.einsum("...i,...i->...", grad, model.f(x, t))
-        lg = np.linalg.norm(np.einsum("...i,...il->...l", grad, model.g(x, t)), axis=-1)
-        md = -lf - cert.c1 * rv
-        mg = cert.c2 * rv - lg
-        for margins, store in ((md, viol_d), (mg, viol_g)):
-            bad = np.where(margins < -tol)[0]
-            for idx in bad[:10 - len(store)]:
-                store.append((tuple(x[idx]), float(t)))
-        worst_d = min(worst_d, float(np.min(md)))
-        worst_g = min(worst_g, float(np.min(mg)))
-    n_total = len(x) * len(t_grid)
+    lf, lg = _lie_derivatives(model, cert.gradV, x, t_grid)
+    rv = cert.rate(cert.V(x))
+
+    def where(i, j):
+        return tuple(x[j]), float(t_grid[i])
+
     return DriftReport(
-        drift=ConditionReport(n_total, worst_d, tuple(viol_d), tol),
-        gain=ConditionReport(n_total, worst_g, tuple(viol_g), tol))
+        drift=ConditionReport.from_margins(-lf - cert.c1 * rv, tol, where),
+        gain=ConditionReport.from_margins(cert.c2 * rv - lg, tol, where))
 
 
 # ---------------------------------------------------------------------------
@@ -388,21 +382,11 @@ def fit_constants(model: SystemModel, V: Callable, gradV: Callable, gamma: float
     The origin is excluded (0/0); ``certifiable`` is False when c1 <= 0,
     i.e. the Lyapunov candidate fails on the sampled set.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    dim = model.n
-    x = np.vstack([_ball_samples(rng, dim, box_radius, n),
-                   _deterministic_extras(dim, box_radius)])
+    x = _sample_states(model.n, box_radius, n, seed)
     x = x[np.linalg.norm(x, axis=1) > 1e-12]
-    grad = gradV(x)
-    vpow = np.asarray(V(x)) ** gamma
-    c1_fit, c2_fit = np.inf, 0.0
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    for t in t_grid:
-        lf = np.einsum("...i,...i->...", grad, model.f(x, t))
-        lg = np.linalg.norm(np.einsum("...i,...il->...l", grad, model.g(x, t)), axis=-1)
-        c1_fit = min(c1_fit, float(np.min(-lf / vpow)))
-        c2_fit = max(c2_fit, float(np.max(lg / vpow)))
-    return FitResult(c1=c1_fit, c2=c2_fit, certifiable=bool(c1_fit > 0),
-                     n_samples=len(x) * len(t_grid))
+    lf, lg = _lie_derivatives(model, gradV, x, t_grid)
+    vpow = np.asarray(V(x)) ** gamma
+    c1_fit = float(np.min(-lf / vpow))
+    return FitResult(c1=c1_fit, c2=float(np.max(lg / vpow)),
+                     certifiable=bool(c1_fit > 0), n_samples=lf.size)

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def fmt(x) -> str:
     """Format a float with 17 significant digits (lossless round trip)."""
@@ -56,4 +58,9 @@ def write_json(file_path, obj) -> None:
 
 
 def ensure_dir(path) -> None:
-    os.makedirs(path, exist_ok=True)
+    """Create the output directory; a path that cannot be one is a
+    configuration error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {path!r}: {e}")

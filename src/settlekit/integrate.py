@@ -76,7 +76,6 @@ class Trajectory:
     blowup: bool = False
     blowup_time: Optional[float] = None
     absorb_index: Optional[int] = None
-    eps_settle: float = defaults.EPS_SETTLE
 
     def times(self) -> np.ndarray:
         return self.t0 + self.h * np.arange(self.states.shape[0])
@@ -228,7 +227,7 @@ def integrate_path(model: SystemModel, path: NoisePath, x0,
         settle_time=float(path.t0 + (last + 1) * cfg.h) if settled else None,
         blowup=blow >= 0,
         blowup_time=path.t0 + (blow - 1) * cfg.h + cfg.h if blow >= 0 else None,
-        absorb_index=absorb if absorb >= 0 else None, eps_settle=cfg.eps_settle)
+        absorb_index=absorb if absorb >= 0 else None)
 
 
 def detect_settling(traj: Trajectory, eps_settle: float) -> Optional[float]:

@@ -220,8 +220,8 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
 
     # first integration-grid index from which the accumulated |xi| ratio is
     # below 1, from the noise values the sweep integrated
-    good = l1_ratios(run.sweep(observe)[3], cfg.h_noise, t0,
-                     max(cert.noise_bound, 1e-300)) <= 1.0
+    mags = np.sqrt(np.sum(run.sweep(observe)[3] ** 2, axis=-1))
+    good = l1_ratios(mags, cfg.h_noise, t0, max(cert.noise_bound, 1e-300)) <= 1.0
     start_idx = np.where(good.any(1), good.argmax(1), good.shape[1] - 1)
 
     return CoverageReport(

@@ -237,11 +237,16 @@ def _path_statistics(process: NoiseProcess, n_paths: int, horizon: float,
     endpoints of [t0, horizon); the running time average of |xi|^2 at each
     time in ``t_grid``, shape (len(t_grid), n_paths); and, when
     ``l1_bound`` > 0, ``check_l1_bound`` of the [t0, horizon] prefix
-    (else 0).  A longer path extends a shorter one exactly, so each
-    statistic has the bits it has on a path sampled to its own horizon.
-    Paths are streamed one at a time to keep memory flat in n_paths.
+    (else 0), read from the squares already summed.  A longer path extends
+    a shorter one exactly, so each statistic has the bits it has on a path
+    sampled to its own horizon.  Paths are streamed one at a time to keep
+    memory flat in n_paths.
     """
     n_cells = _n_cells(t0, horizon, h_noise)
+    if l1_bound > 0:
+        if t_min <= t0:
+            raise ValueError("t_min must exceed the path start time")
+        l1_times = t0 + h_noise * np.arange(n_cells + 1) >= t_min - 1e-12
     span = max([horizon, *t_grid])
     means = np.empty(n_paths)
     averages = np.empty((len(t_grid), n_paths))
@@ -256,8 +261,8 @@ def _path_statistics(process: NoiseProcess, n_paths: int, horizon: float,
             k = p.cell_index(t)
             averages[j, i] = (cum[k] + (t - (p.t0 + k * p.h)) * sq[k]) / (t - t0)
         if l1_bound > 0:
-            prefix = NoisePath(p.t0, p.h, p.values[:n_cells + 1], p.seed)
-            ratios[i] = check_l1_bound(prefix, l1_bound, t_min)
+            r = l1_ratios(np.sqrt(sq[:n_cells + 1]), p.h, p.t0, l1_bound)[l1_times]
+            ratios[i] = float(np.max(r)) if r.size else 0.0
     return means, averages, ratios
 
 
@@ -338,10 +343,9 @@ def check_noise(process: NoiseProcess, n_paths: int, horizon: float,
             _wlln_report(process, t_grid, averages, delta), float(np.max(ratios)))
 
 
-def l1_ratios(values: np.ndarray, h: float, t0: float, k_bound: float) -> np.ndarray:
+def l1_ratios(mags: np.ndarray, h: float, t0: float, k_bound: float) -> np.ndarray:
     """integral_{t0}^{t} |xi| ds / (2 sqrt(K) (t - t0)) at every grid time t
-    of held values (..., n_points, l) on the grid t0 + k h; NaN at t0."""
-    mags = np.sqrt(np.sum(values ** 2, axis=-1))
+    of held magnitudes |xi| (..., n_points) on the grid t0 + k h; NaN at t0."""
     cum = np.zeros(mags.shape)
     np.cumsum(mags[..., :-1], axis=-1, out=cum[..., 1:])
     t = t0 + h * np.arange(mags.shape[-1])
@@ -360,7 +364,8 @@ def check_l1_bound(path: NoisePath, k_bound: float, t_min: float) -> float:
         raise ValueError("k_bound must be positive")
     if t_min <= path.t0:
         raise ValueError("t_min must exceed the path start time")
-    ratios = l1_ratios(path.values, path.h, path.t0, k_bound)
+    ratios = l1_ratios(np.sqrt(np.sum(path.values ** 2, axis=-1)),
+                       path.h, path.t0, k_bound)
     ratios = ratios[path.times() >= t_min - 1e-12]
     return float(np.max(ratios)) if ratios.size else 0.0
 

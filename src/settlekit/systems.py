@@ -140,15 +140,7 @@ def make_example2(control: Optional[Callable] = None,
         gain = 0.5 * (1.0 + z * z) * np.cbrt(a) * noise_gain_scale
         return gain[..., None, None]
 
-    def field_fn(x, t, xi):
-        z = x[..., 0]
-        a = np.arctan(z)
-        one_p = 1.0 + z * z
-        drift = 3.0 * z * a * a / one_p + control(z) - z / one_p
-        gain = 0.5 * one_p * np.cbrt(a) * noise_gain_scale
-        return (drift + gain * xi[..., 0])[..., None]
-
-    return SystemModel(n=1, l=1, f=f, g=g, name=name, field_fn=field_fn)
+    return SystemModel(n=1, l=1, f=f, g=g, name=name)
 
 
 def make_example2_closed() -> SystemModel:
@@ -279,6 +271,18 @@ class ConditionReport:
     violations: tuple
     tolerance: float
 
+    @classmethod
+    def from_margins(cls, margins, tol: float, where: Callable) -> "ConditionReport":
+        """Report sampled margins of shape (times, samples); a 1-D array is
+        one time.  The worst margin is the plain minimum, so a NaN margin
+        fails the check.  The violations are the first ten margins below
+        -tol in time-major order, each given by ``where(time, sample)``."""
+        margins = np.atleast_2d(np.asarray(margins, dtype=float))
+        bad = np.argwhere(margins < -tol)[:10]
+        return cls(n_samples=margins.size, worst_margin=float(np.min(margins)),
+                   violations=tuple(where(int(i), int(j)) for i, j in bad),
+                   tolerance=tol)
+
     @property
     def passed(self) -> bool:
         return self.worst_margin >= -self.tolerance
@@ -303,23 +307,27 @@ class OsgoodReport:
         return self.f_condition.passed and self.g_condition.passed
 
 
+def _spectral_norm(a):
+    """2-norm of each matrix over the last two axes; NaN for a matrix that
+    holds a NaN, on which the SVD behind np.linalg.norm raises."""
+    nan = np.isnan(a).any(axis=(-2, -1))
+    return np.where(nan, np.nan, np.linalg.norm(
+        np.where(nan[..., None, None], 0.0, a), ord=2, axis=(-2, -1)))
+
+
 def check_origin(model: SystemModel, t_grid, tol: float) -> ConditionReport:
     """Verify f(0,t) and g(0,t) vanish on the time grid (to tolerance)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     zero = np.zeros(model.n)
-    worst = 0.0
-    violations = []
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    for t in t_grid:
-        fn = float(np.linalg.norm(model.f(zero, t)))
-        gn = float(np.linalg.norm(model.g(zero, t), ord=2))
-        bad = max(fn, gn)
-        worst = max(worst, bad)
-        if bad > tol and len(violations) < 10:
-            violations.append((tuple(zero), float(t)))
-    return ConditionReport(n_samples=len(t_grid), worst_margin=-worst,
-                           violations=tuple(violations), tolerance=tol)
+    # np.maximum keeps a NaN norm, which Python max would drop
+    margins = [-np.maximum(np.linalg.norm(model.f(zero, t)),
+                           _spectral_norm(model.g(zero, t)))
+               for t in t_grid]
+    return ConditionReport.from_margins(
+        np.reshape(margins, (-1, 1)), tol,
+        lambda i, j: (tuple(zero), float(t_grid[i])))
 
 
 def check_osgood(model: SystemModel, moduli: ModulusPair, box_radius: float,
@@ -340,23 +348,18 @@ def check_osgood(model: SystemModel, moduli: ModulusPair, box_radius: float,
     dist = np.linalg.norm(x1 - x2, axis=1)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
 
-    worst_f, worst_g = np.inf, np.inf
-    viol_f, viol_g = [], []
+    mf, mg = [], []
     for t in t_grid:
         df = np.linalg.norm(model.f(x1, t) - model.f(x2, t), axis=1)
-        dg = np.linalg.norm(model.g(x1, t) - model.g(x2, t), ord=2, axis=(1, 2))
-        mf = moduli.c1_t(t) * moduli.kappa(dist) - df
-        mg = moduli.c2_t(t) * moduli.rho(dist) - dg ** 2
-        for margins, store, xa, xb in ((mf, viol_f, x1, x2), (mg, viol_g, x1, x2)):
-            bad = np.where(margins < -tol)[0]
-            for idx in bad[:10 - len(store)]:
-                store.append((tuple(xa[idx]), tuple(xb[idx]), float(t)))
-        worst_f = min(worst_f, float(np.min(mf)))
-        worst_g = min(worst_g, float(np.min(mg)))
-    n = n_pairs * len(t_grid)
-    return OsgoodReport(
-        f_condition=ConditionReport(n, worst_f, tuple(viol_f), tol),
-        g_condition=ConditionReport(n, worst_g, tuple(viol_g), tol))
+        dg = _spectral_norm(model.g(x1, t) - model.g(x2, t))
+        mf.append(moduli.c1_t(t) * moduli.kappa(dist) - df)
+        mg.append(moduli.c2_t(t) * moduli.rho(dist) - dg ** 2)
+
+    def where(i, j):
+        return tuple(x1[j]), tuple(x2[j]), float(t_grid[i])
+
+    return OsgoodReport(f_condition=ConditionReport.from_margins(mf, tol, where),
+                        g_condition=ConditionReport.from_margins(mg, tol, where))
 
 
 @dataclass(frozen=True)

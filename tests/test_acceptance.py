@@ -61,7 +61,7 @@ def test_criterion_02_theta_quadrature_and_round_trip():
     for gamma in (0.25, 0.5, 0.75):
         cert_q = Certificate(state_dim=1, V=V_ATAN, gradV=GRAD_ATAN,
                              rate_fn=lambda v, g=gamma: np.asarray(v, dtype=float) ** g,
-                             rate_integrable=True, c1=1.0, c2=0.1, noise_bound=0.0,
+                             c1=1.0, c2=0.1, noise_bound=0.0,
                              alpha1=PowerLaw(0.5, 2), alpha2=PowerLaw(0.5, 2))
         for v in (0.1, 1.0, 10.0):
             closed = v ** (1.0 - gamma) / (1.0 - gamma)

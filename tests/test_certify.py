@@ -22,7 +22,7 @@ def quad_cert(dim=2, gamma=0.5, c1=2.0, c2=0.25, k=1.0,
 def general_rate_cert(gamma):
     return Certificate(state_dim=1, V=V_ATAN, gradV=GRAD_ATAN,
                        rate_fn=lambda v, g=gamma: np.asarray(v, dtype=float) ** g,
-                       rate_integrable=True, c1=1.0, c2=0.1, noise_bound=0.0,
+                       c1=1.0, c2=0.1, noise_bound=0.0,
                        alpha1=PowerLaw(0.5, 2), alpha2=PowerLaw(0.5, 2))
 
 
@@ -115,7 +115,7 @@ class TestTheta:
     def test_divergent_rate_rejected(self):
         cert = Certificate(state_dim=1, V=V_ATAN, gradV=GRAD_ATAN,
                            rate_fn=lambda v: np.asarray(v, dtype=float),
-                           rate_integrable=True, c1=1.0, c2=0.1, noise_bound=0.0,
+                           c1=1.0, c2=0.1, noise_bound=0.0,
                            alpha1=PowerLaw(0.5, 2), alpha2=PowerLaw(0.5, 2))
         with pytest.raises(sk.RateIntegralError):
             sk.theta(cert, 1.0)
@@ -176,6 +176,19 @@ class TestVerifyDrift:
         assert rep.passed
         assert rep.drift.worst_margin >= 0.0
         assert abs(rep.gain.worst_margin) <= 1e-9
+
+    def test_nan_drift_fails(self):
+        # f = -x^(1/3) gives the drift margin (1 - 2^(-2/3)) |x|^(4/3) >= 0
+        # wherever f is finite
+        m = sk.SystemModel(n=1, l=1,
+                           f=lambda x, t: np.where(x > 1.0, np.nan, -np.cbrt(x)),
+                           g=lambda x, t: np.zeros(x.shape + (1,)))
+        rep = sk.verify_drift(quad_cert(dim=1, gamma=2.0 / 3.0, c1=1.0, k=0.0), m,
+                              box_radius=2.0, n=200, t_grid=[0.0, 1.0], tol=1e-9,
+                              seed=1)
+        assert math.isnan(rep.drift.worst_margin)
+        assert not rep.drift.passed and not rep.passed
+        assert rep.gain.passed
 
     def test_margin_zero_at_origin(self):
         cert = quad_cert(gamma=2.0 / 3.0, c1=1.0, c2=1.0, k=0.0)

@@ -1,6 +1,7 @@
 """Tests for the CLI: exit codes, outputs, and reproducibility."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -139,6 +140,24 @@ class TestConfigErrors:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "settle", "noise-check",
+                                         "reproduce"])
+    def test_out_dir_under_a_file(self, tmp_path, capsys, command):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        out = blocker / "sub"
+        cfg = base_config(out)
+        cfg["noise_check"] = {"n_paths": 5, "horizon": 5.0}
+        args = (["reproduce", "fig2", "--out", str(out)] if command == "reproduce"
+                else ["--config", write_config(tmp_path, cfg), command])
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(out) in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["afile"] if command == "reproduce" else ["afile", "config.json"])
+        assert blocker.read_text() == ""
+
     def test_bound_check_needs_enough_paths(self, tmp_path):
         cfg = base_config(tmp_path / "out", n_paths=20)
         cfg["certificate"] = {"gamma": 2.0 / 3.0, "c1": TWO_23, "c2": TWO_23,
@@ -250,6 +269,26 @@ class TestCertify:
         cfg["certificate"] = self.cert_block(k=1.0)
         assert main(["--config", write_config(tmp_path, cfg), "certify"]) == 1
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("changes,code,digest", [
+        ({}, 0, "8ab803af8001b121b63cce3df101ce9462dd8e520bc0fcc1df709d4ceb9061cb"),
+        ({"c1": 3.0, "c2": 0.5, "alpha1": {"a": 0.55, "b": 2},
+          "alpha2": {"a": 0.6, "b": 2}}, 1,
+         "91edad96b8db1b76552a50b2049b1b380a1bb579244bad441bdcaa2d4daca13c"),
+    ], ids=["readme", "violating"])
+    def test_report_bytes_are_pinned(self, tmp_path, changes, code, digest):
+        out = tmp_path / "out"
+        cfg = readme_config()
+        cfg["certificate"].update(changes)
+        cfg["out_dir"] = str(out)
+        assert main(["--config", write_config(tmp_path, cfg), "certify"]) == code
+        data = (out / "certify_report.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+        if code:
+            report = json.loads(data)
+            assert len(report["sandwich"]["lower"]["violations"]) == 10
+            assert len(report["drift"]["drift"]["violations"]) == 10
 
 
 class TestSimulate:

@@ -102,7 +102,7 @@ def test_cli_command_loads_no_scipy(tmp_path, config, command):
      "cert = Certificate(state_dim=1, V=lambda x: 0.5 * np.sum(np.square(x), axis=-1),\n"
      "                   gradV=lambda x: np.asarray(x, dtype=float),\n"
      "                   rate_fn=lambda v: np.asarray(v, dtype=float) ** 0.5,\n"
-     "                   rate_integrable=True, c1=1.0, c2=0.1, noise_bound=0.0,\n"
+     "                   c1=1.0, c2=0.1, noise_bound=0.0,\n"
      "                   alpha1=PowerLaw(0.5, 2), alpha2=PowerLaw(0.5, 2))\n"
      "settlekit.theta_inverse(cert, 1.0)",
      "scipy.optimize"),

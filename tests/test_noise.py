@@ -256,7 +256,8 @@ class TestL1Bound:
     def test_batch_ratios_match_per_path_loop(self):
         p = sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0])
         paths = [sk.sample_path(p, 0.5, 10.0, 0.01, seed) for seed in range(4)]
-        batch = l1_ratios(np.stack([q.values for q in paths]), 0.01, 0.5, 0.09)
+        mags = np.sqrt(np.sum(np.stack([q.values for q in paths]) ** 2, axis=-1))
+        batch = l1_ratios(mags, 0.01, 0.5, 0.09)
         for row, q in zip(batch, paths):
             mags = np.sqrt(np.sum(q.values ** 2, axis=1))
             cum = np.concatenate([[0.0], np.cumsum(mags[:-1]) * q.h])

@@ -160,6 +160,30 @@ class TestRegistry:
             sk.get_model("nope")
 
 
+class TestConditionReport:
+    def test_from_margins_is_time_major_and_keeps_ten(self):
+        margins = np.full((3, 6), 1.0)
+        margins[0, 4:] = margins[1] = margins[2, 0] = -1.0
+        rep = sk.ConditionReport.from_margins(margins, 1e-9, lambda i, j: (i, j))
+        assert rep.n_samples == 18 and rep.worst_margin == -1.0
+        assert rep.violations == ((0, 4), (0, 5)) + tuple((1, j) for j in range(6)) \
+            + ((2, 0),)
+        margins[2] = -1.0
+        rep = sk.ConditionReport.from_margins(margins, 1e-9, lambda i, j: (i, j))
+        assert len(rep.violations) == 10 and rep.violations[-1] == (2, 1)
+
+    def test_one_dimensional_margins_are_one_time(self):
+        rep = sk.ConditionReport.from_margins([0.5, -2.0, 1e-10 - 1e-9], 1e-9,
+                                              lambda i, j: (i, j))
+        assert rep.n_samples == 3 and rep.violations == ((0, 1),)
+        assert rep.worst_margin == -2.0 and not rep.passed
+
+    def test_nan_margin_fails(self):
+        rep = sk.ConditionReport.from_margins([1.0, math.nan], 1e-9,
+                                              lambda i, j: (i, j))
+        assert math.isnan(rep.worst_margin) and not rep.passed
+
+
 class TestCheckOrigin:
     @pytest.mark.parametrize("name", ["example1", "example2-closed", "example2-open"])
     def test_builtin_models_pass(self, name):
@@ -175,6 +199,19 @@ class TestCheckOrigin:
         assert not rep.passed
         assert len(rep.violations) == 3
         assert rep.to_dict()["violations"][1] == [[0.0, 0.0], 1.0]
+
+    @pytest.mark.parametrize("nan_in", ["f", "g"])
+    def test_nan_at_the_origin_fails(self, nan_in):
+        # finite at t = 0, where SystemModel checks the origin; NaN later
+        def late_nan(t):
+            return np.nan if t > 0.5 else 0.0
+
+        f = (lambda x, t: -x + late_nan(t)) if nan_in == "f" else (lambda x, t: -x)
+        g = ((lambda x, t: np.zeros(x.shape + (1,)) + late_nan(t)) if nan_in == "g"
+             else (lambda x, t: np.zeros(x.shape + (1,))))
+        rep = sk.check_origin(sk.SystemModel(n=1, l=1, f=f, g=g), [0.0, 1.0],
+                              tol=1e-9)
+        assert math.isnan(rep.worst_margin) and not rep.passed
 
 
 class TestModulus:
@@ -209,6 +246,21 @@ class TestCheckOsgood:
                               tol=1e-12, seed=5)
         assert rep.f_condition.worst_margin == 0.0
         assert rep.passed
+
+    @pytest.mark.parametrize("nan_in", ["f", "g"])
+    def test_nan_on_part_of_the_box_fails(self, nan_in):
+        # f = -x and g = 0, except NaN in one of them where x > 1; with
+        # linear moduli every finite margin is >= 0
+        f = lambda x, t: np.where(x > 1.0, np.nan, -x) if nan_in == "f" else -x
+        g = lambda x, t: np.where((x[..., None] > 1.0) & (nan_in == "g"), np.nan, 0.0)
+        mp = ModulusPair(kappa=Modulus.linear(1.0), rho=Modulus.linear(1.0))
+        rep = sk.check_osgood(sk.SystemModel(n=1, l=1, f=f, g=g), mp,
+                              box_radius=2.0, n_pairs=200, t_grid=[0.0],
+                              tol=1e-12, seed=5)
+        bad, good = ((rep.f_condition, rep.g_condition) if nan_in == "f"
+                     else (rep.g_condition, rep.f_condition))
+        assert math.isnan(bad.worst_margin) and not bad.passed
+        assert good.passed and not rep.passed
 
     def test_example1_candidate_moduli_pass(self):
         m = sk.make_example1()
