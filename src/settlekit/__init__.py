@@ -6,20 +6,22 @@ processes, ``systems`` holds the models and structural checks, ``integrate``
 runs pathwise RK4 with settling detection, ``certify`` verifies Lyapunov
 certificates and evaluates settling bounds and decay envelopes, and
 ``montecarlo`` aggregates batches of paths.  The ``settlekit`` CLI drives
-everything from a JSON config.
+everything from a JSON config, and ``reproduce_figure`` runs it on the
+built-in demonstration configs.
 """
 
 from .certify import (Certificate, Envelope, FitResult, PowerLaw,
                       certificate_from_dict, decay_envelope, fit_constants,
                       settling_bound, theta, theta_inverse, verify_drift,
                       verify_sandwich)
+from .cli import reproduce_figure
 from .errors import (ConfigError, ConstantConditionError, EvaluatorError,
                      QuadratureError, RateIntegralError)
 from .integrate import (IntegratorConfig, Trajectory, check_integral_form,
                         detect_settling, integrate_path, uniqueness_probe)
 from .montecarlo import (CoverageReport, McConfig, SettlingStats,
                          envelope_coverage, estimate_settling,
-                         estimate_stability_probability, reproduce_figure)
+                         estimate_stability_probability)
 from .noise import (MomentReport, NoisePath, NoiseProcess, WllnReport,
                     check_l1_bound, check_wlln, estimate_mean_square,
                     make_filtered_white_noise, make_random_phase_cosine,

@@ -1,6 +1,7 @@
 """Command-line front end driven by a JSON experiment configuration.
 
-Commands: noise-check, certify, simulate, settle, reproduce.
+Commands: noise-check, certify, simulate, settle, reproduce.  ``reproduce``
+runs ``simulate``'s single path on one of three built-in configs.
 Exit codes: 0 success, 1 check/bound failure (or blow-up), 2 configuration
 error.  A configuration error never leaves partial output files: the whole
 config is validated and all objects are constructed before anything is
@@ -20,15 +21,31 @@ from . import defaults
 from .certify import Certificate, certificate_from_dict, settling_bound, \
     verify_drift, verify_sandwich
 from .errors import ConfigError, ConstantConditionError
-from .fileio import ensure_dir, fmt, write_json
+from .fileio import ensure_dir, fmt, write_csv, write_json
 from .integrate import IntegratorConfig, check_run, integrate_path, \
     trajectory_to_csv
-from .montecarlo import McConfig, estimate_settling, reproduce_figure, \
-    write_settle_csv
+from .montecarlo import McConfig, estimate_settling, write_settle_csv
 from .noise import (check_noise, make_filtered_white_noise,
                     make_random_phase_cosine, path_seed, sample_path,
                     zero_process)
-from .systems import get_model
+from .systems import get_model, stabilizing_controller
+
+# The data behind the three demonstration plots; every field not given
+# takes its default.  fig1: one example1 trajectory under random-phase
+# cosine noise.  fig2: one closed-loop example2 trajectory under filtered
+# noise.  fig3: the control input and disturbance along the fig2 run.
+_EXAMPLE2_FIGURE = {
+    "model": "example2-closed", "x0": [3.0],
+    "noise": {"kind": "filtered-white-noise", "intensity": 0.5, "tau_f": 1.0},
+    "integrator": {"horizon": 10.0}, "mc": {"master_seed": 202}}
+FIGURES = {
+    "fig1": {"model": "example1", "x0": [1.0, 1.0],
+             "noise": {"kind": "random-phase-cosine", "amplitudes": [0.3, 0.3],
+                       "omegas": [1.0, 2.0]},
+             "integrator": {"horizon": 10.0}, "mc": {"master_seed": 101}},
+    "fig2": _EXAMPLE2_FIGURE,
+    "fig3": _EXAMPLE2_FIGURE,
+}
 
 
 def _require(block: dict, key: str, where: str):
@@ -104,16 +121,16 @@ class ExperimentConfig:
         self.integrator = self._parse_integrator(_block(raw, "integrator"))
 
         mc = _block(raw, "mc")
-        self.master_seed = _number(mc.get("master_seed", 0), "mc.master_seed",
-                                   int, above=-1)
+        master_seed = _number(mc.get("master_seed", 0), "mc.master_seed",
+                              int, above=-1)
         if seed_override is not None:
-            self.master_seed = _number(seed_override, "mc.master_seed",
-                                       int, above=-1)
-        self.n_paths = _number(mc.get("n_paths", 100), "mc.n_paths", int)
+            master_seed = _number(seed_override, "mc.master_seed", int, above=-1)
+        n_paths = _number(mc.get("n_paths", 100), "mc.n_paths", int)
         # n_paths and h | h_noise via McConfig; x0, the noise dimension
         # and the horizon grid via the integrator's own check
         try:
-            self.mc_config()
+            self.mc = McConfig(n_paths=n_paths, master_seed=master_seed,
+                               integrator=self.integrator, h_noise=self.h_noise)
             if (self.model is not None and self.x0 is not None
                     and self.process is not None):
                 check_run(self.model, self.x0, self.process.dimension,
@@ -211,10 +228,6 @@ class ExperimentConfig:
         except (ValueError, KeyError, TypeError) as e:
             raise ConfigError(f"field certificate: {e}")
 
-    def mc_config(self) -> McConfig:
-        return McConfig(n_paths=self.n_paths, master_seed=self.master_seed,
-                        integrator=self.integrator, h_noise=self.h_noise)
-
 
 def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig:
     try:
@@ -231,7 +244,7 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
 def cmd_noise_check(cfg: ExperimentConfig) -> int:
     _require_fields(cfg, "noise")
     moment, wlln, max_ratio = check_noise(
-        cfg.process, cfg.nc_paths, cfg.nc_horizon, cfg.h_noise, cfg.master_seed,
+        cfg.process, cfg.nc_paths, cfg.nc_horizon, cfg.h_noise, cfg.mc.master_seed,
         cfg.nc_times, cfg.nc_delta,
         cfg.nc_k_bound or cfg.process.declared_mean_square, cfg.nc_t_min)
     wlln_ok = bool(wlln.fractions[-1] <= defaults.WLLN_FRACTION_THRESHOLD)
@@ -257,10 +270,10 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
     cert = cfg.certificate
     sandwich = verify_sandwich(cert, box_radius=5.0, n=4000,
                                tol=defaults.SAMPLED_INEQUALITY_TOL,
-                               seed=cfg.master_seed)
+                               seed=cfg.mc.master_seed)
     drift = verify_drift(cert, cfg.model, box_radius=5.0, n=4000,
                          t_grid=[0.0], tol=defaults.SAMPLED_INEQUALITY_TOL,
-                         seed=cfg.master_seed)
+                         seed=cfg.mc.master_seed)
     bound = settling_bound(cert, float(cert.V(cfg.x0)))
     report = {
         "constant_condition": {"c1": cert.c1,
@@ -283,11 +296,17 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
     return 0 if ok else 1
 
 
+def run_single_path(cfg: ExperimentConfig):
+    """Sample path 0 of the master seed and integrate it from x0; returns
+    the noise path and the trajectory."""
+    path = sample_path(cfg.process, 0.0, cfg.integrator.horizon, cfg.h_noise,
+                       path_seed(cfg.mc.master_seed, 0))
+    return path, integrate_path(cfg.model, path, cfg.x0, cfg.integrator)
+
+
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     _require_fields(cfg, "model", "x0", "noise")
-    path = sample_path(cfg.process, 0.0, cfg.integrator.horizon, cfg.h_noise,
-                       path_seed(cfg.master_seed, 0))
-    traj = integrate_path(cfg.model, path, cfg.x0, cfg.integrator)
+    traj = run_single_path(cfg)[1]
     ensure_dir(cfg.out_dir)
     trajectory_to_csv(traj, os.path.join(cfg.out_dir, "trajectory.csv"),
                       os.path.join(cfg.out_dir, "trajectory.json"))
@@ -301,11 +320,11 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 def cmd_settle(cfg: ExperimentConfig) -> int:
     _require_fields(cfg, "model", "x0", "noise", "mc")
-    if cfg.certificate is not None and cfg.n_paths < defaults.MIN_PATHS_FOR_BOUND:
+    if cfg.certificate is not None and cfg.mc.n_paths < defaults.MIN_PATHS_FOR_BOUND:
         raise ConfigError(
             f"field mc.n_paths: bound checks need at least "
-            f"{defaults.MIN_PATHS_FOR_BOUND} paths, got {cfg.n_paths}")
-    stats = estimate_settling(cfg.model, cfg.process, cfg.x0, cfg.mc_config(),
+            f"{defaults.MIN_PATHS_FOR_BOUND} paths, got {cfg.mc.n_paths}")
+    stats = estimate_settling(cfg.model, cfg.process, cfg.x0, cfg.mc,
                               cert=cfg.certificate)
     ensure_dir(cfg.out_dir)
     write_json(os.path.join(cfg.out_dir, "settle_stats.json"), stats.to_dict())
@@ -319,12 +338,32 @@ def cmd_settle(cfg: ExperimentConfig) -> int:
     return 0 if ok else 1
 
 
+def reproduce_figure(name: str, out_dir) -> list:
+    """Write ``<name>.csv`` for one of the built-in ``FIGURES`` into
+    ``out_dir`` and return its path in a list.
+
+    fig1 and fig2 hold the trajectory as ``simulate`` writes it
+    (``t,x_1[,x_2]``); fig3 holds ``t,u,xi_1``, the control and the
+    disturbance held at each trajectory time.
+    """
+    if name not in FIGURES:
+        raise ConfigError(f"unknown figure name: {name!r} (known: fig1, fig2, fig3)")
+    cfg = ExperimentConfig(FIGURES[name])
+    path, traj = run_single_path(cfg)
+    ensure_dir(out_dir)
+    out = os.path.join(out_dir, f"{name}.csv")
+    if name == "fig3":
+        times = traj.times()
+        write_csv(out, ["t", "u", "xi_1"],
+                  [times, stabilizing_controller(traj.states[:, 0]),
+                   [path.value_at(t)[0] for t in times]])
+    else:
+        trajectory_to_csv(traj, out)
+    return [out]
+
+
 def cmd_reproduce(figure: str, out_dir) -> int:
-    try:
-        files = reproduce_figure(figure, out_dir)
-    except ValueError as e:
-        raise ConfigError(str(e))
-    print("reproduce: wrote " + ", ".join(files))
+    print("reproduce: wrote " + ", ".join(reproduce_figure(figure, out_dir)))
     return 0
 
 
@@ -358,13 +397,16 @@ def main(argv=None) -> int:
     seed = getattr(args, "seed", None)
     jobs = getattr(args, "jobs", 1)
     try:
+        # checked for every command, though reproduce uses neither value
+        if jobs < 1:
+            raise ConfigError("jobs must be >= 1")
+        if seed is not None and seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         if args.command == "reproduce":
             return cmd_reproduce(args.figure, out_dir or "out")
         if not config_path:
             raise ConfigError("--config is required for this command")
         cfg = load_config(config_path, seed_override=seed, out_override=out_dir)
-        if jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         handler = {"noise-check": cmd_noise_check, "certify": cmd_certify,
                    "simulate": cmd_simulate, "settle": cmd_settle}[args.command]
         return handler(cfg)

@@ -13,25 +13,25 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _cell(v) -> str:
+    if isinstance(v, (str, np.str_)):
+        return str(v)
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if v is None:
+        return ""
+    return fmt(v)
+
+
 def write_csv(file_path, header, columns) -> None:
     """Write equal-length columns as CSV; floats at full precision."""
-    columns = [np.asarray(c) for c in columns]
-    n = len(columns[0])
+    # tolist() turns numeric columns into Python scalars; object columns
+    # keep their elements, which may be numpy scalars
+    cells = [[_cell(v) for v in np.asarray(c).tolist()] for c in columns]
     with open(file_path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(n):
-            cells = []
-            for c in columns:
-                v = c[k]
-                if isinstance(v, (str, np.str_)):
-                    cells.append(str(v))
-                elif isinstance(v, (bool, np.bool_)):
-                    cells.append("true" if v else "false")
-                elif v is None:
-                    cells.append("")
-                else:
-                    cells.append(fmt(v))
-            fh.write(",".join(cells) + "\n")
+        for row in zip(*cells):
+            fh.write(",".join(row) + "\n")
 
 
 def _plain(obj):

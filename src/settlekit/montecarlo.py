@@ -23,12 +23,11 @@ import numpy as np
 
 from . import defaults
 from .certify import Certificate, Envelope, PowerLaw, settling_bound
-from .fileio import ensure_dir, write_csv
+from .fileio import write_csv
 from .integrate import (IntegratorConfig, check_run, integrate_batch,
-                        integrate_path, steps_per_cell)
-from .noise import (NoiseProcess, l1_ratios, make_filtered_white_noise,
-                    make_random_phase_cosine, path_seed, sample_path)
-from .systems import SystemModel, get_model, stabilizing_controller
+                        steps_per_cell)
+from .noise import NoiseProcess, l1_ratios, path_seed, sample_path
+from .systems import SystemModel
 
 
 @dataclass(frozen=True)
@@ -230,58 +229,6 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
         overall_fraction_from_l1_time=(
             int(np.sum(last_outside < start_idx * run.m)) / cfg.n_paths),
         epsilon_target=float(epsilon_target), extinction_time=env.t_ext)
-
-
-# ---------------------------------------------------------------------------
-# Figure data
-# ---------------------------------------------------------------------------
-
-FIGURE_SEEDS = {"fig1": 101, "fig2": 202, "fig3": 202}
-
-
-def reproduce_figure(name: str, out_dir) -> list:
-    """Write the CSV data behind the three standard demonstration plots.
-
-    fig1: one example1 trajectory under random-phase cosine noise.
-    fig2: one closed-loop example2 trajectory under filtered noise.
-    fig3: control input and disturbance along the fig2 run.
-    """
-    if name not in FIGURE_SEEDS:
-        raise ValueError(f"unknown figure name: {name!r} (known: fig1, fig2, fig3)")
-    ensure_dir(out_dir)
-    import os
-    cfg = IntegratorConfig(h=defaults.STEP, horizon=10.0)
-    written = []
-    if name == "fig1":
-        model = get_model("example1")
-        process = make_random_phase_cosine([0.3, 0.3], [1.0, 2.0])
-        path = sample_path(process, 0.0, cfg.horizon, defaults.H_NOISE,
-                           path_seed(FIGURE_SEEDS[name], 0))
-        traj = integrate_path(model, path, np.array([1.0, 1.0]), cfg)
-        out = os.path.join(out_dir, "fig1.csv")
-        write_csv(out, ["t", "x_1", "x_2"],
-                  [traj.times(), traj.states[:, 0], traj.states[:, 1]])
-        written.append(out)
-    else:
-        model = get_model("example2-closed")
-        process = make_filtered_white_noise(0.5, 1.0, 1)
-        path = sample_path(process, 0.0, cfg.horizon, defaults.H_NOISE,
-                           path_seed(FIGURE_SEEDS[name], 0))
-        traj = integrate_path(model, path, np.array([3.0]), cfg)
-        if name == "fig2":
-            out = os.path.join(out_dir, "fig2.csv")
-            write_csv(out, ["t", "x_1"], [traj.times(), traj.states[:, 0]])
-            written.append(out)
-        else:
-            m = steps_per_cell(cfg.h, defaults.H_NOISE)
-            n_nodes = traj.states.shape[0]
-            cells = np.minimum(np.arange(n_nodes) // m, path.values.shape[0] - 1)
-            xi = path.values[cells, 0]
-            u = stabilizing_controller(traj.states[:, 0])
-            out = os.path.join(out_dir, "fig3.csv")
-            write_csv(out, ["t", "u", "xi_1"], [traj.times(), u, xi])
-            written.append(out)
-    return written
 
 
 def write_settle_csv(stats: SettlingStats, file_path) -> None:

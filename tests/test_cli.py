@@ -89,12 +89,21 @@ class TestConfigErrors:
         assert "multiple of h" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "settle"])
+    @pytest.mark.parametrize("command", ["simulate", "settle", "reproduce"])
     def test_jobs_must_be_positive(self, tmp_path, capsys, command):
         out = tmp_path / "out"
-        path = write_config(tmp_path, base_config(out))
-        assert main(["--config", path, "--jobs", "0", command]) == 2
+        args = (["reproduce", "fig1", "--out", str(out)] if command == "reproduce"
+                else ["--config", write_config(tmp_path, base_config(out)), command])
+        assert main(["--jobs", "0"] + args) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reproduce_rejects_a_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--seed", "-1", "reproduce", "fig1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: seed must be >= 0")
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command,field,value", [

@@ -136,11 +136,13 @@ class TestExample2:
                 assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     @pytest.mark.parametrize("figure,sha256", [
+        ("fig1", "e0f2fc0a58dc2014c476c50ebd50e6a2563a50f955baa589080f0585e8c04ed5"),
         ("fig2", "d2516ce3f78af2a018626e2a41cfae171550e4200000c2c38aba7c591afb3c0c"),
         ("fig3", "b0aa60cc56d4d57eb0d3d7347f4fc6946bf252b838976d14e64f46a448913509"),
     ])
-    def test_closed_loop_figures_keep_their_bytes(self, tmp_path, figure, sha256):
-        # digests of the figure CSVs written with the unfused field
+    def test_figures_keep_their_bytes(self, tmp_path, figure, sha256):
+        # digests of the figure CSVs written with the unfused example2 field
+        # and by the hand-written figure pipeline
         path = sk.reproduce_figure(figure, tmp_path)[0]
         with open(path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == sha256
