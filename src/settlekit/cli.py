@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import defaults
-from .certify import Certificate, certificate_from_dict, settling_bound, \
-    verify_drift, verify_sandwich
+from .certify import certificate_from_dict, settling_bound, verify_drift, \
+    verify_sandwich
 from .errors import ConfigError, ConstantConditionError
 from .fileio import ensure_dir, fmt, write_csv, write_json
 from .integrate import IntegratorConfig, check_run, integrate_path, \
@@ -69,17 +70,27 @@ def _block(raw: dict, key: str) -> dict:
 
 
 def _number(value, where: str, kind=float, above=None):
-    """``kind(value)``, which must be finite and exceed ``above`` when that
-    is given."""
+    """``kind(value)``.  ``value`` must be a JSON number (not a string or a
+    bool) and finite, integral when ``kind`` is int, and exceed ``above``
+    when that is given."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"field {where} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"field {where} must be finite, got {value!r}")
+    if kind is int and value != int(value):
+        raise ConfigError(f"field {where} must be an integer, got {value!r}")
     try:
         v = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"field {where} must be numeric, got {value!r}")
-    if kind is not int and not np.all(np.isfinite(v)):
+    except OverflowError:
         raise ConfigError(f"field {where} must be finite, got {value!r}")
     if above is not None and v <= above:
         raise ConfigError(f"field {where} must be > {above:g}, got {v}")
     return v
+
+
+def _numbers(value, where: str) -> list:
+    """A number or a list of numbers, each checked by ``_number``."""
+    return [_number(v, where) for v in (value if isinstance(value, list) else [value])]
 
 
 def _positive(value, where: str) -> float:
@@ -106,8 +117,7 @@ class ExperimentConfig:
 
         self.x0 = None
         if "x0" in raw:
-            x0 = np.atleast_1d(_number(raw["x0"], "x0",
-                                       lambda v: np.asarray(v, dtype=float)))
+            x0 = np.array(_numbers(raw["x0"], "x0"))
             if self.model is not None and x0.shape != (self.model.n,):
                 raise ConfigError(
                     f"field x0: expected {self.model.n} components, got {x0.shape}")
@@ -174,8 +184,8 @@ class ExperimentConfig:
         try:
             if kind == "random-phase-cosine":
                 process = make_random_phase_cosine(
-                    _require(block, "amplitudes", "noise"),
-                    _require(block, "omegas", "noise"))
+                    _numbers(_require(block, "amplitudes", "noise"), "noise.amplitudes"),
+                    _numbers(_require(block, "omegas", "noise"), "noise.omegas"))
             elif kind == "filtered-white-noise":
                 process = make_filtered_white_noise(
                     _positive(_require(block, "intensity", "noise"), "noise.intensity"),

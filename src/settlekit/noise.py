@@ -25,7 +25,7 @@ function of (process, grid, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -70,7 +70,9 @@ class NoisePath:
 
     t0: float
     h: float
-    values: np.ndarray          # (n_points, l), read-only
+    # (n_points, l), read-only; sample_path gives the transpose of a C-order
+    # (l, n_points) block, so each channel values[:, j] is contiguous
+    values: np.ndarray
     seed: int
 
     def __post_init__(self):
@@ -187,7 +189,10 @@ def sample_path(process: NoiseProcess, t0: float, horizon: float,
 
     Pure function of (process, grid, seed): identical arguments give
     bit-identical values, and a longer horizon extends the path exactly
-    (the shorter path is a prefix of the longer one).
+    (the shorter path is a prefix of the longer one).  Every kind is
+    computed channel-major, as an (l, n_points) block, so each broadcast
+    and channel reduction runs over the long axis; ``values`` is its
+    (n_points, l) transpose.
     """
     if horizon <= t0:
         raise ValueError("horizon must exceed t0")
@@ -199,31 +204,31 @@ def sample_path(process: NoiseProcess, t0: float, horizon: float,
     rng = np.random.default_rng(int(seed))
 
     if process.kind == KIND_ZERO:
-        values = np.zeros((n + 1, l))
+        values = np.zeros((l, n + 1))
     elif process.kind == KIND_COSINE:
         phases = rng.uniform(0.0, 2.0 * np.pi, size=l)
         amps = np.asarray(process.amplitudes)
         oms = np.asarray(process.omegas)
-        values = -(amps * np.cos(oms * t[:, None] + phases))
+        values = -(amps[:, None] * np.cos(oms[:, None] * t + phases[:, None]))
     elif process.kind == KIND_FILTERED:
         phi, eta_std = ar1_step_coefficients(process.intensity, process.tau_f, h_noise)
         stationary_std = math.sqrt(process.intensity / (2.0 * process.tau_f))
         xi0 = stationary_std * rng.standard_normal(l)
         eta = eta_std * rng.standard_normal((n, l))
-        values = np.empty((n + 1, l))
-        values[0] = xi0
+        values = np.empty((l, n + 1))
+        values[:, 0] = xi0
         # AR(1) recursion xi_{k+1} = eta_k + phi xi_k in Python floats, so the
         # CLI needs no scipy: each product and sum rounds once, as in
         # scipy.signal.lfilter, which gives the same bits
         for j in range(l):
             x = float(xi0[j])
-            values[1:, j] = [x := e + phi * x for e in eta[:, j].tolist()]
+            values[j, 1:] = [x := e + phi * x for e in eta[:, j].tolist()]
     else:
         raise ValueError(f"unknown noise kind: {process.kind}")
 
     if not np.all(np.isfinite(values)):
         raise ValueError("sampled path contains non-finite values")
-    return NoisePath(t0=float(t0), h=float(h_noise), values=values, seed=int(seed))
+    return NoisePath(t0=float(t0), h=float(h_noise), values=values.T, seed=int(seed))
 
 
 def _path_statistics(process: NoiseProcess, n_paths: int, horizon: float,

@@ -129,13 +129,23 @@ class TestConfigErrors:
         ("simulate", "mc.master_seed", -1),
         ("simulate", "model", ["example1"]),
         ("simulate", "out_dir", ""),
+        ("settle", "mc.n_paths", 500.7),
+        ("simulate", "mc.master_seed", 2024.5),
+        ("noise-check", "noise_check.n_paths", "200"),
+        ("simulate", "mc.master_seed", True),
+        ("simulate", "integrator.horizon", True),
+        ("simulate", "integrator.horizon", "20"),
+        ("simulate", "x0", ["1", 1.0]),
+        ("noise-check", "noise.amplitudes", [0.3, "0.3"]),
     ], ids=["n_paths-ten", "x0-string", "master_seed-x", "threshold-x",
             "nc_paths-1", "nc_paths-x", "check_times-empty", "check_times-0",
             "t_min-above-horizon", "absorb-string-false", "absorb-string-true",
             "absorb-0", "absorb-null", "mc-not-object", "h-null", "horizon-inf",
             "h_noise-inf", "amplitudes-null", "amplitudes-nan",
             "master_seed-negative",
-            "model-list", "out_dir-empty"])
+            "model-list", "out_dir-empty", "int-fraction", "seed-fraction",
+            "int-string", "int-bool", "float-bool", "float-string",
+            "x0-numeric-string", "amplitudes-numeric-string"])
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, command,
                                                field, value):
         out = tmp_path / "out"
@@ -145,9 +155,22 @@ class TestConfigErrors:
         (cfg.setdefault(block, {}) if block else cfg)[key] = value
         assert main(["--config", write_config(tmp_path, cfg), command]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("configuration error: field ")
+        assert err.startswith(f"configuration error: field {field}")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        reports = []
+        for kind in (int, float):
+            out = tmp_path / kind.__name__
+            cfg = base_config(out)
+            cfg["mc"]["master_seed"] = kind(cfg["mc"]["master_seed"])
+            cfg["noise_check"] = {"n_paths": kind(5), "horizon": 5.0}
+            assert main(["--config", write_config(tmp_path, cfg),
+                         "noise-check"]) == 0
+            reports.append((out / "noise_check.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["moment"]["n_paths"] == 5
 
     @pytest.mark.parametrize("command", ["simulate", "settle", "noise-check",
                                          "reproduce"])

@@ -1,14 +1,18 @@
 """Tests for disturbance process construction, sampling, and checks."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 import settlekit as sk
+from settlekit.cli import main
 from settlekit.defaults import CONFIDENCE_Z
-from settlekit.noise import (ar1_step_coefficients, check_noise, l1_ratios,
-                             path_to_csv)
+from settlekit.noise import (_n_cells, _path_statistics, ar1_step_coefficients,
+                             check_noise, l1_ratios, path_to_csv)
+from test_imports import example2_filtered_config, small_config
 
 
 class TestCosineProcess:
@@ -221,6 +225,83 @@ class TestWlln:
             sk.check_wlln(p, [1.0], 0.0, 10, 0.1, seed=0)
         with pytest.raises(ValueError):
             sk.check_wlln(p, [0.0], 0.1, 10, 0.1, seed=0)
+
+
+def row_major_values(process, t0, horizon, h_noise, seed):
+    """sample_path's values computed as an (n_points, l) block, with the
+    channels on the inner axis."""
+    n = _n_cells(t0, horizon, h_noise)
+    t = t0 + h_noise * np.arange(n + 1)
+    l = process.dimension
+    rng = np.random.default_rng(int(seed))
+    if process.kind == "zero":
+        return np.zeros((n + 1, l))
+    if process.kind == "random-phase-cosine":
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=l)
+        amps = np.asarray(process.amplitudes)
+        oms = np.asarray(process.omegas)
+        return -(amps * np.cos(oms * t[:, None] + phases))
+    phi, eta_std = ar1_step_coefficients(process.intensity, process.tau_f, h_noise)
+    xi0 = math.sqrt(process.intensity / (2.0 * process.tau_f)) * rng.standard_normal(l)
+    eta = eta_std * rng.standard_normal((n, l))
+    values = np.empty((n + 1, l))
+    values[0] = xi0
+    for j in range(l):
+        x = float(xi0[j])
+        values[1:, j] = [x := e + phi * x for e in eta[:, j].tolist()]
+    return values
+
+
+def cosine(l):
+    return sk.make_random_phase_cosine([0.3 + 0.1 * i for i in range(l)],
+                                       [1.0 + 0.7 * i for i in range(l)])
+
+
+class TestChannelMajorSampling:
+    @pytest.mark.parametrize("process", [
+        cosine(1), cosine(2), cosine(3), cosine(7),
+        sk.make_filtered_white_noise(0.5, 1.0, 1),
+        sk.make_filtered_white_noise(0.7, 0.3, 3),
+        sk.zero_process(2),
+    ], ids=["cosine-1", "cosine-2", "cosine-3", "cosine-7", "filtered-1",
+            "filtered-3", "zero-2"])
+    def test_values_keep_the_row_major_bits(self, process):
+        for seed in (0, 5, 2 ** 40 + 3):
+            path = sk.sample_path(process, 0.25, 7.3, 0.01, seed)
+            expected = row_major_values(process, 0.25, 7.3, 0.01, seed)
+            assert path.values.shape == expected.shape
+            assert not path.values.flags.writeable
+            assert np.array_equal(path.values.view(np.uint64),
+                                  expected.view(np.uint64))
+
+    @pytest.mark.parametrize("l", range(1, 8))
+    def test_channel_sums_keep_the_row_major_bits(self, l):
+        process = cosine(l)
+        t0, horizon, h, seed, k, t_min = 0.5, 6.0, 0.01, 9, 0.2, 1.5
+        means, _, ratios = _path_statistics(process, 3, horizon, h, seed,
+                                            (horizon,), k, t_min, t0)
+        n_cells = _n_cells(t0, horizon, h)
+        for i in range(3):
+            path = sk.sample_path(process, t0, horizon, h, sk.path_seed(seed, i))
+            sq = np.sum(np.ascontiguousarray(path.values) ** 2, axis=1)
+            ref = l1_ratios(np.sqrt(sq), h, t0, k)[path.times() >= t_min - 1e-12]
+            assert means[i].view(np.uint64) == np.mean(sq[:n_cells]).view(np.uint64)
+            assert ratios[i] == np.max(ref)
+            assert sk.check_l1_bound(path, k, t_min) == np.max(ref)
+
+    @pytest.mark.parametrize("config,digest", [
+        (small_config, "71aa566e8568645056002bd1384b4965d1af091a02c5985d3bb2c492da50b692"),
+        (example2_filtered_config, "ba53957bb8614df72afb4593dced4cda402514a0f901f1600e847796059105b3"),
+    ], ids=["readme", "filtered"])
+    def test_report_bytes_are_pinned(self, tmp_path, config, digest):
+        out = tmp_path / "out"
+        cfg = config(out)
+        cfg["noise_check"].update(n_paths=20, horizon=20.0, check_times=[10.0, 20.0])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "noise-check"]) == 0
+        data = (out / "noise_check.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestL1Bound:
