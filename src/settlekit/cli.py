@@ -229,8 +229,13 @@ class ExperimentConfig:
         if "V" not in data:
             data["V"] = ("half-square-arctan" if self.model.n == 1
                          else "half-square-norm")
-        for key in ("gamma", "c1", "c2", "K", "alpha1", "alpha2"):
-            _require(data, key, "certificate")
+        # checked, not converted: certify_report.json echoes the JSON values
+        for key in ("gamma", "c1", "c2", "K"):
+            _number(_require(data, key, "certificate"), f"certificate.{key}")
+        for key in ("alpha1", "alpha2"):
+            alpha = _require(data, key, "certificate")
+            for k, v in (alpha.items() if isinstance(alpha, dict) else ()):
+                _number(v, f"certificate.{key}.{k}")
         try:
             return certificate_from_dict(data, self.model.n)
         except ConstantConditionError:

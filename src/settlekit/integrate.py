@@ -1,9 +1,12 @@
 """Pathwise fixed-step RK4 integration with settling detection.
 
-One kernel, ``integrate_batch``, integrates every path: a Monte Carlo chunk
+One kernel, ``integrate_batch``, integrates every path: a Monte Carlo sweep
 is a batch of b rows and ``integrate_path`` is a batch of one that keeps its
 states, so both entry points share the validation (``check_run``), the
-absorption clamp, the blow-up and NaN policy and the settling bookkeeping.
+absorption clamp, the blow-up and NaN policy and one last-exit rule: the
+last node at which a row lies outside a ball whose radius is given per node.
+With the settling ball that node gives the settling time; the Monte Carlo
+studies pass the stability level or the decay envelope as the radius.
 
 The realized disturbance is piecewise constant (zero-order hold on the noise
 grid), so one integration step never straddles a noise jump: the step size h
@@ -133,19 +136,24 @@ def check_run(model: SystemModel, x0, dimension: int, h_noise: float,
 
 def integrate_batch(model: SystemModel, x0: np.ndarray, values: np.ndarray,
                     t0: float, n_steps: int, m: int, cfg: IntegratorConfig,
-                    observer=None, keep_states: bool = False):
+                    radius: Optional[np.ndarray] = None,
+                    keep_states: bool = False):
     """Integrate b paths from x0 under the held noise values (b, cells+1, l).
 
     Only live rows are stepped: a row that enters the absorption ball or
     blows up leaves the active set and is held at exactly 0, and the sweep
-    ends once no row is live.  ``observer(j, norms, blown)`` still sees
-    every node j = 0..n_steps, with zero norms for the rows that left.
+    ends once no row is live.  ``radius`` (n_steps+1,) is the ball tested
+    at each node, ``eps_settle`` at every node by default; a blown row
+    counts as outside it from its blow-up node on.
 
-    Returns per-row (last_out, blow_step, absorb_step, states): the last
-    node outside the settling ball (-1 if none), the node at which the row
-    blew up or was absorbed (-1 if never), and the (n_steps+1, b, n) states
-    when ``keep_states`` is set (else None).
+    Returns per-row (last_out, blow_step, absorb_step), per-node n_out and
+    the states: the last node outside the ball (-1 if none), the node at
+    which the row blew up or was absorbed (-1 if never), the number of rows
+    outside the ball at each node, and the (n_steps+1, b, n) states when
+    ``keep_states`` is set (else None).
     """
+    if radius is None:
+        radius = np.broadcast_to(cfg.eps_settle, n_steps + 1)
     b = values.shape[0]
     h, eps_absorb = cfg.h, cfg.eps_absorb
     x = np.tile(x0, (b, 1))
@@ -155,53 +163,53 @@ def integrate_batch(model: SystemModel, x0: np.ndarray, values: np.ndarray,
         absorb_step[norms <= eps_absorb] = 0
     rows = np.flatnonzero(absorb_step < 0)
     x = x[rows]
-    norms[absorb_step == 0] = 0.0
-    last_out = np.where(norms > cfg.eps_settle, 0, -1)
+    out = (norms > radius[0]) & (absorb_step < 0)
+    last_out = np.where(out, 0, -1)
+    n_out = np.zeros(n_steps + 1, dtype=int)
+    n_out[0] = np.count_nonzero(out)
     blow_step = np.full(b, -1)
     states = None
     if keep_states:
         states = np.zeros((n_steps + 1, b, x0.shape[0]))
         states[0, rows] = x
-    if observer is not None:
-        observer(0, norms, blow_step >= 0)
     for j in range(n_steps):
-        if rows.size:
-            t = t0 + j * h
-            if j % m == 0 or xi.shape[0] != rows.size:
-                xi = values[rows, j // m]
-            x_next = rk4_step(model, x, t, h, xi)
-            nrm = np.sqrt(np.add.reduce(x_next * x_next, 1))
-            gone = None
-            # |x| bounds every component; NaN or inf anywhere fails the test
-            if not nrm.max() <= defaults.BLOWUP_THRESHOLD:
-                gone = ~(np.abs(x_next).max(1) <= defaults.BLOWUP_THRESHOLD)
-                nan = np.isnan(x_next).any(1) & ~np.isinf(x_next).any(1)
-                if nan.any():
-                    r = int(np.argmax(nan))
-                    raise EvaluatorError(f"evaluator returned NaN at t={t + h:g}",
-                                         x=x[r].copy(), t=t)
-                blow_step[rows[gone]] = j + 1
-            # min() is NaN when a blown row holds NaN; nrm <= eps is exact
-            if cfg.absorb_at_origin and not nrm.min() > eps_absorb:
-                hit = nrm <= eps_absorb
-                absorb_step[rows[hit]] = j + 1
-                gone = hit if gone is None else gone | hit
-            if gone is not None:
-                nrm[gone] = 0.0
-                x_next[gone] = 0.0
-            last_out[rows[nrm > cfg.eps_settle]] = j + 1
-            if keep_states:
-                states[j + 1, rows] = x_next
-            if observer is not None:
-                norms[rows] = nrm
-            if gone is not None:
-                rows, x_next = rows[~gone], x_next[~gone]
-            x = x_next
-        elif observer is None:
+        if not rows.size:
             break
-        if observer is not None:
-            observer(j + 1, norms, blow_step >= 0)
-    return last_out, blow_step, absorb_step, states
+        t = t0 + j * h
+        if j % m == 0 or xi.shape[0] != rows.size:
+            xi = values[rows, j // m]
+        x_next = rk4_step(model, x, t, h, xi)
+        nrm = np.sqrt(np.add.reduce(x_next * x_next, 1))
+        gone = None
+        # |x| bounds every component; NaN or inf anywhere fails the test
+        if not nrm.max() <= defaults.BLOWUP_THRESHOLD:
+            gone = ~(np.abs(x_next).max(1) <= defaults.BLOWUP_THRESHOLD)
+            nan = np.isnan(x_next).any(1) & ~np.isinf(x_next).any(1)
+            if nan.any():
+                r = int(np.argmax(nan))
+                raise EvaluatorError(f"evaluator returned NaN at t={t + h:g}",
+                                     x=x[r].copy(), t=t)
+            blow_step[rows[gone]] = j + 1
+        # min() is NaN when a blown row holds NaN; nrm <= eps is exact
+        if cfg.absorb_at_origin and not nrm.min() > eps_absorb:
+            hit = nrm <= eps_absorb
+            absorb_step[rows[hit]] = j + 1
+            gone = hit if gone is None else gone | hit
+        if gone is not None:
+            nrm[gone] = 0.0
+            x_next[gone] = 0.0
+        outside = rows[nrm > radius[j + 1]]
+        last_out[outside] = j + 1
+        n_out[j + 1] = outside.size
+        if keep_states:
+            states[j + 1, rows] = x_next
+        if gone is not None:
+            rows, x_next = rows[~gone], x_next[~gone]
+        x = x_next
+    blown = blow_step >= 0
+    last_out[blown] = n_steps
+    n_out += np.cumsum(np.bincount(blow_step[blown], minlength=n_steps + 1))
+    return last_out, blow_step, absorb_step, n_out, states
 
 
 def integrate_path(model: SystemModel, path: NoisePath, x0,
@@ -217,10 +225,10 @@ def integrate_path(model: SystemModel, path: NoisePath, x0,
     x0, m, n_steps = check_run(model, x0, path.dimension, path.h, cfg, path.t0)
     if path.t_end < cfg.horizon - 1e-9:
         raise ValueError("noise path does not cover the horizon")
-    last_out, blow_step, absorb_step, states = integrate_batch(
+    last_out, blow_step, absorb_step, _, states = integrate_batch(
         model, x0, path.values[None], path.t0, n_steps, m, cfg, keep_states=True)
     last, blow, absorb = int(last_out[0]), int(blow_step[0]), int(absorb_step[0])
-    settled = blow < 0 and last < n_steps
+    settled = last < n_steps
     return Trajectory(
         t0=path.t0, h=cfg.h, states=states[:blow if blow >= 0 else None, 0],
         seed=path.seed, settled=settled,

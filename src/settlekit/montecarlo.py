@@ -5,7 +5,9 @@ a path's result does not depend on the other paths of the batch.  Every
 path is sampled here once and all of them are integrated in one call of
 ``integrate.integrate_batch``, the same kernel that ``integrate_path`` runs
 as a batch of one, so a path gives the same states in a batch and on its
-own.
+own.  Settling, stability in probability and envelope coverage all read
+the kernel's one last-exit rule, each with its own per-node radius: the
+settling ball, the level gamma(|x0|) and the decay envelope.
 
 Censoring: paths that have not settled by the horizon are excluded from the
 settle-time mean and reported separately; blown-up paths are censored and
@@ -110,11 +112,11 @@ class _BatchRun:
         self.x0, self.m, self.n_steps = check_run(
             model, x0, process.dimension, cfg.h_noise, cfg.integrator, t0)
 
-    def sweep(self, step_observer=None):
-        """Sample the n_paths paths once and integrate them in one batch;
-        ``step_observer(j, norms, blown)`` sees every node j = 0..n_steps.
-        Returns the seeds, per-path last_out and blow_step, and the sampled
-        noise values (b, cells+1, l)."""
+    def sweep(self, radius=None):
+        """Sample the n_paths paths once and integrate them in one batch
+        against the per-node ball ``radius`` (eps_settle by default).
+        Returns the seeds, per-path last_out and blow_step, per-node n_out
+        and the sampled noise values (b, cells+1, l)."""
         n = self.cfg.n_paths
         seeds = np.array([path_seed(self.cfg.master_seed, i) for i in range(n)],
                          dtype=np.uint64)
@@ -127,10 +129,10 @@ class _BatchRun:
             if values is None:
                 values = np.empty((n,) + path.shape)      # (b, cells+1, l)
             values[i] = path
-        last_out, blow_step, _, _ = integrate_batch(
+        last_out, blow_step, _, n_out, _ = integrate_batch(
             self.model, self.x0, values, self.t0, self.n_steps, self.m,
-            self.cfg.integrator, step_observer)
-        return seeds, last_out, blow_step, values
+            self.cfg.integrator, radius)
+        return seeds, last_out, blow_step, n_out, values
 
 
 def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
@@ -148,7 +150,7 @@ def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
     n = cfg.n_paths
     seeds, last_out, blow_step = run.sweep()[:3]
     blown = blow_step >= 0
-    settled = (~blown) & (last_out < run.n_steps)
+    settled = last_out < run.n_steps
     settle_times = np.where(settled, t0 + (last_out + 1) * cfg.integrator.h, np.nan)
 
     n_settled = int(settled.sum())
@@ -182,13 +184,8 @@ def estimate_stability_probability(model: SystemModel, process: NoiseProcess,
     radius gamma_fn(|x0|)."""
     run = _BatchRun(model, process, x0, cfg, t0)
     level = float(gamma_fn(float(np.linalg.norm(np.asarray(x0, dtype=float)))))
-    sup = np.zeros(cfg.n_paths)
-
-    def observe(_j, norms, blown):
-        np.maximum(sup, np.where(blown, np.inf, norms), out=sup)
-
-    run.sweep(observe)
-    return int(np.sum(sup <= level)) / cfg.n_paths
+    last_out = run.sweep(np.full(run.n_steps + 1, level))[1]
+    return int(np.sum(last_out < 0)) / cfg.n_paths
 
 
 def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
@@ -208,23 +205,16 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
     grid = t0 + icfg.h * np.arange(run.n_steps + 1)
     env_vals = np.array([env.value(tj - t0) for tj in grid])
     slack = 1e-12 * max(1.0, x0_norm)
-
-    inside_counts = np.zeros(run.n_steps + 1, dtype=int)
-    last_outside = np.full(cfg.n_paths, -1)    # last node above the envelope
-
-    def observe(j, norms, blown):
-        inside = (~blown) & (norms <= env_vals[j] + slack)
-        inside_counts[j] += int(np.sum(inside))
-        last_outside[~inside] = j
+    _, last_outside, _, n_out, values = run.sweep(env_vals + slack)
 
     # first integration-grid index from which the accumulated |xi| ratio is
     # below 1, from the noise values the sweep integrated
-    mags = np.sqrt(np.sum(run.sweep(observe)[3] ** 2, axis=-1))
+    mags = np.sqrt(np.sum(values ** 2, axis=-1))
     good = l1_ratios(mags, cfg.h_noise, t0, max(cert.noise_bound, 1e-300)) <= 1.0
     start_idx = np.where(good.any(1), good.argmax(1), good.shape[1] - 1)
 
     return CoverageReport(
-        times=grid, per_time_fraction=inside_counts / cfg.n_paths,
+        times=grid, per_time_fraction=(cfg.n_paths - n_out) / cfg.n_paths,
         overall_fraction=int(np.sum(last_outside < 0)) / cfg.n_paths,
         overall_fraction_from_l1_time=(
             int(np.sum(last_outside < start_idx * run.m)) / cfg.n_paths),

@@ -43,7 +43,8 @@ class NoiseProcess:
     """Immutable description of a samplable disturbance process.
 
     ``declared_mean_square`` is the bound K under which certificates are
-    stated; for the built-in kinds it equals the exact mean square.
+    stated; the built-in factories set it to the exact mean square
+    E|xi(t)|^2, which the WLLN check measures time averages against.
     """
 
     kind: str
@@ -53,15 +54,6 @@ class NoiseProcess:
     intensity: Optional[float] = None   # spectral intensity A (filtered kind)
     tau_f: Optional[float] = None       # filter time constant (filtered kind)
     declared_mean_square: float = 0.0
-
-    @property
-    def exact_mean_square(self) -> float:
-        """Exact E|xi(t)|^2 of the process (equals declared for built-ins)."""
-        if self.kind == KIND_COSINE:
-            return sum(a * a / 2.0 for a in self.amplitudes)
-        if self.kind == KIND_FILTERED:
-            return self.dimension * self.intensity / (2.0 * self.tau_f)
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -294,7 +286,7 @@ def _moment_report(means: np.ndarray, horizon: float, k_bound: float) -> MomentR
 
 def _wlln_report(process: NoiseProcess, t_grid: np.ndarray,
                  averages: np.ndarray, delta: float) -> WllnReport:
-    k_true = process.exact_mean_square
+    k_true = process.declared_mean_square
     fractions = (np.abs(averages - k_true) >= delta).mean(axis=1)
     return WllnReport(times=t_grid, fractions=fractions, delta=float(delta),
                       n_paths=averages.shape[1], exact_mean_square=k_true)

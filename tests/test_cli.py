@@ -137,6 +137,9 @@ class TestConfigErrors:
         ("simulate", "integrator.horizon", "20"),
         ("simulate", "x0", ["1", 1.0]),
         ("noise-check", "noise.amplitudes", [0.3, "0.3"]),
+        ("certify", "certificate.K", "0.09"),
+        ("certify", "certificate.gamma", False),
+        ("certify", "certificate.alpha1.a", "0.5"),
     ], ids=["n_paths-ten", "x0-string", "master_seed-x", "threshold-x",
             "nc_paths-1", "nc_paths-x", "check_times-empty", "check_times-0",
             "t_min-above-horizon", "absorb-string-false", "absorb-string-true",
@@ -145,14 +148,21 @@ class TestConfigErrors:
             "master_seed-negative",
             "model-list", "out_dir-empty", "int-fraction", "seed-fraction",
             "int-string", "int-bool", "float-bool", "float-string",
-            "x0-numeric-string", "amplitudes-numeric-string"])
+            "x0-numeric-string", "amplitudes-numeric-string",
+            "K-numeric-string", "gamma-bool", "alpha-numeric-string"])
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, command,
                                                field, value):
         out = tmp_path / "out"
         cfg = base_config(out)
         cfg["noise_check"] = {"n_paths": 5, "horizon": 50.0}
-        block, _, key = field.rpartition(".")
-        (cfg.setdefault(block, {}) if block else cfg)[key] = value
+        cfg["certificate"] = {"gamma": 2.0 / 3.0, "c1": TWO_23, "c2": TWO_23,
+                              "K": 0.09, "alpha1": {"a": 0.5, "b": 2},
+                              "alpha2": {"a": 0.5, "b": 2}}
+        *blocks, key = field.split(".")
+        node = cfg
+        for block in blocks:
+            node = node.setdefault(block, {})
+        node[key] = value
         assert main(["--config", write_config(tmp_path, cfg), command]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: field {field}")

@@ -131,20 +131,21 @@ class TestIntegrateBatch:
     def test_rows_leave_and_match_single_paths(self):
         m, cfg = self.model(), sk.IntegratorConfig(h=1e-3, horizon=3.0)
         values = np.array(self.XI)[:, None, None] * np.ones((3, 301, 1))
-        seen = []
+        radius = np.linspace(0.5, 2.0, 3001)
         with np.errstate(over="ignore"):
-            last_out, blow, absorb, states = integrate_batch(
-                m, np.array([1.0]), values, 0.0, 3000, 10, cfg,
-                observer=lambda j, norms, blown: seen.append(
-                    (j, norms.copy(), blown.copy())),
+            last_out, blow, absorb, n_out, states = integrate_batch(
+                m, np.array([1.0]), values, 0.0, 3000, 10, cfg, radius,
                 keep_states=True)
-        assert [j for j, _, _ in seen] == list(range(3001))
         assert blow[0] > 0 and blow[1] == blow[2] == -1
         assert absorb[1] > 0 and absorb[0] == absorb[2] == -1
-        assert last_out[2] == 3000
         assert np.all(states[absorb[1]:, 1] == 0.0)
-        assert all(norms[1] == 0.0 for _, norms, _ in seen[absorb[1]:])
-        assert seen[-1][2].tolist() == [True, False, False]
+        # outside the ball at node j, or blown at or before node j
+        outside = np.abs(states[..., 0]) > radius[:, None]
+        outside[blow[0]:, 0] = True
+        assert np.array_equal(n_out, outside.sum(1))
+        last = np.where(outside.any(0), 3000 - np.argmax(outside[::-1], 0), -1)
+        assert np.array_equal(last_out, last)
+        assert last_out[0] == 3000 and 0 <= last_out[1] < last_out[2] < 3000
         for r, xi in enumerate(self.XI):
             path = sk.NoisePath(t0=0.0, h=0.01, values=np.full((301, 1), xi),
                                 seed=0)
@@ -153,16 +154,14 @@ class TestIntegrateBatch:
             assert traj.blowup == (blow[r] > 0)
             assert np.array_equal(traj.states, states[:len(traj.states), r])
 
-    def test_observer_sees_every_node_after_the_sweep_ends(self):
+    def test_no_row_is_outside_once_every_row_is_absorbed(self):
         m = scalar_model(lambda x, t: -sk.signed_power(x, 0.5))
         cfg = sk.IntegratorConfig(h=1e-3, horizon=4.0)
-        seen = []
-        _, _, absorb, _ = integrate_batch(
-            m, np.array([1.0]), np.zeros((2, 401, 1)), 0.0, 4000, 10, cfg,
-            observer=lambda j, norms, blown: seen.append((j, norms.copy())))
+        last_out, _, absorb, n_out, _ = integrate_batch(
+            m, np.array([1.0]), np.zeros((2, 401, 1)), 0.0, 4000, 10, cfg)
         assert 0 < absorb[0] == absorb[1] < 4000
-        assert [j for j, _ in seen] == list(range(4001))
-        assert all(not norms.any() for _, norms in seen[absorb[0]:])
+        assert np.all(last_out < absorb[0])
+        assert n_out[0] == 2 and not n_out[absorb[0]:].any()
 
 
 class TestDetectSettling:

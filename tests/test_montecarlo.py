@@ -1,5 +1,7 @@
 """Tests for the batched Monte Carlo studies."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,8 @@ def mc_config(n_paths=10, horizon=4.0, seed=1, h=1e-3):
                        h_noise=0.01)
 
 
-def ex1_cert(k=0.09):
-    return Certificate(state_dim=2, V=V_NORM, gradV=GRAD_NORM, gamma=2.0 / 3.0,
+def ex1_cert(k=0.09, dim=2):
+    return Certificate(state_dim=dim, V=V_NORM, gradV=GRAD_NORM, gamma=2.0 / 3.0,
                        c1=TWO_23, c2=TWO_23, noise_bound=k,
                        alpha1=PowerLaw(0.5, 2), alpha2=PowerLaw(0.5, 2))
 
@@ -57,6 +59,31 @@ class TestEstimateSettling:
         assert stats.half_width == 0.0
         assert stats.min_time == stats.max_time == stats.mean
         assert abs(stats.mean - 1.98) <= 0.05
+
+    def test_stability_and_coverage_sweeps_stop_once_no_row_is_live(
+            self, monkeypatch):
+        calls = []
+        rk4_step = integrate.rk4_step
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return rk4_step(*args, **kwargs)
+
+        monkeypatch.setattr(integrate, "rk4_step", counted)
+        cfg = mc_config()
+        n_steps = round(cfg.integrator.horizon / cfg.integrator.h)
+        args = (sqrt_model(), sk.zero_process(1), np.array([1.0]))
+        steps = []
+        for study in (
+                lambda: sk.estimate_settling(*args, cfg),
+                lambda: sk.estimate_stability_probability(
+                    *args, PowerLaw(1.0, 1.0), cfg),
+                lambda: sk.envelope_coverage(*args, ex1_cert(k=0.0, dim=1),
+                                             cfg, 0.05)):
+            calls.clear()
+            study()
+            steps.append(len(calls))
+        assert 0 < steps[0] == steps[1] == steps[2] < n_steps
 
     def test_evaluator_nan_raises(self):
         m = sk.SystemModel(
@@ -204,6 +231,43 @@ class TestEnvelopeCoverage:
             covs.append(sk.envelope_coverage(model, proc, np.array([1.0, 1.0]),
                                              cert, cfg, 0.05))
         assert covs[1].overall_fraction >= covs[0].overall_fraction
+
+
+class TestPinnedResults:
+    """Results of the last-exit studies, pinned to their bits; the
+    per-time fractions are pinned by the SHA-256 of their bytes."""
+
+    def strong_noise(self):
+        return (sk.make_example1(),
+                sk.make_random_phase_cosine([1.5, 1.5], [1.0, 2.0]),
+                np.array([1.0, 1.0]))
+
+    def test_envelope_coverage(self):
+        cov = sk.envelope_coverage(*self.strong_noise(), ex1_cert(),
+                                   mc_config(n_paths=40, horizon=4.0, h=2e-3),
+                                   0.05)
+        assert hashlib.sha256(cov.per_time_fraction.tobytes()).hexdigest() == \
+            "3238db73106a9867ace1a4b46cb0e017051687f18d6c9e6a092da4a256b43efe"
+        assert cov.overall_fraction == 0.575
+        assert cov.overall_fraction_from_l1_time == 0.85
+
+    @pytest.mark.parametrize("a, fraction", [(0.9, 0.0), (1.0, 0.95), (1.2, 1.0)])
+    def test_stability_probability(self, a, fraction):
+        assert sk.estimate_stability_probability(
+            *self.strong_noise(), PowerLaw(a, 1.0),
+            mc_config(n_paths=40, horizon=4.0, h=2e-3)) == fraction
+
+    def test_envelope_coverage_counts_blown_rows_outside(self):
+        cfg = sk.McConfig(n_paths=3, master_seed=1,
+                          integrator=sk.IntegratorConfig(h=1e-3, horizon=1.0,
+                                                         absorb_at_origin=False),
+                          h_noise=0.01)
+        cov = sk.envelope_coverage(sk.get_model("unstable-cubic"),
+                                   sk.zero_process(1), np.array([2.0]),
+                                   ex1_cert(dim=1), cfg, 0.05)
+        assert hashlib.sha256(cov.per_time_fraction.tobytes()).hexdigest() == \
+            "f1f767bcef9abd9978a09acda2bf15e3c7538101c7d5d01383e3255a6bf7c0de"
+        assert cov.overall_fraction == cov.overall_fraction_from_l1_time == 0.0
 
 
 class TestFigures:
