@@ -18,7 +18,7 @@ from .cli import reproduce_figure
 from .errors import (ConfigError, ConstantConditionError, EvaluatorError,
                      QuadratureError, RateIntegralError)
 from .integrate import (IntegratorConfig, Trajectory, check_integral_form,
-                        detect_settling, integrate_path, uniqueness_probe)
+                        integrate_path, uniqueness_probe)
 from .montecarlo import (CoverageReport, McConfig, SettlingStats,
                          envelope_coverage, estimate_settling,
                          estimate_stability_probability)

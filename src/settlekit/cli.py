@@ -176,6 +176,9 @@ class ExperimentConfig:
         self.settled_threshold = _number(settle.get(
             "settled_fraction_threshold", defaults.SETTLED_FRACTION_THRESHOLD),
             "settle.settled_fraction_threshold")
+        if not 0.0 <= self.settled_threshold <= 1.0:
+            raise ConfigError("field settle.settled_fraction_threshold must lie "
+                              f"in [0, 1], got {self.settled_threshold}")
 
     @staticmethod
     def _parse_noise(block):

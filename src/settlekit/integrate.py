@@ -5,8 +5,10 @@ is a batch of b rows and ``integrate_path`` is a batch of one that keeps its
 states, so both entry points share the validation (``check_run``), the
 absorption clamp, the blow-up and NaN policy and one last-exit rule: the
 last node at which a row lies outside a ball whose radius is given per node.
-With the settling ball that node gives the settling time; the Monte Carlo
-studies pass the stability level or the decay envelope as the radius.
+The kernel returns a ``BatchResult``, whose ``settle_times`` is the one
+conversion from that last exit to a settling time, the first grid time after
+which the row stays in the ball (NaN when the row is censored or blows up).
+``Trajectory.settled`` and ``Trajectory.blowup`` are read off the times.
 
 The realized disturbance is piecewise constant (zero-order hold on the noise
 grid), so one integration step never straddles a noise jump: the step size h
@@ -26,7 +28,7 @@ and blown-up rows leave the active set and are not integrated further.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -74,11 +76,17 @@ class Trajectory:
     h: float
     states: np.ndarray            # (n_points, n)
     seed: int
-    settled: bool
-    settle_time: Optional[float]
-    blowup: bool = False
+    settle_time: Optional[float]  # None when censored or blown up
     blowup_time: Optional[float] = None
     absorb_index: Optional[int] = None
+
+    @property
+    def settled(self) -> bool:
+        return self.settle_time is not None
+
+    @property
+    def blowup(self) -> bool:
+        return self.blowup_time is not None
 
     def times(self) -> np.ndarray:
         return self.t0 + self.h * np.arange(self.states.shape[0])
@@ -134,23 +142,43 @@ def check_run(model: SystemModel, x0, dimension: int, h_noise: float,
     return x0, m, n_steps
 
 
+class BatchResult(NamedTuple):
+    """What ``integrate_batch`` found for b rows over n_steps steps.
+
+    ``last_out`` (b,): the last node at which the row lay outside the ball
+    (-1 if none; n_steps for a blown row).  ``blow_step`` and
+    ``absorb_step`` (b,): the node at which the row blew up or was absorbed
+    (-1 if never).  ``n_out`` (n_steps+1,): the rows outside the ball at
+    each node.  ``states`` (n_steps+1, b, n): the states when kept, else
+    None.
+    """
+
+    last_out: np.ndarray
+    blow_step: np.ndarray
+    absorb_step: np.ndarray
+    n_out: np.ndarray
+    states: Optional[np.ndarray]
+
+    def settle_times(self, t0: float, h: float) -> np.ndarray:
+        """Per-row time from which the row stays inside the ball: the node
+        after its last exit, NaN when it is still outside at the last node
+        (censored or blown up)."""
+        return np.where(self.last_out < self.n_out.size - 1,
+                        t0 + (self.last_out + 1) * h, np.nan)
+
+
 def integrate_batch(model: SystemModel, x0: np.ndarray, values: np.ndarray,
                     t0: float, n_steps: int, m: int, cfg: IntegratorConfig,
                     radius: Optional[np.ndarray] = None,
-                    keep_states: bool = False):
+                    keep_states: bool = False) -> BatchResult:
     """Integrate b paths from x0 under the held noise values (b, cells+1, l).
 
     Only live rows are stepped: a row that enters the absorption ball or
     blows up leaves the active set and is held at exactly 0, and the sweep
     ends once no row is live.  ``radius`` (n_steps+1,) is the ball tested
     at each node, ``eps_settle`` at every node by default; a blown row
-    counts as outside it from its blow-up node on.
-
-    Returns per-row (last_out, blow_step, absorb_step), per-node n_out and
-    the states: the last node outside the ball (-1 if none), the node at
-    which the row blew up or was absorbed (-1 if never), the number of rows
-    outside the ball at each node, and the (n_steps+1, b, n) states when
-    ``keep_states`` is set (else None).
+    counts as outside it from its blow-up node on.  The states are kept
+    when ``keep_states`` is set.
     """
     if radius is None:
         radius = np.broadcast_to(cfg.eps_settle, n_steps + 1)
@@ -209,7 +237,7 @@ def integrate_batch(model: SystemModel, x0: np.ndarray, values: np.ndarray,
     blown = blow_step >= 0
     last_out[blown] = n_steps
     n_out += np.cumsum(np.bincount(blow_step[blown], minlength=n_steps + 1))
-    return last_out, blow_step, absorb_step, n_out, states
+    return BatchResult(last_out, blow_step, absorb_step, n_out, states)
 
 
 def integrate_path(model: SystemModel, path: NoisePath, x0,
@@ -225,36 +253,15 @@ def integrate_path(model: SystemModel, path: NoisePath, x0,
     x0, m, n_steps = check_run(model, x0, path.dimension, path.h, cfg, path.t0)
     if path.t_end < cfg.horizon - 1e-9:
         raise ValueError("noise path does not cover the horizon")
-    last_out, blow_step, absorb_step, _, states = integrate_batch(
-        model, x0, path.values[None], path.t0, n_steps, m, cfg, keep_states=True)
-    last, blow, absorb = int(last_out[0]), int(blow_step[0]), int(absorb_step[0])
-    settled = last < n_steps
+    res = integrate_batch(model, x0, path.values[None], path.t0, n_steps, m,
+                          cfg, keep_states=True)
+    settle = float(res.settle_times(path.t0, cfg.h)[0])
+    blow, absorb = int(res.blow_step[0]), int(res.absorb_step[0])
     return Trajectory(
-        t0=path.t0, h=cfg.h, states=states[:blow if blow >= 0 else None, 0],
-        seed=path.seed, settled=settled,
-        settle_time=float(path.t0 + (last + 1) * cfg.h) if settled else None,
-        blowup=blow >= 0,
+        t0=path.t0, h=cfg.h, states=res.states[:blow if blow >= 0 else None, 0],
+        seed=path.seed, settle_time=None if np.isnan(settle) else settle,
         blowup_time=path.t0 + (blow - 1) * cfg.h + cfg.h if blow >= 0 else None,
         absorb_index=absorb if absorb >= 0 else None)
-
-
-def detect_settling(traj: Trajectory, eps_settle: float) -> Optional[float]:
-    """Earliest grid time from which the state stays inside the settling ball.
-
-    Returns None (censored) if the final state is still outside.
-    """
-    if traj.blowup:
-        raise ValueError("cannot detect settling on a blown-up trajectory")
-    if eps_settle <= 0:
-        raise ValueError("eps_settle must be positive")
-    norms = np.linalg.norm(traj.states, axis=1)
-    outside = norms > eps_settle
-    if not outside.any():
-        return float(traj.t0)
-    last_out = int(np.nonzero(outside)[0][-1])
-    if last_out == len(norms) - 1:
-        return None
-    return float(traj.t0 + (last_out + 1) * traj.h)
 
 
 def _cumulative_simpson_uniform(y: np.ndarray, h: float) -> np.ndarray:

@@ -5,9 +5,10 @@ a path's result does not depend on the other paths of the batch.  Every
 path is sampled here once and all of them are integrated in one call of
 ``integrate.integrate_batch``, the same kernel that ``integrate_path`` runs
 as a batch of one, so a path gives the same states in a batch and on its
-own.  Settling, stability in probability and envelope coverage all read
-the kernel's one last-exit rule, each with its own per-node radius: the
-settling ball, the level gamma(|x0|) and the decay envelope.
+own.  Each study reads the kernel's ``BatchResult`` by field, against its
+own per-node radius: settling reads ``settle_times`` for the settling ball,
+stability in probability reads ``last_out`` for the level gamma(|x0|), and
+envelope coverage reads ``last_out`` and ``n_out`` for the decay envelope.
 
 Censoring: paths that have not settled by the horizon are excluded from the
 settle-time mean and reported separately; blown-up paths are censored and
@@ -115,8 +116,8 @@ class _BatchRun:
     def sweep(self, radius=None):
         """Sample the n_paths paths once and integrate them in one batch
         against the per-node ball ``radius`` (eps_settle by default).
-        Returns the seeds, per-path last_out and blow_step, per-node n_out
-        and the sampled noise values (b, cells+1, l)."""
+        Returns the seeds, the sampled noise values (b, cells+1, l) and the
+        kernel's ``BatchResult``."""
         n = self.cfg.n_paths
         seeds = np.array([path_seed(self.cfg.master_seed, i) for i in range(n)],
                          dtype=np.uint64)
@@ -129,10 +130,9 @@ class _BatchRun:
             if values is None:
                 values = np.empty((n,) + path.shape)      # (b, cells+1, l)
             values[i] = path
-        last_out, blow_step, _, n_out, _ = integrate_batch(
+        return seeds, values, integrate_batch(
             self.model, self.x0, values, self.t0, self.n_steps, self.m,
             self.cfg.integrator, radius)
-        return seeds, last_out, blow_step, n_out, values
 
 
 def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
@@ -148,10 +148,10 @@ def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
             f"bound checks need n_paths >= {defaults.MIN_PATHS_FOR_BOUND}")
     run = _BatchRun(model, process, x0, cfg, t0)
     n = cfg.n_paths
-    seeds, last_out, blow_step = run.sweep()[:3]
-    blown = blow_step >= 0
-    settled = last_out < run.n_steps
-    settle_times = np.where(settled, t0 + (last_out + 1) * cfg.integrator.h, np.nan)
+    seeds, _, res = run.sweep()
+    blown = res.blow_step >= 0
+    settle_times = res.settle_times(t0, cfg.integrator.h)
+    settled = ~np.isnan(settle_times)
 
     n_settled = int(settled.sum())
     times = settle_times[settled]
@@ -184,8 +184,8 @@ def estimate_stability_probability(model: SystemModel, process: NoiseProcess,
     radius gamma_fn(|x0|)."""
     run = _BatchRun(model, process, x0, cfg, t0)
     level = float(gamma_fn(float(np.linalg.norm(np.asarray(x0, dtype=float)))))
-    last_out = run.sweep(np.full(run.n_steps + 1, level))[1]
-    return int(np.sum(last_out < 0)) / cfg.n_paths
+    _, _, res = run.sweep(np.full(run.n_steps + 1, level))
+    return int(np.sum(res.last_out < 0)) / cfg.n_paths
 
 
 def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
@@ -205,7 +205,7 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
     grid = t0 + icfg.h * np.arange(run.n_steps + 1)
     env_vals = np.array([env.value(tj - t0) for tj in grid])
     slack = 1e-12 * max(1.0, x0_norm)
-    _, last_outside, _, n_out, values = run.sweep(env_vals + slack)
+    _, values, res = run.sweep(env_vals + slack)
 
     # first integration-grid index from which the accumulated |xi| ratio is
     # below 1, from the noise values the sweep integrated
@@ -214,10 +214,10 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
     start_idx = np.where(good.any(1), good.argmax(1), good.shape[1] - 1)
 
     return CoverageReport(
-        times=grid, per_time_fraction=(cfg.n_paths - n_out) / cfg.n_paths,
-        overall_fraction=int(np.sum(last_outside < 0)) / cfg.n_paths,
+        times=grid, per_time_fraction=(cfg.n_paths - res.n_out) / cfg.n_paths,
+        overall_fraction=int(np.sum(res.last_out < 0)) / cfg.n_paths,
         overall_fraction_from_l1_time=(
-            int(np.sum(last_outside < start_idx * run.m)) / cfg.n_paths),
+            int(np.sum(res.last_out < start_idx * run.m)) / cfg.n_paths),
         epsilon_target=float(epsilon_target), extinction_time=env.t_ext)
 
 

@@ -12,7 +12,7 @@ confidence, not prove it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -248,18 +248,12 @@ class Modulus:
         return out if out.ndim else float(out)
 
 
-def constant_weight(c: float = 1.0) -> Callable:
-    return lambda t: c * np.ones(np.shape(t)) if np.ndim(t) else c
-
-
 @dataclass(frozen=True)
 class ModulusPair:
-    """Moduli (kappa for f, rho for g) with integrable time weights."""
+    """Moduli (kappa for f, rho for g) of the continuity conditions."""
 
     kappa: Modulus
     rho: Modulus
-    c1_t: Callable = field(default_factory=constant_weight)
-    c2_t: Callable = field(default_factory=constant_weight)
 
 
 @dataclass(frozen=True)
@@ -334,10 +328,11 @@ def check_osgood(model: SystemModel, moduli: ModulusPair, box_radius: float,
                  n_pairs: int, t_grid, tol: float, seed: int) -> OsgoodReport:
     """Sample state pairs in the box and test the two continuity conditions
 
-        |f(x1,t) - f(x2,t)|      <= c1(t) kappa(|x1 - x2|)
-        ||g(x1,t) - g(x2,t)||^2  <= c2(t) rho(|x1 - x2|)
+        |f(x1,t) - f(x2,t)|      <= kappa(|x1 - x2|)
+        ||g(x1,t) - g(x2,t)||^2  <= rho(|x1 - x2|)
 
-    Margins are (right side - left side); the worst over samples is reported
+    at every time of ``t_grid``, with the same moduli at each time.  Margins
+    are (right side - left side); the worst over samples is reported
     separately for the f and g conditions.
     """
     if n_pairs < 1:
@@ -352,8 +347,8 @@ def check_osgood(model: SystemModel, moduli: ModulusPair, box_radius: float,
     for t in t_grid:
         df = np.linalg.norm(model.f(x1, t) - model.f(x2, t), axis=1)
         dg = _spectral_norm(model.g(x1, t) - model.g(x2, t))
-        mf.append(moduli.c1_t(t) * moduli.kappa(dist) - df)
-        mg.append(moduli.c2_t(t) * moduli.rho(dist) - dg ** 2)
+        mf.append(moduli.kappa(dist) - df)
+        mg.append(moduli.rho(dist) - dg ** 2)
 
     def where(i, j):
         return tuple(x1[j]), tuple(x2[j]), float(t_grid[i])

@@ -111,6 +111,8 @@ class TestConfigErrors:
         ("simulate", "x0", ["a", 1]),
         ("simulate", "mc.master_seed", "x"),
         ("settle", "settle.settled_fraction_threshold", "x"),
+        ("settle", "settle.settled_fraction_threshold", 1.5),
+        ("settle", "settle.settled_fraction_threshold", -0.1),
         ("noise-check", "noise_check.n_paths", 1),
         ("noise-check", "noise_check.n_paths", "x"),
         ("noise-check", "noise_check.check_times", []),
@@ -141,6 +143,7 @@ class TestConfigErrors:
         ("certify", "certificate.gamma", False),
         ("certify", "certificate.alpha1.a", "0.5"),
     ], ids=["n_paths-ten", "x0-string", "master_seed-x", "threshold-x",
+            "threshold-above-1", "threshold-below-0",
             "nc_paths-1", "nc_paths-x", "check_times-empty", "check_times-0",
             "t_min-above-horizon", "absorb-string-false", "absorb-string-true",
             "absorb-0", "absorb-null", "mc-not-object", "h-null", "horizon-inf",

@@ -154,6 +154,24 @@ class TestIntegrateBatch:
             assert traj.blowup == (blow[r] > 0)
             assert np.array_equal(traj.states, states[:len(traj.states), r])
 
+    def test_record_settle_times_match_single_paths(self):
+        m, cfg = self.model(), sk.IntegratorConfig(h=1e-3, horizon=3.0)
+        values = np.array(self.XI)[:, None, None] * np.ones((3, 301, 1))
+        with np.errstate(over="ignore"):
+            res = integrate_batch(m, np.array([1.0]), values, 0.0, 3000, 10, cfg)
+        assert res.last_out is res[0] and res.states is None
+        times = res.settle_times(0.0, cfg.h)
+        for r, xi in enumerate(self.XI):
+            path = sk.NoisePath(t0=0.0, h=0.01, values=np.full((301, 1), xi),
+                                seed=0)
+            with np.errstate(over="ignore"):
+                traj = sk.integrate_path(m, path, np.array([1.0]), cfg)
+            single = np.nan if traj.settle_time is None else traj.settle_time
+            assert times[r].tobytes() == np.float64(single).tobytes()
+        # the blown row and the held (censored) row are NaN
+        assert res.blow_step[0] > 0
+        assert np.isnan(times).tolist() == [True, False, True]
+
     def test_no_row_is_outside_once_every_row_is_absorbed(self):
         m = scalar_model(lambda x, t: -sk.signed_power(x, 0.5))
         cfg = sk.IntegratorConfig(h=1e-3, horizon=4.0)
@@ -164,49 +182,99 @@ class TestIntegrateBatch:
         assert n_out[0] == 2 and not n_out[absorb[0]:].any()
 
 
+def detect_settling(traj, eps_settle):
+    """Oracle: earliest grid time from which the stored states stay inside
+    the ball of radius eps_settle; None if the last state is outside."""
+    outside = np.linalg.norm(traj.states, axis=1) > eps_settle
+    if not outside.any():
+        return float(traj.t0)
+    last_out = int(np.flatnonzero(outside)[-1])
+    if last_out == len(outside) - 1:
+        return None
+    return float(traj.t0 + (last_out + 1) * traj.h)
+
+
 class TestDetectSettling:
-    def make_traj(self, norms, h=1.0):
-        states = np.asarray(norms, dtype=float)[:, None]
-        return Trajectory(t0=0.0, h=h, states=states, seed=0,
-                          settled=False, settle_time=None)
+    """The kernel's settling rule, driven by the per-node radius on a state
+    held at 1 (zero drift and zero noise): the state is outside at node j
+    iff radius[j] < 1."""
+
+    H = 0.01
+
+    def held(self, radius, x0=1.0):
+        radius = np.asarray(radius, dtype=float)
+        n_steps = radius.size - 1
+        cfg = sk.IntegratorConfig(h=self.H, horizon=n_steps * self.H,
+                                  eps_settle=0.5)
+        m = scalar_model(lambda x, t: np.zeros_like(x))
+        return integrate_batch(m, np.array([x0]), np.zeros((1, n_steps + 1, 1)),
+                               0.0, n_steps, 1, cfg, radius)
 
     def test_all_zero(self):
-        traj = self.make_traj([0.0] * 5)
-        assert sk.detect_settling(traj, 1e-4) == 0.0
+        for x0, radius in ((0.0, [1e-4] * 5), (1.0, [2.0] * 5)):
+            res = self.held(radius, x0)
+            assert res.last_out[0] == -1
+            assert res.settle_times(0.0, self.H)[0] == 0.0
 
     def test_reentry_counts_from_final_entry(self):
-        norms = [1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
-        traj = self.make_traj(norms)
-        assert sk.detect_settling(traj, 0.5) == 7.0
+        res = self.held([.5, .5, .5, 2, 2, .5, .5, 2, 2, 2, 2])
+        assert res.last_out[0] == 6
+        assert res.settle_times(0.0, self.H)[0] == 7 * self.H
 
     def test_censored(self):
-        traj = self.make_traj([1.0, 0.5, 0.3])
-        assert sk.detect_settling(traj, 1e-4) is None
+        res = self.held([2.0, 2.0, 0.5])
+        assert res.last_out[0] == 2
+        assert np.isnan(res.settle_times(0.0, self.H)[0])
+        m = scalar_model(lambda x, t: np.zeros_like(x))
+        traj = sk.integrate_path(m, zero_path(1.0), np.array([1.0]),
+                                 sk.IntegratorConfig(h=1e-3, horizon=1.0))
+        assert not traj.settled and traj.settle_time is None
 
     @pytest.mark.parametrize("eps_small,eps_big", [(0.05, 0.5), (0.2, 0.9)])
     def test_monotone_in_eps(self, eps_small, eps_big):
+        # radius eps / norm puts the held state outside exactly where the
+        # stored norms lie outside the ball eps
         rng = np.random.default_rng(8)
         norms = np.abs(rng.normal(scale=np.linspace(1.0, 0.0, 60) ** 2))
-        traj = self.make_traj(norms)
-        t_small = sk.detect_settling(traj, eps_small)
-        t_big = sk.detect_settling(traj, eps_big)
-        if t_small is not None:
-            assert t_big is not None and t_big <= t_small
+        stored = Trajectory(t0=0.0, h=self.H, states=norms[:, None], seed=0,
+                            settle_time=None)
+        times = []
+        for eps in (eps_small, eps_big):
+            with np.errstate(divide="ignore"):
+                t = self.held(eps / norms).settle_times(0.0, self.H)[0]
+            oracle = detect_settling(stored, eps)
+            assert t == oracle if oracle is not None else np.isnan(t)
+            times.append(t)
+        t_small, t_big = times
+        if not np.isnan(t_small):
+            assert t_big <= t_small
 
     def test_settle_time_is_grid_point(self):
-        m = scalar_model(lambda x, t: -sk.signed_power(x, 0.5))
         cfg = sk.IntegratorConfig(h=1e-3, horizon=4.0)
-        traj = sk.integrate_path(m, zero_path(4.0), np.array([1.0]), cfg)
-        k = traj.settle_time / traj.h
-        assert abs(k - round(k)) < 1e-9
-        assert traj.settle_time >= traj.t0
+        cosine = sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0])
+        for m, x0, path in (
+                (scalar_model(lambda x, t: -sk.signed_power(x, 0.5)), [1.0],
+                 zero_path(4.0)),
+                (sk.make_example1(), [1.0, 1.0],
+                 sk.sample_path(cosine, 0.0, 4.0, 0.01, seed=3))):
+            traj = sk.integrate_path(m, path, np.array(x0), cfg)
+            assert traj.settle_time == detect_settling(traj, cfg.eps_settle)
+            k = traj.settle_time / traj.h
+            assert abs(k - round(k)) < 1e-9
+            assert traj.settle_time >= traj.t0
 
     def test_blown_trajectory_rejected(self):
+        batch = TestIntegrateBatch()
+        cfg = sk.IntegratorConfig(h=1e-3, horizon=3.0)
+        values = np.array(batch.XI)[:, None, None] * np.ones((3, 301, 1))
+        with np.errstate(over="ignore"):
+            res = integrate_batch(batch.model(), np.array([1.0]), values, 0.0,
+                                  3000, 10, cfg)
+        assert res.blow_step[0] > 0 and np.isnan(res.settle_times(0.0, 1e-3)[0])
         m = sk.get_model("unstable-cubic")
         cfg = sk.IntegratorConfig(h=1e-3, horizon=1.0, absorb_at_origin=False)
         traj = sk.integrate_path(m, zero_path(1.0), np.array([2.0]), cfg)
-        with pytest.raises(ValueError):
-            sk.detect_settling(traj, 1e-4)
+        assert traj.blowup and not traj.settled and traj.settle_time is None
 
 
 class TestIntegralForm:
