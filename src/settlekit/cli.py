@@ -24,7 +24,7 @@ from .certify import certificate_from_dict, settling_bound, verify_drift, \
 from .errors import ConfigError, ConstantConditionError
 from .fileio import ensure_dir, fmt, write_csv, write_json
 from .integrate import IntegratorConfig, check_run, integrate_path, \
-    trajectory_to_csv
+    steps_per_cell, trajectory_to_csv
 from .montecarlo import McConfig, estimate_settling, write_settle_csv
 from .noise import (check_noise, make_filtered_white_noise,
                     make_random_phase_cosine, path_seed, sample_path,
@@ -371,10 +371,12 @@ def reproduce_figure(name: str, out_dir) -> list:
     ensure_dir(out_dir)
     out = os.path.join(out_dir, f"{name}.csv")
     if name == "fig3":
+        # each integration step holds the noise value of its cell
+        m = steps_per_cell(cfg.integrator.h, cfg.h_noise)
         times = traj.times()
         write_csv(out, ["t", "u", "xi_1"],
                   [times, stabilizing_controller(traj.states[:, 0]),
-                   [path.value_at(t)[0] for t in times]])
+                   path.values[np.arange(times.size) // m, 0]])
     else:
         trajectory_to_csv(traj, out)
     return [out]

@@ -1,4 +1,12 @@
-"""Deterministic CSV/JSON writers: same data in, same bytes out."""
+"""Deterministic CSV/JSON writers: same data in, same bytes out.
+
+This module is the one place that turns a value into text.  A CSV column is
+formatted as a whole, by the kind of its numpy dtype: booleans as
+``true``/``false``, floats with 17 significant digits (a lossless round
+trip) and NaN as an empty cell, anything else, integers included, by
+``str``, so a uint64 seed is written exactly.  JSON goes through
+``json.dump``; numpy arrays and scalars reach it through ``.tolist()``.
+"""
 
 import json
 import os
@@ -13,47 +21,33 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _cell(v) -> str:
-    if isinstance(v, (str, np.str_)):
-        return str(v)
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if v is None:
-        return ""
-    return fmt(v)
+def _column_text(column) -> list:
+    values = np.asarray(column)
+    kind = values.dtype.kind
+    if kind == "b":
+        return np.where(values, "true", "false").tolist()
+    if kind == "f":
+        return ["" if v != v else format(v, ".17g") for v in values.tolist()]
+    return [str(v) for v in values.tolist()]
 
 
 def write_csv(file_path, header, columns) -> None:
-    """Write equal-length columns as CSV; floats at full precision."""
-    # tolist() turns numeric columns into Python scalars; object columns
-    # keep their elements, which may be numpy scalars
-    cells = [[_cell(v) for v in np.asarray(c).tolist()] for c in columns]
+    """Write equal-length columns as CSV, each formatted by its dtype."""
     with open(file_path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*cells):
+        for row in zip(*map(_column_text, columns)):
             fh.write(",".join(row) + "\n")
 
 
-def _plain(obj):
-    """Convert numpy scalars/arrays to plain python for json.dump."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _tolist(value):
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def write_json(file_path, obj) -> None:
     with open(file_path, "w") as fh:
-        json.dump(_plain(obj), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=_tolist)
         fh.write("\n")
 
 

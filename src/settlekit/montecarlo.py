@@ -92,14 +92,6 @@ class CoverageReport:
     def passed(self) -> bool:
         return self.overall_fraction >= 1.0 - self.epsilon_target
 
-    def to_dict(self) -> dict:
-        return {"overall_fraction": self.overall_fraction,
-                "overall_fraction_from_l1_time": self.overall_fraction_from_l1_time,
-                "epsilon_target": self.epsilon_target,
-                "extinction_time": self.extinction_time,
-                "passed": self.passed,
-                "times": self.times, "per_time_fraction": self.per_time_fraction}
-
 
 class _BatchRun:
     """Samples every path and integrates them with ``integrate_batch``."""
@@ -222,11 +214,9 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
 
 
 def write_settle_csv(stats: SettlingStats, file_path) -> None:
-    """Per-path settle times: path_index,seed,settled,settle_time."""
-    n = stats.n_paths
-    settle_col = [None if not stats.settled_mask[i] else stats.settle_times[i]
-                  for i in range(n)]
+    """Per-path settle times: path_index,seed,settled,settle_time (empty
+    when the path is censored)."""
     write_csv(file_path,
               ["path_index", "seed", "settled", "settle_time"],
-              [np.arange(n), [str(int(s)) for s in stats.seeds],
-               stats.settled_mask, settle_col])
+              [np.arange(stats.n_paths), stats.seeds, stats.settled_mask,
+               stats.settle_times])

@@ -116,7 +116,6 @@ class WllnReport:
     fractions: np.ndarray       # fraction of paths violating the delta band
     delta: float
     n_paths: int
-    exact_mean_square: float
 
 
 def make_random_phase_cosine(amplitudes, omegas) -> NoiseProcess:
@@ -289,7 +288,7 @@ def _wlln_report(process: NoiseProcess, t_grid: np.ndarray,
     k_true = process.declared_mean_square
     fractions = (np.abs(averages - k_true) >= delta).mean(axis=1)
     return WllnReport(times=t_grid, fractions=fractions, delta=float(delta),
-                      n_paths=averages.shape[1], exact_mean_square=k_true)
+                      n_paths=averages.shape[1])
 
 
 def estimate_mean_square(process: NoiseProcess, n_paths: int, horizon: float,

@@ -39,6 +39,13 @@ def write_config(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+def file_digests(out_dir, *names) -> list:
+    """SHA-256 of each named output file; the pins were taken before the
+    writers formatted whole columns by dtype."""
+    return [hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in names]
+
+
 class TestConfigErrors:
     def test_missing_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"), "simulate"]) == 2
@@ -363,6 +370,14 @@ class TestSimulate:
         side = json.loads((out / "trajectory.json").read_text())
         assert side["settled"] is True and not side["blowup"]
 
+    def test_output_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--config", write_config(tmp_path, base_config(out)),
+                     "simulate"]) == 0
+        assert file_digests(out, "trajectory.csv", "trajectory.json") == [
+            "3ef7e8ef08d7874c7888fd62f54e3fa1390d9da45e53ab603c69ae3b184a3137",
+            "c39aea05ceaab9283000f370af04758c6c7f5bd8760da974edbd6becf241bd5f"]
+
 
 class TestSettle:
     def test_settles_and_reports(self, tmp_path):
@@ -377,6 +392,19 @@ class TestSettle:
         out = tmp_path / "out"
         cfg = base_config(out, horizon=0.5)
         assert main(["--config", write_config(tmp_path, cfg), "settle"]) == 1
+
+    def test_censored_output_bytes_are_pinned(self, tmp_path):
+        # 24 of the 60 paths are censored at the 1.5-s horizon; their
+        # settle_time cell is empty
+        out = tmp_path / "out"
+        cfg = base_config(out, horizon=1.5)
+        assert main(["--config", write_config(tmp_path, cfg), "settle"]) == 1
+        rows = (out / "settle_paths.csv").read_text().splitlines()
+        assert sum(row.endswith(",false,") for row in rows) == 24
+        assert rows[1] == "0,7078657708328402307,true,1.4079999999999999"
+        assert file_digests(out, "settle_paths.csv", "settle_stats.json") == [
+            "861bc543f02b12d0a8c12f2eee0777dfb641931961adf8818382bd9208b20501",
+            "943cd65bb4704f3554b888e74d9c30548f3cb52ab896ba9b59740f7a1be2a32e"]
 
     def test_with_certificate_checks_bound(self, tmp_path):
         out = tmp_path / "out"
