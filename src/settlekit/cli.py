@@ -124,9 +124,9 @@ class ExperimentConfig:
             self.x0 = x0
 
         self.process = None
-        self.h_noise = defaults.H_NOISE
+        h_noise = defaults.H_NOISE
         if "noise" in raw:
-            self.process, self.h_noise = self._parse_noise(_block(raw, "noise"))
+            self.process, h_noise = self._parse_noise(_block(raw, "noise"))
 
         self.integrator = self._parse_integrator(_block(raw, "integrator"))
 
@@ -135,16 +135,16 @@ class ExperimentConfig:
                               int, above=-1)
         if seed_override is not None:
             master_seed = _number(seed_override, "mc.master_seed", int, above=-1)
-        n_paths = _number(mc.get("n_paths", 100), "mc.n_paths", int)
-        # n_paths and h | h_noise via McConfig; x0, the noise dimension
-        # and the horizon grid via the integrator's own check
+        n_paths = _number(mc.get("n_paths", 100), "mc.n_paths", int, above=1)
+        # h | h_noise via McConfig; x0, the noise dimension and the horizon
+        # grid via the integrator's own check
         try:
             self.mc = McConfig(n_paths=n_paths, master_seed=master_seed,
-                               integrator=self.integrator, h_noise=self.h_noise)
+                               integrator=self.integrator, h_noise=h_noise)
             if (self.model is not None and self.x0 is not None
                     and self.process is not None):
                 check_run(self.model, self.x0, self.process.dimension,
-                          self.h_noise, self.integrator)
+                          h_noise, self.integrator)
         except ValueError as e:
             raise ConfigError(str(e))
 
@@ -262,8 +262,8 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
 def cmd_noise_check(cfg: ExperimentConfig) -> int:
     _require_fields(cfg, "noise")
     moment, wlln, max_ratio = check_noise(
-        cfg.process, cfg.nc_paths, cfg.nc_horizon, cfg.h_noise, cfg.mc.master_seed,
-        cfg.nc_times, cfg.nc_delta,
+        cfg.process, cfg.nc_paths, cfg.nc_horizon, cfg.mc.h_noise,
+        cfg.mc.master_seed, cfg.nc_times, cfg.nc_delta,
         cfg.nc_k_bound or cfg.process.declared_mean_square, cfg.nc_t_min)
     wlln_ok = bool(wlln.fractions[-1] <= defaults.WLLN_FRACTION_THRESHOLD)
     l1_ok = bool(max_ratio <= 1.0)
@@ -317,7 +317,7 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
 def run_single_path(cfg: ExperimentConfig):
     """Sample path 0 of the master seed and integrate it from x0; returns
     the noise path and the trajectory."""
-    path = sample_path(cfg.process, 0.0, cfg.integrator.horizon, cfg.h_noise,
+    path = sample_path(cfg.process, 0.0, cfg.integrator.horizon, cfg.mc.h_noise,
                        path_seed(cfg.mc.master_seed, 0))
     return path, integrate_path(cfg.model, path, cfg.x0, cfg.integrator)
 
@@ -372,7 +372,7 @@ def reproduce_figure(name: str, out_dir) -> list:
     out = os.path.join(out_dir, f"{name}.csv")
     if name == "fig3":
         # each integration step holds the noise value of its cell
-        m = steps_per_cell(cfg.integrator.h, cfg.h_noise)
+        m = steps_per_cell(cfg.integrator.h, cfg.mc.h_noise)
         times = traj.times()
         write_csv(out, ["t", "u", "xi_1"],
                   [times, stabilizing_controller(traj.states[:, 0]),

@@ -264,32 +264,22 @@ def integrate_path(model: SystemModel, path: NoisePath, x0,
         absorb_index=absorb if absorb >= 0 else None)
 
 
-def _cumulative_simpson_uniform(y: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative Simpson on a uniform grid; trapezoid for 2-point segments."""
-    if y.shape[0] == 1:
-        return np.zeros_like(y)
-    if y.shape[0] == 2:
-        out = np.zeros_like(y)
-        out[1] = 0.5 * h * (y[0] + y[1])
-        return out
-    # imported on use: no CLI command needs scipy
-    from scipy.integrate import cumulative_simpson
-    return cumulative_simpson(y, dx=h, axis=0, initial=0.0)
-
-
 def check_integral_form(traj: Trajectory, model: SystemModel, path: NoisePath,
                         tol: float) -> ConditionReport:
     """Reconstruct x(t) = x(t0) + int f + int g xi from the stored states and
     compare at every grid point (up to absorption, which intentionally clamps
     the state off the integral identity).
 
-    The drift integral uses cumulative Simpson across the whole grid; the
-    noise integral factors the held value out of each noise cell and applies
-    Simpson to the smooth gain factor inside the cell.  Pass iff the largest
+    The drift integral is scipy's cumulative Simpson across the whole grid;
+    the noise integral factors the held value out of each noise cell and
+    applies the same rule, restarted in each cell, to the smooth gain factor
+    (scipy takes the trapezoid on a 2-node segment).  Pass iff the largest
     residual is at most tol * (1 + max |x|).
     """
     if traj.blowup:
         raise ValueError("cannot check a blown-up trajectory")
+    # imported on use: no CLI command needs scipy
+    from scipy.integrate import cumulative_simpson
     n_cmp = traj.states.shape[0] if traj.absorb_index is None \
         else max(traj.absorb_index, 1)
     states = traj.states[:n_cmp]
@@ -297,27 +287,24 @@ def check_integral_form(traj: Trajectory, model: SystemModel, path: NoisePath,
     m = steps_per_cell(traj.h, path.h)
 
     f_vals = np.asarray(model.f(states, times[:, None]))
-    drift_part = _cumulative_simpson_uniform(f_vals, traj.h)
+    drift_part = cumulative_simpson(f_vals, dx=traj.h, axis=0, initial=0.0)
 
     g_vals = np.asarray(model.g(states, times[:, None]))
     noise_part = np.zeros_like(states)
     acc = np.zeros(model.n)
-    n_nodes = n_cmp
-    n_cells = (n_nodes - 2) // m + 1 if n_nodes > 1 else 0
-    for c in range(n_cells):
+    for c in range((n_cmp - 2) // m + 1):
         lo = c * m
-        hi = min(lo + m, n_nodes - 1)
-        seg = g_vals[lo:hi + 1].reshape(hi - lo + 1, model.n * model.l)
-        iseg = _cumulative_simpson_uniform(seg, traj.h)
-        iseg = iseg.reshape(hi - lo + 1, model.n, model.l)
+        hi = min(lo + m, n_cmp - 1)
+        iseg = cumulative_simpson(g_vals[lo:hi + 1], dx=traj.h, axis=0,
+                                  initial=0.0)
         contrib = np.einsum("kij,j->ki", iseg, path.values[c])
         noise_part[lo:hi + 1] = acc + contrib
         acc = acc + contrib[-1]
 
     residual = states - (states[0] + drift_part + noise_part)
-    max_resid = float(np.max(np.abs(residual))) if n_cmp > 0 else 0.0
-    scale = 1.0 + float(np.max(np.abs(states))) if n_cmp > 0 else 1.0
-    worst_idx = int(np.argmax(np.max(np.abs(residual), axis=1))) if n_cmp > 0 else 0
+    max_resid = float(np.max(np.abs(residual)))
+    scale = 1.0 + float(np.max(np.abs(states)))
+    worst_idx = int(np.argmax(np.max(np.abs(residual), axis=1)))
     margin = tol * scale - max_resid
     return ConditionReport(n_samples=n_cmp, worst_margin=margin,
                            violations=((float(times[worst_idx]), max_resid),),

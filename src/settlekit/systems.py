@@ -199,9 +199,9 @@ def get_model(name: str) -> SystemModel:
 class Modulus:
     """Concave increasing modulus vanishing at 0, as a sum of family terms.
 
-    Terms: ``linear`` L*u, ``root`` L*u^p with 0 < p <= 1, and ``log-osgood``
-    L*u*ln(1/u) extended by 0 at u = 0 (monotone for u < 1/e; meant for
-    small arguments).
+    Terms: ``root`` L*u^p with 0 < p <= 1 (linear at p = 1, which is what
+    ``Modulus.linear`` builds) and ``log-osgood`` L*u*ln(1/u) extended by 0
+    at u = 0 (monotone for u < 1/e; meant for small arguments).
     """
 
     def __init__(self, terms):
@@ -210,7 +210,7 @@ class Modulus:
                 raise ValueError("modulus coefficient must be positive")
             if kind == "root" and not 0.0 < p <= 1.0:
                 raise ValueError("root exponent must be in (0, 1]")
-            if kind not in ("linear", "root", "log-osgood"):
+            if kind not in ("root", "log-osgood"):
                 raise ValueError(f"unknown modulus term kind: {kind}")
         self.terms = tuple(terms)
         u = np.linspace(0.0, 0.3, 64)
@@ -220,7 +220,7 @@ class Modulus:
 
     @classmethod
     def linear(cls, L: float) -> "Modulus":
-        return cls([("linear", L, 1.0)])
+        return cls([("root", L, 1.0)])    # u ** 1.0 is u exactly
 
     @classmethod
     def root(cls, L: float, p: float) -> "Modulus":
@@ -237,9 +237,7 @@ class Modulus:
         u = np.asarray(u, dtype=float)
         out = np.zeros_like(u)
         for kind, L, p in self.terms:
-            if kind == "linear":
-                out = out + L * u
-            elif kind == "root":
+            if kind == "root":
                 out = out + L * u ** p
             else:
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -400,7 +398,7 @@ def check_osgood_divergence(moduli: ModulusPair, gamma_upper: float) -> Divergen
 
     rho_vals, comb_vals = [], []
     for d in deltas:
-        rho_vals.append(_log_substituted_integral(lambda u: moduli.rho(u), d, gamma_upper))
+        rho_vals.append(_log_substituted_integral(moduli.rho, d, gamma_upper))
         comb_vals.append(_log_substituted_integral(
             lambda u: np.sqrt(moduli.rho(u)) + moduli.kappa(u), d, gamma_upper))
     rho_vals = np.asarray(rho_vals)

@@ -149,6 +149,7 @@ class TestConfigErrors:
         ("certify", "certificate.K", "0.09"),
         ("certify", "certificate.gamma", False),
         ("certify", "certificate.alpha1.a", "0.5"),
+        ("settle", "mc.n_paths", 1),
     ], ids=["n_paths-ten", "x0-string", "master_seed-x", "threshold-x",
             "threshold-above-1", "threshold-below-0",
             "nc_paths-1", "nc_paths-x", "check_times-empty", "check_times-0",
@@ -159,7 +160,8 @@ class TestConfigErrors:
             "model-list", "out_dir-empty", "int-fraction", "seed-fraction",
             "int-string", "int-bool", "float-bool", "float-string",
             "x0-numeric-string", "amplitudes-numeric-string",
-            "K-numeric-string", "gamma-bool", "alpha-numeric-string"])
+            "K-numeric-string", "gamma-bool", "alpha-numeric-string",
+            "n_paths-1"])
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, command,
                                                field, value):
         out = tmp_path / "out"

@@ -328,6 +328,28 @@ class TestIntegralForm:
         max_resid = rep.violations[0][1]
         assert 1e-5 <= max_resid <= 2e-3
 
+    @pytest.mark.parametrize("x0,horizon,n_nodes,margin,t_worst,resid", [
+        # absorbed at node 0: a comparison of one node
+        ([1e-7, 0.0], 0.5, 1, "0x1.5798ee2308c3ap-27", 0.0, "0x0.0p+0"),
+        # horizon = h: one step, two nodes
+        ([1.0, 1.0], 1e-3, 2, "0x1.539f248308c3ap-26", 1e-3,
+         "0x1.fce4d00000000p-33"),
+        # 12 nodes: noise cells 0-10 and 10-11, the last of two nodes
+        ([1.0, 1.0], 0.011, 12, "0x1.51d37a8308c3ap-26", 0.011,
+         "0x1.715ce80000000p-32"),
+    ], ids=["one-node", "two-nodes", "two-node-last-cell"])
+    def test_short_grids_are_pinned(self, x0, horizon, n_nodes, margin,
+                                    t_worst, resid):
+        m = sk.make_example1()
+        proc = sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0])
+        path = sk.sample_path(proc, 0.0, horizon, 1e-2, seed=7)
+        cfg = sk.IntegratorConfig(h=1e-3, horizon=horizon)
+        traj = sk.integrate_path(m, path, np.array(x0), cfg)
+        rep = sk.check_integral_form(traj, m, path, tol=1e-8)
+        assert rep.n_samples == n_nodes
+        assert rep.worst_margin == float.fromhex(margin)
+        assert rep.violations == ((t_worst, float.fromhex(resid)),)
+
 
 class TestUniquenessProbe:
     def test_zero_perturbation_is_bitwise_zero(self):

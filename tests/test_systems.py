@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,6 +134,37 @@ class TestExample2:
                 a = fused.field(np.array([zi]), 0.0, np.array([xii]))
                 b = unfused.field(np.array([zi]), 0.0, np.array([xii]))
                 assert a.shape == (1,)
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_fused_example1_field_has_the_unfused_bits(self):
+        # simulate and settle integrate field_fn while certify checks f and
+        # g.  The noise is finite only, as every sampled path is: on the
+        # unfused path the gain's off-diagonal 0 times an infinite or NaN
+        # channel puts a NaN in the other component.  Single rows go in as
+        # batches of one, the shape the kernel passes for one path (a 1-D
+        # NaN state gives a NaN of the other sign on the fused path).
+        fused = sk.make_example1()
+        unfused = replace(fused, field_fn=None)
+        rng = np.random.default_rng(2024)
+        x = rng.standard_normal((20000, 2)) * 10.0 ** rng.uniform(-200, 5, (20000, 2))
+        xi = rng.standard_normal((20000, 2)) * 10.0 ** rng.uniform(-3, 3, (20000, 2))
+        edge = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                         1e154, -1e154, 1e308, -1e308])
+        ones = np.ones(edge.size)
+        special = np.concatenate([np.stack(pair, axis=1) for pair in
+                                  ((edge, ones), (ones, edge), (edge, edge),
+                                   (edge, edge[::-1]))])
+        x = np.concatenate([x, special])
+        xi = np.concatenate([xi, rng.standard_normal(special.shape)])
+        with np.errstate(all="ignore"):
+            a = fused.field(x, 0.0, xi)
+            b = unfused.field(x, 0.0, xi)
+            assert a.shape == x.shape
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+            for i in [*range(0, 20000, 50), *range(20000, x.shape[0])]:
+                a = fused.field(x[i:i + 1], 0.0, xi[i:i + 1])
+                b = unfused.field(x[i:i + 1], 0.0, xi[i:i + 1])
+                assert a.shape == (1, 2)
                 assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     @pytest.mark.parametrize("figure,sha256", [
