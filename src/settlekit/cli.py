@@ -2,10 +2,16 @@
 
 Commands: noise-check, certify, simulate, settle, reproduce.  ``reproduce``
 runs ``simulate``'s single path on one of three built-in configs.
-Exit codes: 0 success, 1 check/bound failure (or blow-up), 2 configuration
-error.  A configuration error never leaves partial output files: the whole
-config is validated and all objects are constructed before anything is
-written.
+Exit codes: 0 success, 1 check/bound failure (or blow-up, or a model
+evaluator that returns NaN), 2 configuration error.  A configuration error
+never leaves partial output files: the whole config is validated and all
+objects are constructed before anything is written.
+
+Every field of a config block is read through one ``_Block`` reader, which
+names the field once by its key: it reports the field as ``<block>.<key>``,
+applies the default, raises "missing required field" for an absent field
+without one, and reads null as absent for a field whose default is None.
+All of a block's fields are read before any object is built from them.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 from . import defaults
 from .certify import certificate_from_dict, settling_bound, verify_drift, \
     verify_sandwich
-from .errors import ConfigError, ConstantConditionError
+from .errors import ConfigError, ConstantConditionError, EvaluatorError
 from .fileio import ensure_dir, fmt, write_csv, write_json
 from .integrate import IntegratorConfig, check_run, integrate_path, \
     steps_per_cell, trajectory_to_csv
@@ -49,24 +55,10 @@ FIGURES = {
 }
 
 
-def _require(block: dict, key: str, where: str):
-    if key not in block:
-        raise ConfigError(f"missing required field: {where}.{key}")
-    return block[key]
-
-
 def _require_fields(cfg, *keys) -> None:
     for key in keys:
         if key not in cfg.raw:
             raise ConfigError(f"missing required field: {key}")
-
-
-def _block(raw: dict, key: str) -> dict:
-    """The object ``raw[key]``, empty when the key is absent."""
-    block = raw.get(key, {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"field {key} must be an object")
-    return block
 
 
 def _number(value, where: str, kind=float, above=None):
@@ -93,8 +85,44 @@ def _numbers(value, where: str) -> list:
     return [_number(v, where) for v in (value if isinstance(value, list) else [value])]
 
 
-def _positive(value, where: str) -> float:
-    return _number(value, where, above=0)
+def _out_dir(raw: dict, override) -> str:
+    """``override`` unless it is None, else ``raw``'s out_dir or "out"."""
+    out_dir = raw.get("out_dir", "out") if override is None else override
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError("field out_dir must be a non-empty string")
+    return out_dir
+
+
+_REQUIRED = object()
+
+
+class _Block:
+    """The reader of one top-level config object (empty when absent).
+
+    Each field is named once, by its key: the reader reports it as
+    ``<block>.<key>``, applies its default, and raises "missing required
+    field" for an absent field that has none.  A field whose default is
+    None reads null as absent.
+    """
+
+    def __init__(self, raw: dict, name: str):
+        self.data, self.name = raw.get(name, {}), name
+        if not isinstance(self.data, dict):
+            raise ConfigError(f"field {name} must be an object")
+
+    def get(self, key: str, default=_REQUIRED):
+        if key not in self.data and default is _REQUIRED:
+            raise ConfigError(f"missing required field: {self.name}.{key}")
+        return self.data.get(key, default)
+
+    def number(self, key: str, default=_REQUIRED, kind=float, above=None):
+        value = self.get(key, default)
+        if value is None and default is None:
+            return None
+        return _number(value, f"{self.name}.{key}", kind, above)
+
+    def numbers(self, key: str) -> list:
+        return _numbers(self.get(key), f"{self.name}.{key}")
 
 
 class ExperimentConfig:
@@ -104,9 +132,7 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         self.raw = raw
-        self.out_dir = out_override or raw.get("out_dir", "out")
-        if not isinstance(self.out_dir, str) or not self.out_dir:
-            raise ConfigError("field out_dir must be a non-empty string")
+        self.out_dir = _out_dir(raw, out_override)
 
         self.model = None
         if "model" in raw:
@@ -117,130 +143,108 @@ class ExperimentConfig:
 
         self.x0 = None
         if "x0" in raw:
-            x0 = np.array(_numbers(raw["x0"], "x0"))
-            if self.model is not None and x0.shape != (self.model.n,):
-                raise ConfigError(
-                    f"field x0: expected {self.model.n} components, got {x0.shape}")
-            self.x0 = x0
+            self.x0 = np.array(_numbers(raw["x0"], "x0"))
+            if self.model is not None and self.x0.shape != (self.model.n,):
+                raise ConfigError(f"field x0: expected {self.model.n} "
+                                  f"components, got {self.x0.shape}")
 
-        self.process = None
-        h_noise = defaults.H_NOISE
-        if "noise" in raw:
-            self.process, h_noise = self._parse_noise(_block(raw, "noise"))
+        self.process, h_noise = (self._parse_noise(_Block(raw, "noise"))
+                                 if "noise" in raw else (None, defaults.H_NOISE))
 
-        self.integrator = self._parse_integrator(_block(raw, "integrator"))
+        integrator = self._parse_integrator(_Block(raw, "integrator"))
 
-        mc = _block(raw, "mc")
-        master_seed = _number(mc.get("master_seed", 0), "mc.master_seed",
-                              int, above=-1)
+        mc = _Block(raw, "mc")
+        master_seed = mc.number("master_seed", 0, int, above=-1)
         if seed_override is not None:
             master_seed = _number(seed_override, "mc.master_seed", int, above=-1)
-        n_paths = _number(mc.get("n_paths", 100), "mc.n_paths", int, above=1)
+        n_paths = mc.number("n_paths", 100, int, above=1)
         # h | h_noise via McConfig; x0, the noise dimension and the horizon
         # grid via the integrator's own check
         try:
             self.mc = McConfig(n_paths=n_paths, master_seed=master_seed,
-                               integrator=self.integrator, h_noise=h_noise)
+                               integrator=integrator, h_noise=h_noise)
             if (self.model is not None and self.x0 is not None
                     and self.process is not None):
                 check_run(self.model, self.x0, self.process.dimension,
-                          h_noise, self.integrator)
+                          h_noise, integrator)
         except ValueError as e:
             raise ConfigError(str(e))
 
-        self.certificate = None
-        if "certificate" in raw:
-            self.certificate = self._parse_certificate(_block(raw, "certificate"))
+        self.certificate = (self._parse_certificate(_Block(raw, "certificate"))
+                            if "certificate" in raw else None)
 
-        nc = _block(raw, "noise_check")
-        self.nc_paths = _number(nc.get("n_paths", defaults.NOISE_CHECK_PATHS),
-                                "noise_check.n_paths", int, above=1)
-        self.nc_horizon = _positive(nc.get("horizon", defaults.NOISE_CHECK_HORIZON),
-                                    "noise_check.horizon")
-        self.nc_delta = _positive(nc.get("delta", defaults.WLLN_DELTA),
-                                  "noise_check.delta")
+        nc = _Block(raw, "noise_check")
+        self.nc_paths = nc.number("n_paths", defaults.NOISE_CHECK_PATHS, int, above=1)
+        self.nc_horizon = nc.number("horizon", defaults.NOISE_CHECK_HORIZON, above=0)
+        self.nc_delta = nc.number("delta", defaults.WLLN_DELTA, above=0)
         times = nc.get("check_times", [self.nc_horizon])
         if not isinstance(times, list) or not times:
             raise ConfigError("field noise_check.check_times must be a non-empty list")
-        self.nc_times = [_positive(t, "noise_check.check_times") for t in times]
-        self.nc_k_bound = nc.get("k_bound")
-        if self.nc_k_bound is not None:
-            self.nc_k_bound = _positive(self.nc_k_bound, "noise_check.k_bound")
-        self.nc_t_min = _positive(nc.get("t_min", defaults.L1_T_MIN),
-                                  "noise_check.t_min")
+        self.nc_times = [_number(t, "noise_check.check_times", above=0) for t in times]
+        self.nc_k_bound = nc.number("k_bound", None, above=0)
+        self.nc_t_min = nc.number("t_min", defaults.L1_T_MIN, above=0)
         if self.nc_t_min > self.nc_horizon:    # no grid time would be checked
             raise ConfigError(f"field noise_check.t_min = {self.nc_t_min:g} must not "
                               f"exceed noise_check.horizon = {self.nc_horizon:g}")
+        span = max(self.nc_horizon, *self.nc_times)    # noise-check's grid
+        if not span / h_noise < np.iinfo(np.intp).max:     # also inf
+            field = "horizon" if span == self.nc_horizon else "check_times"
+            raise ConfigError(f"field noise_check.{field} = {span:g} over h_noise="
+                              f"{h_noise:g} is more cells than an array can index")
 
-        settle = _block(raw, "settle")
-        self.settled_threshold = _number(settle.get(
-            "settled_fraction_threshold", defaults.SETTLED_FRACTION_THRESHOLD),
-            "settle.settled_fraction_threshold")
+        self.settled_threshold = _Block(raw, "settle").number(
+            "settled_fraction_threshold", defaults.SETTLED_FRACTION_THRESHOLD)
         if not 0.0 <= self.settled_threshold <= 1.0:
             raise ConfigError("field settle.settled_fraction_threshold must lie "
                               f"in [0, 1], got {self.settled_threshold}")
 
     @staticmethod
-    def _parse_noise(block):
-        kind = _require(block, "kind", "noise")
-        h_noise = _positive(block.get("h_noise", defaults.H_NOISE), "noise.h_noise")
+    def _parse_noise(noise: _Block):
+        kind = noise.get("kind")
+        h_noise = noise.number("h_noise", defaults.H_NOISE, above=0)
+        if kind == "random-phase-cosine":
+            make, args = make_random_phase_cosine, (noise.numbers("amplitudes"),
+                                                    noise.numbers("omegas"))
+        elif kind == "filtered-white-noise":
+            make, args = make_filtered_white_noise, (
+                noise.number("intensity", above=0), noise.number("tau_f", above=0),
+                noise.number("dimension", 1, int))
+        elif kind == "zero":
+            make, args = zero_process, (noise.number("dimension", 1, int),)
+        else:
+            raise ConfigError(f"field noise.kind: unknown kind {kind!r}")
         try:
-            if kind == "random-phase-cosine":
-                process = make_random_phase_cosine(
-                    _numbers(_require(block, "amplitudes", "noise"), "noise.amplitudes"),
-                    _numbers(_require(block, "omegas", "noise"), "noise.omegas"))
-            elif kind == "filtered-white-noise":
-                process = make_filtered_white_noise(
-                    _positive(_require(block, "intensity", "noise"), "noise.intensity"),
-                    _positive(_require(block, "tau_f", "noise"), "noise.tau_f"),
-                    _number(block.get("dimension", 1), "noise.dimension", int))
-            elif kind == "zero":
-                process = zero_process(
-                    _number(block.get("dimension", 1), "noise.dimension", int))
-            else:
-                raise ConfigError(f"field noise.kind: unknown kind {kind!r}")
-        except ConfigError:
-            raise
+            return make(*args), h_noise
         except (TypeError, ValueError) as e:
             raise ConfigError(f"field noise: {e}")
-        return process, h_noise
 
     @staticmethod
-    def _parse_integrator(block):
-        absorb = block.get("absorb_at_origin", True)
+    def _parse_integrator(integrator: _Block):
+        absorb = integrator.get("absorb_at_origin", True)
         if not isinstance(absorb, bool):
             raise ConfigError("field integrator.absorb_at_origin must be "
                               f"true or false, got {absorb!r}")
+        fields = {key: integrator.number(key, default) for key, default in (
+            ("h", defaults.STEP), ("horizon", 10.0),
+            ("eps_settle", defaults.EPS_SETTLE), ("eps_absorb", None))}
         try:
-            return IntegratorConfig(
-                h=_number(block.get("h", defaults.STEP), "integrator.h"),
-                horizon=_number(block.get("horizon", 10.0), "integrator.horizon"),
-                eps_settle=_number(block.get("eps_settle", defaults.EPS_SETTLE),
-                                   "integrator.eps_settle"),
-                eps_absorb=(None if block.get("eps_absorb") is None
-                            else _number(block["eps_absorb"], "integrator.eps_absorb")),
-                absorb_at_origin=absorb)
-        except ConfigError:
-            raise
+            return IntegratorConfig(absorb_at_origin=absorb, **fields)
         except ValueError as e:
             raise ConfigError(f"field integrator: {e}")
 
-    def _parse_certificate(self, block):
+    def _parse_certificate(self, cert: _Block):
         if self.model is None:
             raise ConfigError("field certificate requires a model")
-        data = dict(block)
-        if "V" not in data:
-            data["V"] = ("half-square-arctan" if self.model.n == 1
-                         else "half-square-norm")
         # checked, not converted: certify_report.json echoes the JSON values
         for key in ("gamma", "c1", "c2", "K"):
-            _number(_require(data, key, "certificate"), f"certificate.{key}")
+            cert.number(key)
         for key in ("alpha1", "alpha2"):
-            alpha = _require(data, key, "certificate")
+            alpha = cert.get(key)
             for k, v in (alpha.items() if isinstance(alpha, dict) else ()):
                 _number(v, f"certificate.{key}.{k}")
+        v_default = "half-square-arctan" if self.model.n == 1 else "half-square-norm"
         try:
-            return certificate_from_dict(data, self.model.n)
+            return certificate_from_dict({"V": v_default, **cert.data}, self.model.n)
         except ConstantConditionError:
             raise
         except (ValueError, KeyError, TypeError) as e:
@@ -255,8 +259,7 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
         raise ConfigError(f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
-    return ExperimentConfig(raw, seed_override=seed_override,
-                            out_override=out_override)
+    return ExperimentConfig(raw, seed_override, out_override)
 
 
 def cmd_noise_check(cfg: ExperimentConfig) -> int:
@@ -317,9 +320,9 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
 def run_single_path(cfg: ExperimentConfig):
     """Sample path 0 of the master seed and integrate it from x0; returns
     the noise path and the trajectory."""
-    path = sample_path(cfg.process, 0.0, cfg.integrator.horizon, cfg.mc.h_noise,
+    path = sample_path(cfg.process, 0.0, cfg.mc.integrator.horizon, cfg.mc.h_noise,
                        path_seed(cfg.mc.master_seed, 0))
-    return path, integrate_path(cfg.model, path, cfg.x0, cfg.integrator)
+    return path, integrate_path(cfg.model, path, cfg.x0, cfg.mc.integrator)
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -372,7 +375,7 @@ def reproduce_figure(name: str, out_dir) -> list:
     out = os.path.join(out_dir, f"{name}.csv")
     if name == "fig3":
         # each integration step holds the noise value of its cell
-        m = steps_per_cell(cfg.integrator.h, cfg.mc.h_noise)
+        m = steps_per_cell(cfg.mc.integrator.h, cfg.mc.h_noise)
         times = traj.times()
         write_csv(out, ["t", "u", "xi_1"],
                   [times, stabilizing_controller(traj.states[:, 0]),
@@ -423,7 +426,7 @@ def main(argv=None) -> int:
         if seed is not None and seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
         if args.command == "reproduce":
-            return cmd_reproduce(args.figure, out_dir or "out")
+            return cmd_reproduce(args.figure, _out_dir({}, out_dir))
         if not config_path:
             raise ConfigError("--config is required for this command")
         cfg = load_config(config_path, seed_override=seed, out_override=out_dir)
@@ -435,6 +438,9 @@ def main(argv=None) -> int:
         return 2
     except ConstantConditionError as e:
         print(f"certificate rejected: {e}", file=sys.stderr)
+        return 1
+    except EvaluatorError as e:
+        print(f"evaluator error: {e}", file=sys.stderr)
         return 1
 
 

@@ -110,8 +110,12 @@ def rk4_step(model: SystemModel, x: np.ndarray, t: float, h: float,
 
 
 def steps_per_cell(h: float, h_noise: float) -> int:
-    """Integer ratio h_noise / h; raises if h does not divide h_noise."""
+    """Integer ratio h_noise / h; raises if h does not divide h_noise or
+    the ratio overflows."""
     m = h_noise / h
+    if np.isinf(m):
+        raise ValueError(f"noise grid step h_noise={h_noise:g} is inf steps of "
+                         f"h={h:g}, more than an array can index")
     m_int = int(round(m))
     if m_int < 1 or abs(m - m_int) > 1e-9 * max(1.0, m):
         raise ValueError(
@@ -126,7 +130,8 @@ def check_run(model: SystemModel, x0, dimension: int, h_noise: float,
 
     x0 must have the model's shape, the noise dimension must be the model's
     l, h must divide h_noise (m steps per noise cell) and horizon - t0 must
-    be a positive integer multiple n_steps of h.
+    be a positive integer multiple n_steps of h whose n_steps + 1 nodes a
+    numpy array can index.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.n,):
@@ -135,6 +140,9 @@ def check_run(model: SystemModel, x0, dimension: int, h_noise: float,
         raise ValueError(f"noise dimension {dimension} != model l={model.l}")
     m = steps_per_cell(cfg.h, h_noise)
     span = cfg.horizon - t0
+    if not span / cfg.h < np.iinfo(np.intp).max:      # also inf
+        raise ValueError(f"horizon - t0 = {span:g} is {span / cfg.h:g} steps of "
+                         f"h={cfg.h:g}, more than an array can index")
     n_steps = int(round(span / cfg.h))
     if span <= 0 or abs(n_steps * cfg.h - span) > 1e-9 * max(1.0, abs(cfg.horizon)):
         raise ValueError(f"horizon - t0 = {span:g} must be a positive integer "

@@ -8,13 +8,14 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import settlekit as sk
 from settlekit import defaults, noise
-from settlekit.cli import main
+from settlekit.cli import load_config, main
 from settlekit.fileio import write_json
 from test_imports import readme_config
 
@@ -220,6 +221,87 @@ class TestConfigErrors:
                               "V": "half-square-norm"}
         assert main(["--config", write_config(tmp_path, cfg), "settle"]) == 2
 
+    @pytest.mark.parametrize("command,block,key", [
+        ("noise-check", "noise", "kind"),
+        ("noise-check", "noise", "amplitudes"),
+        ("noise-check", "noise", "intensity"),
+        ("certify", "certificate", "gamma"),
+        ("certify", "certificate", "alpha1"),
+    ])
+    def test_missing_required_field_is_named(self, tmp_path, capsys, command,
+                                             block, key):
+        out = tmp_path / "out"
+        cfg = base_config(out)
+        if key == "intensity":
+            cfg["noise"] = {"kind": "filtered-white-noise", "intensity": 0.5,
+                            "tau_f": 1.0}
+        cfg["certificate"] = TestCertify().cert_block()
+        del cfg[block][key]
+        assert main(["--config", write_config(tmp_path, cfg), command]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: missing required field: {block}.{key}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,block,key,outputs", [
+        ("simulate", "integrator", "eps_absorb",
+         ("trajectory.csv", "trajectory.json")),
+        ("noise-check", "noise_check", "k_bound", ("noise_check.json",)),
+    ], ids=["eps_absorb", "k_bound"])
+    def test_null_default_field_reads_null_as_absent(self, tmp_path, capsys,
+                                                     command, block, key,
+                                                     outputs):
+        runs = []
+        for name in ("absent", "null"):
+            out = tmp_path / name
+            cfg = base_config(out)
+            cfg["noise_check"] = {"n_paths": 5, "horizon": 5.0}
+            if name == "null":
+                cfg[block][key] = None
+            code = main(["--config", write_config(tmp_path, cfg, name + ".json"),
+                         command])
+            runs.append((code, capsys.readouterr(),
+                         [(out / f).read_bytes() for f in outputs]))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+
+    @pytest.mark.parametrize("command,field,value,named", [
+        ("certify", "integrator.horizon", 1e306, "horizon - t0 = 1e+306"),
+        ("simulate", "integrator.horizon", 1e300, "horizon - t0 = 1e+300"),
+        ("simulate", "integrator.h", 1e-300, "h=1e-300"),
+        ("noise-check", "noise_check.horizon", 1e300,
+         "field noise_check.horizon = 1e+300"),
+        ("noise-check", "noise_check.check_times", [1e300],
+         "field noise_check.check_times = 1e+300"),
+        ("certify", "noise.h_noise", 1e307, "h_noise=1e+307 is inf steps"),
+    ], ids=["horizon-overflow", "horizon-unindexable", "h-unindexable",
+            "nc_horizon-unindexable", "check_times-unindexable",
+            "h_noise-overflow"])
+    def test_unindexable_grid_is_a_config_error(self, tmp_path, capsys, command,
+                                                field, value, named):
+        out = tmp_path / "out"
+        cfg = base_config(out)
+        cfg["noise_check"] = {"n_paths": 5, "horizon": 5.0}
+        cfg["certificate"] = TestCertify().cert_block()
+        block, key = field.split(".")
+        cfg[block][key] = value
+        assert main(["--config", write_config(tmp_path, cfg), command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and named in err
+        assert "than an array can index" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "reproduce"])
+    def test_empty_out_override(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)      # reproduce's default is ./out
+        cfg = base_config(tmp_path / "out")
+        args = (["reproduce", "fig1"] if command == "reproduce"
+                else ["--config", write_config(tmp_path, cfg), command])
+        assert main(args + ["--out", ""]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: field out_dir must be a non-empty string\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestNoiseCheck:
     def test_zero_noise_passes(self, tmp_path):
@@ -365,6 +447,22 @@ class TestSimulate:
         side = json.loads((out / "trajectory.json").read_text())
         assert side["blowup"] and abs(side["blowup_time"] - 0.125) < 0.02
 
+    @pytest.mark.parametrize("command,model,x0", [
+        ("simulate", "example2-closed", 1e50), ("settle", "example2-open", 1e100)])
+    def test_evaluator_nan_exits_one(self, tmp_path, capsys, command, model, x0):
+        out = tmp_path / "out"
+        cfg = {"model": model, "x0": [x0],
+               "noise": {"kind": "filtered-white-noise", "intensity": 0.5,
+                         "tau_f": 1.0, "h_noise": 0.01},
+               "integrator": {"h": 0.001, "horizon": 0.5},
+               "mc": {"n_paths": 4, "master_seed": 2024}, "out_dir": str(out)}
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["--config", write_config(tmp_path, cfg), command])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "evaluator error: evaluator returned NaN at t=0.001\n"
+        assert not out.exists()
+
     def test_example1_run_settles(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_config(out, horizon=10.0)
@@ -453,6 +551,34 @@ class TestReproduce:
 
     def test_unknown_figure(self, tmp_path):
         assert main(["reproduce", "fig9", "--out", str(tmp_path)]) == 2
+
+
+# what each command reads from the config, as ExperimentConfig attributes
+COMMAND_NEEDS = {"settle": ("model", "x0", "process", "certificate"),
+                 "simulate": ("model", "x0", "process"),
+                 "noise-check": ("process",)}
+
+
+def test_benchmark_configs_load(tmp_path, monkeypatch):
+    """Each benchmark config loads the way the harness's set-up probe loads
+    it, with the blocks its command needs set and its fields read."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__),
+                                             os.pardir, "bench"))
+    from workloads import WORKLOADS
+    for name, workload in WORKLOADS.items():
+        raw = workload.config
+        cfg = load_config(write_config(tmp_path, raw, name + ".json"))
+        for attr in COMMAND_NEEDS[workload.command]:
+            assert getattr(cfg, attr) is not None, (name, attr)
+        integ, nc = raw["integrator"], raw["noise_check"]
+        assert (cfg.mc.integrator.h, cfg.mc.integrator.horizon,
+                cfg.mc.integrator.absorb_at_origin) == (
+            integ["h"], integ["horizon"], integ["absorb_at_origin"]), name
+        assert (cfg.mc.n_paths, cfg.mc.master_seed, cfg.mc.h_noise) == (
+            raw["mc"]["n_paths"], raw["mc"]["master_seed"],
+            raw["noise"]["h_noise"]), name
+        assert (cfg.nc_paths, cfg.nc_horizon, cfg.nc_times) == (
+            nc["n_paths"], nc["horizon"], nc["check_times"]), name
 
 
 def _field_paths(block, prefix=()):
