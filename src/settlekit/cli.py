@@ -32,7 +32,7 @@ from .fileio import ensure_dir, fmt, write_csv, write_json
 from .integrate import IntegratorConfig, check_run, integrate_path, \
     steps_per_cell, trajectory_to_csv
 from .montecarlo import McConfig, estimate_settling, write_settle_csv
-from .noise import (check_noise, make_filtered_white_noise,
+from .noise import (check_noise, check_phases, make_filtered_white_noise,
                     make_random_phase_cosine, path_seed, sample_path,
                     zero_process)
 from .systems import get_model, stabilizing_controller
@@ -167,6 +167,7 @@ class ExperimentConfig:
                     and self.process is not None):
                 check_run(self.model, self.x0, self.process.dimension,
                           h_noise, integrator)
+                check_phases(self.process, 0.0, integrator.horizon, h_noise)
         except ValueError as e:
             raise ConfigError(str(e))
 

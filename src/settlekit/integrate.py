@@ -14,7 +14,10 @@ The realized disturbance is piecewise constant (zero-order hold on the noise
 grid), so one integration step never straddles a noise jump: the step size h
 must divide the noise grid step, and the held value for a step is the one in
 force at the step's start.  Within each step the vector field is smooth and
-classical RK4 applies at full order.
+classical RK4 applies at full order.  The kernel reads the held values from
+an iterable of blocks of consecutive noise cells, taking the next block when
+the step loop reaches it: a sweep's blocks are drawn as it advances, and
+``integrate_path`` gives its whole sampled path as one block.
 
 Near the origin the cube-root gains make explicit schemes chatter with
 amplitude about (h/2)^(3/2); once a row enters the absorption ball it is
@@ -28,7 +31,7 @@ and blown-up rows leave the active set and are not integrated further.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -175,22 +178,27 @@ class BatchResult(NamedTuple):
                         t0 + (self.last_out + 1) * h, np.nan)
 
 
-def integrate_batch(model: SystemModel, x0: np.ndarray, values: np.ndarray,
+def integrate_batch(model: SystemModel, x0: np.ndarray, blocks: Iterable,
                     t0: float, n_steps: int, m: int, cfg: IntegratorConfig,
                     radius: Optional[np.ndarray] = None,
                     keep_states: bool = False) -> BatchResult:
-    """Integrate b paths from x0 under the held noise values (b, cells+1, l).
+    """Integrate b paths from x0 under held noise values read from
+    ``blocks``, arrays (b, k, l) of the consecutive noise cells 0, 1, ...
 
-    Only live rows are stepped: a row that enters the absorption ball or
-    blows up leaves the active set and is held at exactly 0, and the sweep
-    ends once no row is live.  ``radius`` (n_steps+1,) is the ball tested
-    at each node, ``eps_settle`` at every node by default; a blown row
-    counts as outside it from its blow-up node on.  The states are kept
+    The first block is taken up front and each further one when the step
+    loop reaches its first cell, so no block past the last live step is
+    drawn.  Only live rows are stepped: a row that enters the absorption
+    ball or blows up leaves the active set and is held at exactly 0, and the
+    sweep ends once no row is live.  ``radius`` (n_steps+1,) is the ball
+    tested at each node, ``eps_settle`` at every node by default; a blown
+    row counts as outside it from its blow-up node on.  The states are kept
     when ``keep_states`` is set.
     """
     if radius is None:
         radius = np.broadcast_to(cfg.eps_settle, n_steps + 1)
-    b = values.shape[0]
+    blocks = iter(blocks)
+    block = next(blocks)
+    b, start = block.shape[0], 0            # start: the block's first cell
     h, eps_absorb = cfg.h, cfg.eps_absorb
     x = np.tile(x0, (b, 1))
     norms = np.sqrt(np.add.reduce(x * x, 1))
@@ -213,7 +221,10 @@ def integrate_batch(model: SystemModel, x0: np.ndarray, values: np.ndarray,
             break
         t = t0 + j * h
         if j % m == 0 or xi.shape[0] != rows.size:
-            xi = values[rows, j // m]
+            c = j // m - start
+            if c == block.shape[1]:
+                start, c, block = start + c, 0, next(blocks)
+            xi = block[rows, c]
         x_next = rk4_step(model, x, t, h, xi)
         nrm = np.sqrt(np.add.reduce(x_next * x_next, 1))
         gone = None
@@ -261,7 +272,7 @@ def integrate_path(model: SystemModel, path: NoisePath, x0,
     x0, m, n_steps = check_run(model, x0, path.dimension, path.h, cfg, path.t0)
     if path.t_end < cfg.horizon - 1e-9:
         raise ValueError("noise path does not cover the horizon")
-    res = integrate_batch(model, x0, path.values[None], path.t0, n_steps, m,
+    res = integrate_batch(model, x0, [path.values[None]], path.t0, n_steps, m,
                           cfg, keep_states=True)
     settle = float(res.settle_times(path.t0, cfg.h)[0])
     blow, absorb = int(res.blow_step[0]), int(res.absorb_step[0])

@@ -1,14 +1,18 @@
 """Monte Carlo settling studies over many noise realizations.
 
 Each path's randomness is derived only from (master_seed, path_index), so
-a path's result does not depend on the other paths of the batch.  Every
-path is sampled here once and all of them are integrated in one call of
-``integrate.integrate_batch``, the same kernel that ``integrate_path`` runs
-as a batch of one, so a path gives the same states in a batch and on its
-own.  Each study reads the kernel's ``BatchResult`` by field, against its
+a path's result does not depend on the other paths of the batch.  All paths
+are integrated in one call of ``integrate.integrate_batch``, the same kernel
+that ``integrate_path`` runs as a batch of one, so a path gives the same
+states in a batch and on its own.  The kernel pulls the paths' noise from
+one ``noise.BatchSampler``, a block of grid points at a time, as it reaches
+each block: every path is sampled once, no further than one block past the
+last step at which a path is live, and the paths' blocks are never held
+whole.  Each study reads the kernel's ``BatchResult`` by field, against its
 own per-node radius: settling reads ``settle_times`` for the settling ball,
 stability in probability reads ``last_out`` for the level gamma(|x0|), and
-envelope coverage reads ``last_out`` and ``n_out`` for the decay envelope.
+envelope coverage reads ``last_out`` and ``n_out`` for the decay envelope,
+with each path's L1 start index summed over the blocks as they pass.
 
 Censoring: paths that have not settled by the horizon are excluded from the
 settle-time mean and reported separately; blown-up paths are censored and
@@ -29,7 +33,8 @@ from .certify import Certificate, Envelope, PowerLaw, settling_bound
 from .fileio import write_csv
 from .integrate import (IntegratorConfig, check_run, integrate_batch,
                         steps_per_cell)
-from .noise import NoiseProcess, l1_ratios, path_seed, sample_path
+from .noise import (BatchSampler, NoiseProcess, _n_cells, check_phases,
+                    path_seed, running_l1_ratios)
 from .systems import SystemModel
 
 
@@ -93,8 +98,15 @@ class CoverageReport:
         return self.overall_fraction >= 1.0 - self.epsilon_target
 
 
+# Grid points drawn per noise block: with m steps per cell a block lasts 64 m
+# kernel steps, so its per-path draws cost little next to the steps, and a
+# sweep reads at most one block past its last live step.
+_BLOCK = 64
+
+
 class _BatchRun:
-    """Samples every path and integrates them with ``integrate_batch``."""
+    """Integrates the n_paths paths with ``integrate_batch``, drawing their
+    noise from one ``BatchSampler`` as the kernel reaches it."""
 
     def __init__(self, model: SystemModel, process: NoiseProcess, x0,
                  cfg: McConfig, t0: float = 0.0):
@@ -104,27 +116,65 @@ class _BatchRun:
         self.t0 = t0
         self.x0, self.m, self.n_steps = check_run(
             model, x0, process.dimension, cfg.h_noise, cfg.integrator, t0)
+        check_phases(process, t0, cfg.integrator.horizon, cfg.h_noise)
+        self.n_points = _n_cells(t0, cfg.integrator.horizon, cfg.h_noise) + 1
+        self.seeds = np.array([path_seed(cfg.master_seed, i)
+                               for i in range(cfg.n_paths)], dtype=np.uint64)
 
-    def sweep(self, radius=None):
-        """Sample the n_paths paths once and integrate them in one batch
-        against the per-node ball ``radius`` (eps_settle by default).
-        Returns the seeds, the sampled noise values (b, cells+1, l) and the
-        kernel's ``BatchResult``."""
-        n = self.cfg.n_paths
-        seeds = np.array([path_seed(self.cfg.master_seed, i) for i in range(n)],
-                         dtype=np.uint64)
-        # each path is copied into its row of one block: a list of paths
-        # stacked afterwards would hold the block twice at its peak
-        values = None
-        for i, s in enumerate(seeds):
-            path = sample_path(self.process, self.t0, self.cfg.integrator.horizon,
-                               self.cfg.h_noise, int(s)).values
-            if values is None:
-                values = np.empty((n,) + path.shape)      # (b, cells+1, l)
-            values[i] = path
-        return seeds, values, integrate_batch(
-            self.model, self.x0, values, self.t0, self.n_steps, self.m,
-            self.cfg.integrator, radius)
+    def blocks(self):
+        """The paths' noise over the grid, (b, k, l) blocks of _BLOCK points."""
+        sampler = BatchSampler(self.process, self.t0, self.cfg.h_noise, self.seeds)
+        for p in range(0, self.n_points, _BLOCK):
+            yield sampler.draw(min(_BLOCK, self.n_points - p)).transpose(0, 2, 1)
+
+    def sweep(self, radius=None, blocks=None):
+        """Integrate the paths in one batch against the per-node ball
+        ``radius`` (eps_settle by default), under ``blocks`` (a fresh
+        ``blocks()`` by default).  Returns the seeds and the kernel's
+        ``BatchResult``."""
+        return self.seeds, integrate_batch(
+            self.model, self.x0, self.blocks() if blocks is None else blocks,
+            self.t0, self.n_steps, self.m, self.cfg.integrator, radius)
+
+
+class _L1Start:
+    """Each path's first noise-grid index at which its accumulated-|xi|
+    ratio is at most 1 (the last index if there is none), read from the
+    blocks of noise as they pass to the kernel."""
+
+    def __init__(self, run: _BatchRun, k_bound: float):
+        self.blocks = run.blocks()
+        self.n_points = run.n_points
+        self.ratio_args = (run.cfg.h_noise, run.t0, k_bound)
+        self.seen = 0                       # grid points read
+        self.total = 0.0                    # per path, sum of |xi| read
+        self.first = np.full(run.cfg.n_paths, -1)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        block = next(self.blocks)
+        # C order: the channel sum runs over contiguous rows, as it would
+        # over a whole row-major (b, n_points, l) array, for every l
+        mags = np.sqrt(np.sum(np.square(block, order="C"), axis=-1))
+        ratios, self.total = running_l1_ratios(mags, *self.ratio_args,
+                                               self.seen, self.total)
+        good = ratios <= 1.0
+        new = (self.first < 0) & good.any(1)
+        self.first[new] = self.seen + good[new].argmax(1)
+        self.seen += mags.shape[1]
+        return block
+
+    def index(self, need: np.ndarray) -> np.ndarray:
+        """The start indices, once each path without one has been read
+        through its grid index ``need``: the kernel leaves a blown row's
+        cells unread after its blow-up, though its last exit is the last
+        node, so those paths are drawn on here."""
+        while self.seen < self.n_points and np.any(
+                (self.first < 0) & (need >= self.seen)):
+            next(self)
+        return np.where(self.first >= 0, self.first, self.n_points - 1)
 
 
 def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
@@ -140,7 +190,7 @@ def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
             f"bound checks need n_paths >= {defaults.MIN_PATHS_FOR_BOUND}")
     run = _BatchRun(model, process, x0, cfg, t0)
     n = cfg.n_paths
-    seeds, _, res = run.sweep()
+    seeds, res = run.sweep()
     blown = res.blow_step >= 0
     settle_times = res.settle_times(t0, cfg.integrator.h)
     settled = ~np.isnan(settle_times)
@@ -176,7 +226,7 @@ def estimate_stability_probability(model: SystemModel, process: NoiseProcess,
     radius gamma_fn(|x0|)."""
     run = _BatchRun(model, process, x0, cfg, t0)
     level = float(gamma_fn(float(np.linalg.norm(np.asarray(x0, dtype=float)))))
-    _, _, res = run.sweep(np.full(run.n_steps + 1, level))
+    _, res = run.sweep(np.full(run.n_steps + 1, level))
     return int(np.sum(res.last_out < 0)) / cfg.n_paths
 
 
@@ -197,13 +247,12 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
     grid = t0 + icfg.h * np.arange(run.n_steps + 1)
     env_vals = np.array([env.value(tj - t0) for tj in grid])
     slack = 1e-12 * max(1.0, x0_norm)
-    _, values, res = run.sweep(env_vals + slack)
-
-    # first integration-grid index from which the accumulated |xi| ratio is
-    # below 1, from the noise values the sweep integrated
-    mags = np.sqrt(np.sum(values ** 2, axis=-1))
-    good = l1_ratios(mags, cfg.h_noise, t0, max(cert.noise_bound, 1e-300)) <= 1.0
-    start_idx = np.where(good.any(1), good.argmax(1), good.shape[1] - 1)
+    # first noise-grid index from which the accumulated |xi| ratio is below
+    # 1, from the noise the sweep draws; a path's last exit precedes it iff
+    # no grid index up to last_out // m is L1-good
+    l1 = _L1Start(run, max(cert.noise_bound, 1e-300))
+    _, res = run.sweep(env_vals + slack, l1)
+    start_idx = l1.index(res.last_out // run.m)
 
     return CoverageReport(
         times=grid, per_time_fraction=(cfg.n_paths - res.n_out) / cfg.n_paths,

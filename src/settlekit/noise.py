@@ -20,10 +20,17 @@ mean square E|xi(t)|^2:
 Sampled paths are evaluated between grid points by zero-order hold, which
 keeps every pathwise integral an exact rectangle sum.  A path is a pure
 function of (process, grid, seed).
+
+``BatchSampler`` is the one sampler: it draws the paths of a batch of seeds
+a block of grid points at a time, each from its own Generator, so blocks of
+any lengths join into the same bits.  A Monte Carlo sweep pulls its blocks
+as the integrator reaches them and stops when no path is live;
+``sample_path`` is a batch of one drawn in one block.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -170,55 +177,121 @@ def path_seed(master_seed: int, index: int) -> int:
 
 
 def _n_cells(t0: float, horizon: float, h_noise: float) -> int:
-    """Number of noise cells of the grid t0, t0+h, ... covering horizon."""
-    return int(math.ceil((horizon - t0) / h_noise - 1e-12))
+    """Number of noise cells of the grid t0, t0+h, ... covering horizon: at
+    least one, since horizon > t0, and 1e-12 cells of float jitter do not
+    open another."""
+    return max(1, int(math.ceil((horizon - t0) / h_noise - 1e-12)))
+
+
+def check_phases(process: NoiseProcess, t0: float, horizon: float,
+                 h_noise: float) -> None:
+    """Raise ValueError if a random-phase cosine's phase omega t overflows on
+    the grid t0, t0+h, ... covering horizon, where its path would be NaN.
+
+    A sampler finds non-finite values only in the blocks it draws, so a
+    sweep whose paths all settle first never draws them; checked up front,
+    the same grid fails the same way however far it is sampled.
+    """
+    if process.kind != KIND_COSINE:
+        return
+    t_end = t0 + h_noise * _n_cells(t0, horizon, h_noise)
+    for w in process.omegas:
+        if not math.isfinite(w * t_end):
+            raise ValueError(f"noise omega {w:g} times the noise grid's last "
+                             f"time {t_end:g} overflows")
+
+
+def _ar1(x: np.ndarray, eta: np.ndarray, phi: float, out: np.ndarray) -> np.ndarray:
+    """Step xi_{k+1} = eta_k + phi xi_k from the state x (b, l) through the
+    innovations eta (b, n, l) into out (b, l, n); return the last state.
+
+    Each (path, channel) row is stepped in Python floats, so the CLI needs
+    no scipy: each product and sum rounds once, as in scipy.signal.lfilter,
+    which gives the same bits.
+    """
+    rows = eta.transpose(0, 2, 1).reshape(x.size, eta.shape[1]).tolist()
+    last = x.ravel().tolist()
+    for i, v in enumerate(last):
+        rows[i] = [v := e + phi * v for e in rows[i]]
+        last[i] = v
+    out[...] = np.fromiter(itertools.chain.from_iterable(rows), float,
+                           out.size).reshape(out.shape)
+    return np.reshape(last, x.shape)
+
+
+class BatchSampler:
+    """The paths of a batch of seeds on the grid t0, t0+h, ..., drawn a
+    block of grid points at a time.
+
+    Each path has its own Generator, seeded as ``sample_path`` seeds it, and
+    ``draw(k)`` continues every path where the last block ended, so the
+    blocks joined are the values ``sample_path`` gives: a cosine path's
+    phases are drawn once, up front; the filtered kind carries its (b, l)
+    AR(1) state between blocks, and drawing its innovations block by block
+    leaves each Generator's normal stream as one draw would.  A block is
+    channel-major, (b, l, k), so every broadcast runs over the long axes.
+    """
+
+    def __init__(self, process: NoiseProcess, t0: float, h_noise: float, seeds):
+        self.process = process
+        self.t0, self.h = float(t0), float(h_noise)
+        self.rngs = [np.random.default_rng(int(s)) for s in seeds]
+        self.next = 0                       # first grid point of the next block
+        l = process.dimension
+        if process.kind == KIND_COSINE:
+            self.phases = np.array([g.uniform(0.0, 2.0 * np.pi, size=l)
+                                    for g in self.rngs])[:, :, None]
+        elif process.kind == KIND_FILTERED:
+            self.phi, self.eta_std = ar1_step_coefficients(
+                process.intensity, process.tau_f, h_noise)
+            stationary_std = math.sqrt(process.intensity / (2.0 * process.tau_f))
+            self.state = np.array([stationary_std * g.standard_normal(l)
+                                   for g in self.rngs])
+        elif process.kind != KIND_ZERO:
+            raise ValueError(f"unknown noise kind: {process.kind}")
+
+    def draw(self, k: int) -> np.ndarray:
+        """The next k grid points of every path, (b, l, k)."""
+        p0, self.next = self.next, self.next + k
+        b, l = len(self.rngs), self.process.dimension
+        if self.process.kind == KIND_ZERO:
+            return np.zeros((b, l, k))
+        if self.process.kind == KIND_COSINE:
+            t = self.t0 + self.h * np.arange(p0, p0 + k)
+            amps = np.asarray(self.process.amplitudes)[:, None]
+            oms = np.asarray(self.process.omegas)[:, None]
+            values = -(amps * np.cos(oms * t + self.phases))
+        else:
+            values = np.empty((b, l, k))
+            first = int(p0 == 0)            # grid point 0 holds the start state
+            if first:
+                values[:, :, 0] = self.state
+            eta = np.empty((b, k - first, l))
+            for i, g in enumerate(self.rngs):
+                g.standard_normal(out=eta[i])
+            eta *= self.eta_std
+            self.state = _ar1(self.state, eta, self.phi, values[:, :, first:])
+        if not np.all(np.isfinite(values)):
+            raise ValueError("sampled path contains non-finite values")
+        return values
 
 
 def sample_path(process: NoiseProcess, t0: float, horizon: float,
                 h_noise: float, seed: int) -> NoisePath:
     """Sample one path of ``process`` on the grid t0, t0+h, ... covering horizon.
 
-    Pure function of (process, grid, seed): identical arguments give
-    bit-identical values, and a longer horizon extends the path exactly
-    (the shorter path is a prefix of the longer one).  Every kind is
-    computed channel-major, as an (l, n_points) block, so each broadcast
-    and channel reduction runs over the long axis; ``values`` is its
-    (n_points, l) transpose.
+    A ``BatchSampler`` of one seed drawn in one block.  Pure function of
+    (process, grid, seed): identical arguments give bit-identical values,
+    and a longer horizon extends the path exactly (the shorter path is a
+    prefix of the longer one).  ``values`` is the (n_points, l) transpose of
+    the channel-major block.
     """
     if horizon <= t0:
         raise ValueError("horizon must exceed t0")
     if h_noise <= 0:
         raise ValueError("h_noise must be positive")
     n = _n_cells(t0, horizon, h_noise)
-    t = t0 + h_noise * np.arange(n + 1)
-    l = process.dimension
-    rng = np.random.default_rng(int(seed))
-
-    if process.kind == KIND_ZERO:
-        values = np.zeros((l, n + 1))
-    elif process.kind == KIND_COSINE:
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=l)
-        amps = np.asarray(process.amplitudes)
-        oms = np.asarray(process.omegas)
-        values = -(amps[:, None] * np.cos(oms[:, None] * t + phases[:, None]))
-    elif process.kind == KIND_FILTERED:
-        phi, eta_std = ar1_step_coefficients(process.intensity, process.tau_f, h_noise)
-        stationary_std = math.sqrt(process.intensity / (2.0 * process.tau_f))
-        xi0 = stationary_std * rng.standard_normal(l)
-        eta = eta_std * rng.standard_normal((n, l))
-        values = np.empty((l, n + 1))
-        values[:, 0] = xi0
-        # AR(1) recursion xi_{k+1} = eta_k + phi xi_k in Python floats, so the
-        # CLI needs no scipy: each product and sum rounds once, as in
-        # scipy.signal.lfilter, which gives the same bits
-        for j in range(l):
-            x = float(xi0[j])
-            values[j, 1:] = [x := e + phi * x for e in eta[:, j].tolist()]
-    else:
-        raise ValueError(f"unknown noise kind: {process.kind}")
-
-    if not np.all(np.isfinite(values)):
-        raise ValueError("sampled path contains non-finite values")
+    values = BatchSampler(process, t0, h_noise, [seed]).draw(n + 1)[0]
     return NoisePath(t0=float(t0), h=float(h_noise), values=values.T, seed=int(seed))
 
 
@@ -342,11 +415,23 @@ def check_noise(process: NoiseProcess, n_paths: int, horizon: float,
 def l1_ratios(mags: np.ndarray, h: float, t0: float, k_bound: float) -> np.ndarray:
     """integral_{t0}^{t} |xi| ds / (2 sqrt(K) (t - t0)) at every grid time t
     of held magnitudes |xi| (..., n_points) on the grid t0 + k h; NaN at t0."""
-    cum = np.zeros(mags.shape)
-    np.cumsum(mags[..., :-1], axis=-1, out=cum[..., 1:])
-    t = t0 + h * np.arange(mags.shape[-1])
+    return running_l1_ratios(mags, h, t0, k_bound)[0]
+
+
+def running_l1_ratios(mags: np.ndarray, h: float, t0: float, k_bound: float,
+                      start: int = 0, total=0.0):
+    """``l1_ratios`` of a path passed in blocks: the ratios at the grid times
+    t0 + (start + i) h of the magnitudes mags[..., i], given the sum
+    ``total`` of the magnitudes before ``start``, and the sum through the
+    last magnitude, to carry into the next block.  np.cumsum adds in
+    sequence, so the blocks give the bits of one pass."""
+    cum = np.empty(mags.shape[:-1] + (mags.shape[-1] + 1,))
+    cum[..., 0] = total
+    cum[..., 1:] = mags
+    np.cumsum(cum, axis=-1, out=cum)
+    t = t0 + h * np.arange(start, start + mags.shape[-1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        return cum * h / (2.0 * math.sqrt(k_bound) * (t - t0))
+        return cum[..., :-1] * h / (2.0 * math.sqrt(k_bound) * (t - t0)), cum[..., -1]
 
 
 def check_l1_bound(path: NoisePath, k_bound: float, t_min: float) -> float:

@@ -291,6 +291,19 @@ class TestConfigErrors:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "settle"])
+    def test_cosine_phase_overflow_is_a_config_error(self, tmp_path, capsys,
+                                                     command):
+        # omega t overflows at t = 4.49; every settle path is absorbed by 1.6
+        out = tmp_path / "out"
+        cfg = base_config(out, n_paths=4)
+        cfg["noise"]["omegas"] = [1.0, 4e307]
+        assert main(["--config", write_config(tmp_path, cfg), command]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: noise omega 4e+307 times the noise grid's "
+            "last time 5 overflows\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "reproduce"])
     def test_empty_out_override(self, tmp_path, capsys, monkeypatch, command):
         monkeypatch.chdir(tmp_path)      # reproduce's default is ./out
@@ -463,6 +476,18 @@ class TestSimulate:
         assert err == "evaluator error: evaluator returned NaN at t=0.001\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("h_noise", [1e20, 1e300])
+    @pytest.mark.parametrize("command,output", [
+        ("simulate", "trajectory.csv"), ("settle", "settle_paths.csv")])
+    def test_noise_cell_past_the_horizon_is_one_cell(self, tmp_path, command,
+                                                     output, h_noise):
+        # the horizon is 5 / h_noise noise cells: one cell, held from t = 0
+        out = tmp_path / "out"
+        cfg = base_config(out, n_paths=4)
+        cfg["noise"]["h_noise"] = h_noise
+        assert main(["--config", write_config(tmp_path, cfg), command]) == 0
+        assert (out / output).exists()
+
     def test_example1_run_settles(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_config(out, horizon=10.0)
@@ -505,6 +530,44 @@ class TestSettle:
         assert file_digests(out, "settle_paths.csv", "settle_stats.json") == [
             "861bc543f02b12d0a8c12f2eee0777dfb641931961adf8818382bd9208b20501",
             "943cd65bb4704f3554b888e74d9c30548f3cb52ab896ba9b59740f7a1be2a32e"]
+
+    # kernel cases the other pins do not reach: rows live to the horizon
+    # under AR(1) noise, a two-channel AR(1) process with absorption, and a
+    # batch in which every row blows up
+    KERNEL_CASES = {
+        "ex2-live": ({
+            "model": "example2-closed", "x0": [3.0],
+            "noise": {"kind": "filtered-white-noise", "intensity": 0.5,
+                      "tau_f": 1.0, "dimension": 1, "h_noise": 0.01},
+            "integrator": {"h": 0.001, "horizon": 2.5, "absorb_at_origin": False},
+            "mc": {"n_paths": 40, "master_seed": 2024}}, 0, [
+            "85fb244f964753883d41756d2637b53d5eb27da1fa5af85c8fd2c9b97c04b63a",
+            "18ba127afdde047471f7e4360cf7915a513e35b7e93ce4750ac8ba99455fe84a"]),
+        "ex1-filtered-2ch": ({
+            "model": "example1", "x0": [1.0, 1.0],
+            "noise": {"kind": "filtered-white-noise", "intensity": 0.18,
+                      "tau_f": 1.0, "dimension": 2, "h_noise": 0.01},
+            "integrator": {"h": 0.002, "horizon": 5.0},
+            "mc": {"n_paths": 30, "master_seed": 77}}, 0, [
+            "c0cf1bbcbce30ca5f60360d7f9de51cb641a90b0e920bfa5415ae4df4a453072",
+            "09e4a1e1eb555bd89f60aafe993936143f69b8b99878c7e30df098b4f95cfefc"]),
+        "cubic-blowup": ({
+            "model": "unstable-cubic", "x0": [2.0],
+            "noise": {"kind": "filtered-white-noise", "intensity": 0.5,
+                      "tau_f": 1.0, "dimension": 1, "h_noise": 0.01},
+            "integrator": {"h": 0.001, "horizon": 1.0, "absorb_at_origin": False},
+            "mc": {"n_paths": 5, "master_seed": 3}}, 1, [
+            "6fb62dd219e0587d2ebaf5c89342662a1990977c42f0b8a509048c13af327736",
+            "b8eb8b182a5c1393920bcc8cf05f0e719c791b0f37c4a66636afd1233abc205b"]),
+    }
+
+    @pytest.mark.parametrize("case", list(KERNEL_CASES))
+    def test_kernel_case_bytes_are_pinned(self, tmp_path, case):
+        cfg, code, digests = self.KERNEL_CASES[case]
+        out = tmp_path / "out"
+        cfg = dict(cfg, out_dir=str(out))
+        assert main(["--config", write_config(tmp_path, cfg), "settle"]) == code
+        assert file_digests(out, "settle_paths.csv", "settle_stats.json") == digests
 
     def test_with_certificate_checks_bound(self, tmp_path):
         out = tmp_path / "out"

@@ -134,7 +134,7 @@ class TestIntegrateBatch:
         radius = np.linspace(0.5, 2.0, 3001)
         with np.errstate(over="ignore"):
             last_out, blow, absorb, n_out, states = integrate_batch(
-                m, np.array([1.0]), values, 0.0, 3000, 10, cfg, radius,
+                m, np.array([1.0]), [values], 0.0, 3000, 10, cfg, radius,
                 keep_states=True)
         assert blow[0] > 0 and blow[1] == blow[2] == -1
         assert absorb[1] > 0 and absorb[0] == absorb[2] == -1
@@ -158,7 +158,7 @@ class TestIntegrateBatch:
         m, cfg = self.model(), sk.IntegratorConfig(h=1e-3, horizon=3.0)
         values = np.array(self.XI)[:, None, None] * np.ones((3, 301, 1))
         with np.errstate(over="ignore"):
-            res = integrate_batch(m, np.array([1.0]), values, 0.0, 3000, 10, cfg)
+            res = integrate_batch(m, np.array([1.0]), [values], 0.0, 3000, 10, cfg)
         assert res.last_out is res[0] and res.states is None
         times = res.settle_times(0.0, cfg.h)
         for r, xi in enumerate(self.XI):
@@ -176,7 +176,7 @@ class TestIntegrateBatch:
         m = scalar_model(lambda x, t: -sk.signed_power(x, 0.5))
         cfg = sk.IntegratorConfig(h=1e-3, horizon=4.0)
         last_out, _, absorb, n_out, _ = integrate_batch(
-            m, np.array([1.0]), np.zeros((2, 401, 1)), 0.0, 4000, 10, cfg)
+            m, np.array([1.0]), [np.zeros((2, 401, 1))], 0.0, 4000, 10, cfg)
         assert 0 < absorb[0] == absorb[1] < 4000
         assert np.all(last_out < absorb[0])
         assert n_out[0] == 2 and not n_out[absorb[0]:].any()
@@ -207,7 +207,7 @@ class TestDetectSettling:
         cfg = sk.IntegratorConfig(h=self.H, horizon=n_steps * self.H,
                                   eps_settle=0.5)
         m = scalar_model(lambda x, t: np.zeros_like(x))
-        return integrate_batch(m, np.array([x0]), np.zeros((1, n_steps + 1, 1)),
+        return integrate_batch(m, np.array([x0]), [np.zeros((1, n_steps + 1, 1))],
                                0.0, n_steps, 1, cfg, radius)
 
     def test_all_zero(self):
@@ -268,7 +268,7 @@ class TestDetectSettling:
         cfg = sk.IntegratorConfig(h=1e-3, horizon=3.0)
         values = np.array(batch.XI)[:, None, None] * np.ones((3, 301, 1))
         with np.errstate(over="ignore"):
-            res = integrate_batch(batch.model(), np.array([1.0]), values, 0.0,
+            res = integrate_batch(batch.model(), np.array([1.0]), [values], 0.0,
                                   3000, 10, cfg)
         assert res.blow_step[0] > 0 and np.isnan(res.settle_times(0.0, 1e-3)[0])
         m = sk.get_model("unstable-cubic")

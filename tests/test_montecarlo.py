@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import settlekit as sk
-from settlekit import integrate
+from settlekit import integrate, montecarlo, noise
 from settlekit.certify import LYAPUNOV_FUNCTIONS, Certificate, PowerLaw
 from settlekit.montecarlo import write_settle_csv
 
@@ -96,6 +96,27 @@ class TestEstimateSettling:
         with pytest.raises(sk.EvaluatorError) as err:
             sk.estimate_settling(m, sk.zero_process(1), np.array([0.3]), cfg)
         assert err.value.t == 0.0 and np.array_equal(err.value.x, [0.3])
+
+    def test_sweep_draws_only_the_cells_it_reaches(self, monkeypatch):
+        drawn = []
+        draw = noise.BatchSampler.draw
+
+        def counted(self, k):
+            drawn.append(k)
+            return draw(self, k)
+
+        monkeypatch.setattr(noise.BatchSampler, "draw", counted)
+        proc = sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0])
+        cfg = mc_config(n_paths=10, horizon=20.0, seed=3, h=2e-3)
+        run = montecarlo._BatchRun(sk.make_example1(), proc,
+                                   np.array([1.0, 1.0]), cfg)
+        _, res = run.sweep()
+        # every row is absorbed; the last to go read cells 0 .. reached - 1
+        assert np.all(res.absorb_step > 0)
+        reached = (res.absorb_step.max() - 1) // run.m + 1
+        block = montecarlo._BLOCK
+        assert reached <= sum(drawn) <= -(-reached // block) * block
+        assert sum(drawn) < run.n_points == 2001
 
     def test_censoring(self):
         short = sk.estimate_settling(sqrt_model(), sk.zero_process(1),
@@ -201,21 +222,19 @@ class TestEnvelopeCoverage:
         assert np.all(cov.per_time_fraction == 1.0)
 
     def test_each_path_is_sampled_once(self, monkeypatch):
-        from settlekit import montecarlo, noise
-        calls = []
-        sample_path = noise.sample_path
+        drawn = []
+        init = noise.BatchSampler.__init__
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return sample_path(*args, **kwargs)
+        def counted(self, process, t0, h_noise, seeds):
+            drawn.extend(int(s) for s in seeds)
+            init(self, process, t0, h_noise, seeds)
 
-        for module in (montecarlo, noise):
-            monkeypatch.setattr(module, "sample_path", counted)
+        monkeypatch.setattr(noise.BatchSampler, "__init__", counted)
         proc = sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0])
         cov = sk.envelope_coverage(sk.make_example1(), proc, np.array([1.0, 1.0]),
                                    ex1_cert(), mc_config(n_paths=7, horizon=2.0,
                                                          h=2e-3), 0.05)
-        assert len(calls) == 7
+        assert drawn == [sk.path_seed(1, i) for i in range(7)]
         assert cov.overall_fraction_from_l1_time >= cov.overall_fraction
 
     def test_loosening_alpha1_never_reduces_coverage(self):
@@ -250,6 +269,56 @@ class TestPinnedResults:
             "3238db73106a9867ace1a4b46cb0e017051687f18d6c9e6a092da4a256b43efe"
         assert cov.overall_fraction == 0.575
         assert cov.overall_fraction_from_l1_time == 0.85
+
+    @staticmethod
+    def assert_report(cov, fractions, extinction, digests):
+        assert (cov.overall_fraction, cov.overall_fraction_from_l1_time) == fractions
+        assert (cov.extinction_time, cov.epsilon_target) == (extinction, 0.05)
+        assert [hashlib.sha256(a.tobytes()).hexdigest()
+                for a in (cov.times, cov.per_time_fraction)] == digests
+
+    def test_envelope_coverage_l1_start_after_the_last_absorption(self):
+        # paths 2 and 7 leave the envelope and are absorbed; no grid time up
+        # to the horizon, long after the last absorption, is L1-good for them
+        proc = sk.make_random_phase_cosine([1.2, 1.2], [1.0, 2.0])
+        cert = Certificate(state_dim=2, V=V_NORM, gradV=GRAD_NORM,
+                           gamma=2.0 / 3.0, c1=TWO_23, c2=1.0, noise_bound=0.3,
+                           alpha1=PowerLaw(0.5, 2), alpha2=PowerLaw(0.5, 2))
+        cfg = sk.McConfig(n_paths=8, master_seed=2, h_noise=0.01,
+                          integrator=sk.IntegratorConfig(
+                              h=2e-3, horizon=6.0, eps_settle=0.2, eps_absorb=0.1))
+        model, x0 = sk.make_example1(), np.array([1.0, 1.0])
+        stats = sk.estimate_settling(model, proc, x0, cfg)
+        assert stats.n_settled == 8 and stats.max_time < 2.6
+        for i in (2, 7):
+            path = sk.sample_path(proc, 0.0, 6.0, 0.01, sk.path_seed(2, i))
+            mags = np.sqrt(np.sum(path.values ** 2, axis=1))
+            assert not np.any(sk.noise.l1_ratios(mags, 0.01, 0.0, 0.3) <= 1.0)
+        self.assert_report(
+            sk.envelope_coverage(model, proc, x0, cert, cfg, 0.05),
+            (0.625, 0.875), 6.098107116160141,
+            ["cf9271de5cac40aaf16c25adb16bdfd21f1960e885655e61b0b7f3e1c8fad23f",
+             "d53350154a5d7587cf012f4a991b730200ccc12f32eae20e155ced3b313a2268"])
+
+    def test_envelope_coverage_reads_blown_rows_to_their_last_exit(self):
+        # every row blows up at node 126, in the first noise block, and its
+        # last exit is the last node; path 7 first turns L1-good at grid
+        # index 95, which the kernel never read, and is not covered from it
+        proc = sk.make_random_phase_cosine([1.0], [2.0])
+        cfg = sk.McConfig(n_paths=8, master_seed=2, h_noise=0.01,
+                          integrator=sk.IntegratorConfig(
+                              h=1e-3, horizon=1.005, absorb_at_origin=False))
+        path = sk.sample_path(proc, 0.0, 1.005, 0.01, sk.path_seed(2, 7))
+        good = sk.noise.l1_ratios(np.abs(path.values[:, 0]), 0.01, 0.0, 0.12) <= 1
+        assert good.argmax() == 95
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = sk.envelope_coverage(sk.get_model("unstable-cubic"), proc,
+                                       np.array([2.0]), ex1_cert(0.12, 1), cfg,
+                                       0.05)
+        self.assert_report(
+            cov, (0.0, 0.25), 7.751494504520428,
+            ["8a897666aee384b4aedc56a912986750875fa1e560e7a842f4fd2d6dfc1df02c",
+             "8fd3bf15a6e49f0c6def056ef9ac5adfc92a5aedc21a0acbec1169bb8d03527c"])
 
     @pytest.mark.parametrize("a, fraction", [(0.9, 0.0), (1.0, 0.95), (1.2, 1.0)])
     def test_stability_probability(self, a, fraction):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import settlekit as sk
+from settlekit import noise
 from settlekit.cli import main
 from settlekit.defaults import CONFIDENCE_Z
 from settlekit.noise import (_n_cells, _path_statistics, ar1_step_coefficients,
@@ -302,6 +303,36 @@ class TestChannelMajorSampling:
         assert main(["--config", str(path), "noise-check"]) == 0
         data = (out / "noise_check.json").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+class TestBatchSampler:
+    """Blocks drawn one after another join into the path ``sample_path``
+    draws in one, for every seed of a batch."""
+
+    @pytest.mark.parametrize("b", [1, 3, 20])
+    @pytest.mark.parametrize("process", [
+        cosine(1), cosine(2), cosine(3),
+        sk.make_filtered_white_noise(0.5, 1.0, 1),
+        sk.make_filtered_white_noise(0.7, 0.3, 3),
+        sk.zero_process(2),
+    ], ids=["cosine-1", "cosine-2", "cosine-3", "filtered-1", "filtered-3",
+            "zero-2"])
+    def test_uneven_blocks_join_into_single_paths(self, process, b):
+        t0, horizon, h = 0.25, 7.3, 0.01
+        seeds = [sk.path_seed(4, i) for i in range(b)]
+        sizes = [1, 7, 64]
+        sizes.append(_n_cells(t0, horizon, h) + 1 - sum(sizes))
+        sampler = noise.BatchSampler(process, t0, h, seeds)
+        joined = np.concatenate([sampler.draw(k) for k in sizes], axis=2)
+        assert joined.shape == (b, process.dimension, 706)
+        for row, seed in zip(joined, seeds):
+            expected = sk.sample_path(process, t0, horizon, h, seed).values
+            assert np.array_equal(row.T.view(np.uint64), expected.view(np.uint64))
+
+    def test_non_finite_values_raise(self):
+        huge = sk.make_filtered_white_noise(1e308, 1e-308, 1)
+        with pytest.raises(ValueError, match="non-finite"):
+            noise.BatchSampler(huge, 0.0, 0.01, [1, 2]).draw(4)
 
 
 class TestL1Bound:
