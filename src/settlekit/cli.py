@@ -290,12 +290,10 @@ def cmd_noise_check(cfg: ExperimentConfig) -> int:
 def cmd_certify(cfg: ExperimentConfig) -> int:
     _require_fields(cfg, "certificate", "model", "x0")
     cert = cfg.certificate
-    sandwich = verify_sandwich(cert, box_radius=5.0, n=4000,
-                               tol=defaults.SAMPLED_INEQUALITY_TOL,
-                               seed=cfg.mc.master_seed)
-    drift = verify_drift(cert, cfg.model, box_radius=5.0, n=4000,
-                         t_grid=[0.0], tol=defaults.SAMPLED_INEQUALITY_TOL,
-                         seed=cfg.mc.master_seed)
+    sampled = dict(box_radius=defaults.CERTIFY_BOX_RADIUS, n=defaults.CERTIFY_SAMPLES,
+                   tol=defaults.SAMPLED_INEQUALITY_TOL, seed=cfg.mc.master_seed)
+    sandwich = verify_sandwich(cert, **sampled)
+    drift = verify_drift(cert, cfg.model, t_grid=[0.0], **sampled)
     bound = settling_bound(cert, float(cert.V(cfg.x0)))
     report = {
         "constant_condition": {"c1": cert.c1,

@@ -22,6 +22,11 @@ SETTLED_FRACTION_THRESHOLD = 0.99
 # Verification tolerances
 SAMPLED_INEQUALITY_TOL = 1e-6  # sampled inequality margins
 
+# Certify command: each sampled check draws this many states, uniform in the
+# ball of this radius, plus fixed axis and diagonal points
+CERTIFY_BOX_RADIUS = 5.0
+CERTIFY_SAMPLES = 4000
+
 # Noise-check command
 NOISE_CHECK_PATHS = 200
 NOISE_CHECK_HORIZON = 50.0

@@ -192,12 +192,13 @@ def integrate_batch(model: SystemModel, x0: np.ndarray, blocks: Iterable,
     sweep ends once no row is live.  ``radius`` (n_steps+1,) is the ball
     tested at each node, ``eps_settle`` at every node by default; a blown
     row counts as outside it from its blow-up node on.  The states are kept
-    when ``keep_states`` is set.
+    when ``keep_states`` is set.  A source that ends before a live step's
+    cell, or a block that is not (b, k, l), raises ValueError.
     """
     if radius is None:
         radius = np.broadcast_to(cfg.eps_settle, n_steps + 1)
     blocks = iter(blocks)
-    block = next(blocks)
+    block = _next_block(blocks, 0)
     b, start = block.shape[0], 0            # start: the block's first cell
     h, eps_absorb = cfg.h, cfg.eps_absorb
     x = np.tile(x0, (b, 1))
@@ -223,7 +224,7 @@ def integrate_batch(model: SystemModel, x0: np.ndarray, blocks: Iterable,
         if j % m == 0 or xi.shape[0] != rows.size:
             c = j // m - start
             if c == block.shape[1]:
-                start, c, block = start + c, 0, next(blocks)
+                start, c, block = start + c, 0, _next_block(blocks, start + c, b)
             xi = block[rows, c]
         x_next = rk4_step(model, x, t, h, xi)
         nrm = np.sqrt(np.add.reduce(x_next * x_next, 1))
@@ -257,6 +258,18 @@ def integrate_batch(model: SystemModel, x0: np.ndarray, blocks: Iterable,
     last_out[blown] = n_steps
     n_out += np.cumsum(np.bincount(blow_step[blown], minlength=n_steps + 1))
     return BatchResult(last_out, blow_step, absorb_step, n_out, states)
+
+
+def _next_block(blocks, cell: int, b: Optional[int] = None) -> np.ndarray:
+    """The next block of ``blocks``, the one holding noise cell ``cell``
+    first; raise ValueError if the source has ended or the block is not a
+    3-D array with the batch's b rows (any b for the first block)."""
+    block = next(blocks, None)
+    if np.ndim(block) != 3 or b not in (None, block.shape[0]):
+        got = "the blocks ended" if block is None else f"got {np.shape(block)}"
+        raise ValueError(f"noise cell {cell} needs a (b, k, l) block with the "
+                         f"batch's b rows; {got}")
+    return block
 
 
 def integrate_path(model: SystemModel, path: NoisePath, x0,

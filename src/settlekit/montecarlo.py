@@ -12,7 +12,8 @@ whole.  Each study reads the kernel's ``BatchResult`` by field, against its
 own per-node radius: settling reads ``settle_times`` for the settling ball,
 stability in probability reads ``last_out`` for the level gamma(|x0|), and
 envelope coverage reads ``last_out`` and ``n_out`` for the decay envelope,
-with each path's L1 start index summed over the blocks as they pass.
+with each path's L1 start index read from the blocks as they pass, by the
+channel sum and ``noise.l1_ratios`` that the noise checks use.
 
 Censoring: paths that have not settled by the horizon are excluded from the
 settle-time mean and reported separately; blown-up paths are censored and
@@ -34,7 +35,7 @@ from .fileio import write_csv
 from .integrate import (IntegratorConfig, check_run, integrate_batch,
                         steps_per_cell)
 from .noise import (BatchSampler, NoiseProcess, _n_cells, check_phases,
-                    path_seed, running_l1_ratios)
+                    l1_ratios, path_seed)
 from .systems import SystemModel
 
 
@@ -125,7 +126,7 @@ class _BatchRun:
         """The paths' noise over the grid, (b, k, l) blocks of _BLOCK points."""
         sampler = BatchSampler(self.process, self.t0, self.cfg.h_noise, self.seeds)
         for p in range(0, self.n_points, _BLOCK):
-            yield sampler.draw(min(_BLOCK, self.n_points - p)).transpose(0, 2, 1)
+            yield sampler.draw(min(_BLOCK, self.n_points - p))
 
     def sweep(self, radius=None, blocks=None):
         """Integrate the paths in one batch against the per-node ball
@@ -135,46 +136,6 @@ class _BatchRun:
         return self.seeds, integrate_batch(
             self.model, self.x0, self.blocks() if blocks is None else blocks,
             self.t0, self.n_steps, self.m, self.cfg.integrator, radius)
-
-
-class _L1Start:
-    """Each path's first noise-grid index at which its accumulated-|xi|
-    ratio is at most 1 (the last index if there is none), read from the
-    blocks of noise as they pass to the kernel."""
-
-    def __init__(self, run: _BatchRun, k_bound: float):
-        self.blocks = run.blocks()
-        self.n_points = run.n_points
-        self.ratio_args = (run.cfg.h_noise, run.t0, k_bound)
-        self.seen = 0                       # grid points read
-        self.total = 0.0                    # per path, sum of |xi| read
-        self.first = np.full(run.cfg.n_paths, -1)
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        block = next(self.blocks)
-        # C order: the channel sum runs over contiguous rows, as it would
-        # over a whole row-major (b, n_points, l) array, for every l
-        mags = np.sqrt(np.sum(np.square(block, order="C"), axis=-1))
-        ratios, self.total = running_l1_ratios(mags, *self.ratio_args,
-                                               self.seen, self.total)
-        good = ratios <= 1.0
-        new = (self.first < 0) & good.any(1)
-        self.first[new] = self.seen + good[new].argmax(1)
-        self.seen += mags.shape[1]
-        return block
-
-    def index(self, need: np.ndarray) -> np.ndarray:
-        """The start indices, once each path without one has been read
-        through its grid index ``need``: the kernel leaves a blown row's
-        cells unread after its blow-up, though its last exit is the last
-        node, so those paths are drawn on here."""
-        while self.seen < self.n_points and np.any(
-                (self.first < 0) & (need >= self.seen)):
-            next(self)
-        return np.where(self.first >= 0, self.first, self.n_points - 1)
 
 
 def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
@@ -247,12 +208,33 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
     grid = t0 + icfg.h * np.arange(run.n_steps + 1)
     env_vals = np.array([env.value(tj - t0) for tj in grid])
     slack = 1e-12 * max(1.0, x0_norm)
-    # first noise-grid index from which the accumulated |xi| ratio is below
-    # 1, from the noise the sweep draws; a path's last exit precedes it iff
-    # no grid index up to last_out // m is L1-good
-    l1 = _L1Start(run, max(cert.noise_bound, 1e-300))
+    k_bound = max(cert.noise_bound, 1e-300)
+    first = np.full(cfg.n_paths, -1)        # each path's first L1-good index
+    read = 0                                # grid points read
+
+    def blocks():
+        """The sweep's blocks, each read for L1-good indices as it passes."""
+        nonlocal read
+        total = 0.0                         # per path, sum of |xi| read
+        for block in run.blocks():
+            ratios, total = l1_ratios(np.sqrt(np.sum(block ** 2, axis=-1)),
+                                      cfg.h_noise, t0, k_bound, read, total)
+            good = ratios <= 1.0
+            new = (first < 0) & good.any(1)
+            first[new] = read + good[new].argmax(1)
+            read += block.shape[1]
+            yield block
+
+    l1 = blocks()
     _, res = run.sweep(env_vals + slack, l1)
-    start_idx = l1.index(res.last_out // run.m)
+    # a path's last exit precedes its L1 start iff no grid index up to
+    # last_out // m is L1-good; the kernel leaves a blown row's cells unread
+    # after its blow-up, though its last exit is the last node, so those
+    # paths are drawn on here (need <= n_cells < n_points ends the loop)
+    need = res.last_out // run.m
+    while np.any((first < 0) & (need >= read)):
+        next(l1)
+    start_idx = np.where(first >= 0, first, run.n_points - 1)
 
     return CoverageReport(
         times=grid, per_time_fraction=(cfg.n_paths - res.n_out) / cfg.n_paths,

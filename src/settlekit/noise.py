@@ -23,9 +23,16 @@ function of (process, grid, seed).
 
 ``BatchSampler`` is the one sampler: it draws the paths of a batch of seeds
 a block of grid points at a time, each from its own Generator, so blocks of
-any lengths join into the same bits.  A Monte Carlo sweep pulls its blocks
-as the integrator reaches them and stops when no path is live;
-``sample_path`` is a batch of one drawn in one block.
+any lengths join into the same bits.  It alone knows a block's memory
+layout: it computes each block channel-major and hands out its time-major
+(b, k, l) view.  A Monte Carlo sweep pulls its blocks as the integrator
+reaches them and stops when no path is live; ``sample_path`` is a batch of
+one drawn in one block.
+
+Every statistic of |xi| reads it one way: |xi|^2 is
+``np.sum(values ** 2, axis=-1)`` over a time-major view, which adds the
+channels in order over the sampler's memory, and the accumulated-|xi| ratio
+is ``l1_ratios``.
 """
 
 from __future__ import annotations
@@ -69,8 +76,8 @@ class NoisePath:
 
     t0: float
     h: float
-    # (n_points, l), read-only; sample_path gives the transpose of a C-order
-    # (l, n_points) block, so each channel values[:, j] is contiguous
+    # (n_points, l), read-only; sample_path gives a sampler block's view of
+    # channel-major memory, so each channel values[:, j] is contiguous
     values: np.ndarray
     seed: int
 
@@ -229,7 +236,8 @@ class BatchSampler:
     phases are drawn once, up front; the filtered kind carries its (b, l)
     AR(1) state between blocks, and drawing its innovations block by block
     leaves each Generator's normal stream as one draw would.  A block is
-    channel-major, (b, l, k), so every broadcast runs over the long axes.
+    computed channel-major, as (b, l, k) C-order memory, so every broadcast
+    runs over the long axis, and handed out as its time-major (b, k, l) view.
     """
 
     def __init__(self, process: NoiseProcess, t0: float, h_noise: float, seeds):
@@ -251,12 +259,13 @@ class BatchSampler:
             raise ValueError(f"unknown noise kind: {process.kind}")
 
     def draw(self, k: int) -> np.ndarray:
-        """The next k grid points of every path, (b, l, k)."""
+        """The next k grid points of every path: the time-major (b, k, l)
+        view of a channel-major (b, l, k) block."""
         p0, self.next = self.next, self.next + k
         b, l = len(self.rngs), self.process.dimension
         if self.process.kind == KIND_ZERO:
-            return np.zeros((b, l, k))
-        if self.process.kind == KIND_COSINE:
+            values = np.zeros((b, l, k))
+        elif self.process.kind == KIND_COSINE:
             t = self.t0 + self.h * np.arange(p0, p0 + k)
             amps = np.asarray(self.process.amplitudes)[:, None]
             oms = np.asarray(self.process.omegas)[:, None]
@@ -273,7 +282,7 @@ class BatchSampler:
             self.state = _ar1(self.state, eta, self.phi, values[:, :, first:])
         if not np.all(np.isfinite(values)):
             raise ValueError("sampled path contains non-finite values")
-        return values
+        return values.transpose(0, 2, 1)
 
 
 def sample_path(process: NoiseProcess, t0: float, horizon: float,
@@ -283,8 +292,7 @@ def sample_path(process: NoiseProcess, t0: float, horizon: float,
     A ``BatchSampler`` of one seed drawn in one block.  Pure function of
     (process, grid, seed): identical arguments give bit-identical values,
     and a longer horizon extends the path exactly (the shorter path is a
-    prefix of the longer one).  ``values`` is the (n_points, l) transpose of
-    the channel-major block.
+    prefix of the longer one).  ``values`` is the sampler's time-major view.
     """
     if horizon <= t0:
         raise ValueError("horizon must exceed t0")
@@ -292,7 +300,7 @@ def sample_path(process: NoiseProcess, t0: float, horizon: float,
         raise ValueError("h_noise must be positive")
     n = _n_cells(t0, horizon, h_noise)
     values = BatchSampler(process, t0, h_noise, [seed]).draw(n + 1)[0]
-    return NoisePath(t0=float(t0), h=float(h_noise), values=values.T, seed=int(seed))
+    return NoisePath(t0=float(t0), h=float(h_noise), values=values, seed=int(seed))
 
 
 def _path_statistics(process: NoiseProcess, n_paths: int, horizon: float,
@@ -315,14 +323,14 @@ def _path_statistics(process: NoiseProcess, n_paths: int, horizon: float,
     if l1_bound > 0:
         if t_min <= t0:
             raise ValueError("t_min must exceed the path start time")
-        l1_times = t0 + h_noise * np.arange(n_cells + 1) >= t_min - 1e-12
+        late = t0 + h_noise * np.arange(n_cells + 1) >= t_min - 1e-12
     span = max([horizon, *t_grid])
     means = np.empty(n_paths)
     averages = np.empty((len(t_grid), n_paths))
     ratios = np.zeros(n_paths)
     for i in range(n_paths):
         p = sample_path(process, t0, span, h_noise, path_seed(seed, i))
-        sq = np.sum(p.values ** 2, axis=1)
+        sq = np.sum(p.values ** 2, axis=-1)
         means[i] = np.mean(sq[:n_cells])
         # running integral: left-rectangle sum, partial final cell pro rata
         cum = np.concatenate([[0.0], np.cumsum(sq[:-1]) * p.h])
@@ -330,8 +338,8 @@ def _path_statistics(process: NoiseProcess, n_paths: int, horizon: float,
             k = p.cell_index(t)
             averages[j, i] = (cum[k] + (t - (p.t0 + k * p.h)) * sq[k]) / (t - t0)
         if l1_bound > 0:
-            r = l1_ratios(np.sqrt(sq[:n_cells + 1]), p.h, p.t0, l1_bound)[l1_times]
-            ratios[i] = float(np.max(r)) if r.size else 0.0
+            ratios[i] = _late_max(l1_ratios(np.sqrt(sq[:n_cells + 1]), p.h, p.t0,
+                                            l1_bound)[0], late)
     return means, averages, ratios
 
 
@@ -412,19 +420,16 @@ def check_noise(process: NoiseProcess, n_paths: int, horizon: float,
             _wlln_report(process, t_grid, averages, delta), float(np.max(ratios)))
 
 
-def l1_ratios(mags: np.ndarray, h: float, t0: float, k_bound: float) -> np.ndarray:
-    """integral_{t0}^{t} |xi| ds / (2 sqrt(K) (t - t0)) at every grid time t
-    of held magnitudes |xi| (..., n_points) on the grid t0 + k h; NaN at t0."""
-    return running_l1_ratios(mags, h, t0, k_bound)[0]
+def l1_ratios(mags: np.ndarray, h: float, t0: float, k_bound: float,
+              start: int = 0, total=0.0):
+    """integral_{t0}^{t} |xi| ds / (2 sqrt(K) (t - t0)) at the grid times
+    t = t0 + (start + i) h of held magnitudes |xi| mags[..., i], NaN at t0,
+    given the sum ``total`` of the magnitudes before grid index ``start``.
 
-
-def running_l1_ratios(mags: np.ndarray, h: float, t0: float, k_bound: float,
-                      start: int = 0, total=0.0):
-    """``l1_ratios`` of a path passed in blocks: the ratios at the grid times
-    t0 + (start + i) h of the magnitudes mags[..., i], given the sum
-    ``total`` of the magnitudes before ``start``, and the sum through the
-    last magnitude, to carry into the next block.  np.cumsum adds in
-    sequence, so the blocks give the bits of one pass."""
+    Returns (ratios, the sum through the last magnitude).  A path passed in
+    blocks, each given the sum the last one returned, gets the bits of one
+    pass, since np.cumsum adds in sequence.
+    """
     cum = np.empty(mags.shape[:-1] + (mags.shape[-1] + 1,))
     cum[..., 0] = total
     cum[..., 1:] = mags
@@ -446,9 +451,14 @@ def check_l1_bound(path: NoisePath, k_bound: float, t_min: float) -> float:
     if t_min <= path.t0:
         raise ValueError("t_min must exceed the path start time")
     ratios = l1_ratios(np.sqrt(np.sum(path.values ** 2, axis=-1)),
-                       path.h, path.t0, k_bound)
-    ratios = ratios[path.times() >= t_min - 1e-12]
-    return float(np.max(ratios)) if ratios.size else 0.0
+                       path.h, path.t0, k_bound)[0]
+    return _late_max(ratios, path.times() >= t_min - 1e-12)
+
+
+def _late_max(ratios: np.ndarray, late: np.ndarray) -> float:
+    """The largest L1 ratio at the grid times the mask ``late`` marks, those
+    at or after t_min; 0 when it marks none (the ratios are >= 0)."""
+    return float(np.max(ratios[late], initial=0.0))
 
 
 def path_to_csv(path: NoisePath, file_path) -> None:

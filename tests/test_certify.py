@@ -177,6 +177,23 @@ class TestVerifyDrift:
         assert rep.drift.worst_margin >= 0.0
         assert abs(rep.gain.worst_margin) <= 1e-9
 
+    def test_general_rate_gives_the_power_rate_report(self):
+        rates = []
+
+        def rate_fn(v):
+            rates.append(v)
+            return np.asarray(v, dtype=float) ** (2.0 / 3.0)
+
+        reports = [sk.verify_drift(
+            Certificate(state_dim=2, V=V_NORM, gradV=GRAD_NORM, c1=1.0,
+                        c2=TWO_23, noise_bound=0.0, alpha1=PowerLaw(0.5, 2),
+                        alpha2=PowerLaw(0.5, 2), **rate),
+            sk.make_example1(), box_radius=5.0, n=500, t_grid=[0.0, 1.0],
+            tol=1e-9, seed=5) for rate in ({"gamma": 2.0 / 3.0},
+                                           {"rate_fn": rate_fn})]
+        assert len(rates) == 1
+        assert reports[0] == reports[1] and reports[1].passed
+
     def test_nan_drift_fails(self):
         # f = -x^(1/3) gives the drift margin (1 - 2^(-2/3)) |x|^(4/3) >= 0
         # wherever f is finite

@@ -151,6 +151,7 @@ class TestConfigErrors:
         ("certify", "certificate.gamma", False),
         ("certify", "certificate.alpha1.a", "0.5"),
         ("settle", "mc.n_paths", 1),
+        ("simulate", "integrator.horizon", 10 ** 400),
     ], ids=["n_paths-ten", "x0-string", "master_seed-x", "threshold-x",
             "threshold-above-1", "threshold-below-0",
             "nc_paths-1", "nc_paths-x", "check_times-empty", "check_times-0",
@@ -162,7 +163,7 @@ class TestConfigErrors:
             "int-string", "int-bool", "float-bool", "float-string",
             "x0-numeric-string", "amplitudes-numeric-string",
             "K-numeric-string", "gamma-bool", "alpha-numeric-string",
-            "n_paths-1"])
+            "n_paths-1", "horizon-int-overflow"])
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, command,
                                                field, value):
         out = tmp_path / "out"
@@ -181,6 +182,43 @@ class TestConfigErrors:
         assert err.startswith(f"configuration error: field {field}")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,field,value,message", [
+        ("simulate", "noise.amplitudes", [], "amplitudes must be non-empty"),
+        ("simulate", "noise.amplitudes", [0.3],
+         "amplitudes and omegas must have equal length"),
+        ("simulate", "integrator.h", 0, "step h must be positive"),
+        ("settle", "integrator.eps_settle", 0, "eps_settle must be positive"),
+    ], ids=["amplitudes-empty", "amplitudes-unequal", "h-0", "eps_settle-0"])
+    def test_invalid_block_is_a_config_error(self, tmp_path, capsys, command,
+                                             field, value, message):
+        out = tmp_path / "out"
+        cfg = base_config(out)
+        block, key = field.split(".")
+        cfg[block][key] = value
+        assert main(["--config", write_config(tmp_path, cfg), command]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: field {block}: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config,command,message", [
+        ("list", "simulate", "config root must be a JSON object"),
+        ("no-model", "certify", "field certificate requires a model"),
+        (None, "settle", "--config is required for this command"),
+    ], ids=["list-root", "certificate-without-model", "settle-without-config"])
+    def test_config_shape_is_checked(self, tmp_path, capsys, monkeypatch,
+                                     config, command, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = base_config("out")
+        cfg["certificate"] = TestCertify().cert_block()
+        del cfg["model"]
+        args = [command]
+        if config is not None:
+            root = [cfg] if config == "list" else cfg
+            args = ["--config", write_config(tmp_path, root)] + args
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert os.listdir(tmp_path) == ([] if config is None else ["config.json"])
 
     def test_integral_floats_are_integers(self, tmp_path):
         reports = []

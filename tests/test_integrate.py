@@ -181,6 +181,20 @@ class TestIntegrateBatch:
         assert np.all(last_out < absorb[0])
         assert n_out[0] == 2 and not n_out[absorb[0]:].any()
 
+    @pytest.mark.parametrize("blocks, match", [
+        ([np.zeros((2, 64, 1)), np.zeros((2, 36, 1))],
+         "cell 100 needs .* the blocks ended"),
+        (np.zeros((2, 401, 1)), r"cell 0 needs .* got \(401, 1\)"),
+        ([np.zeros((2, 64, 1)), np.zeros((3, 337, 1))],
+         r"cell 64 needs .* got \(3, 337, 1\)"),
+    ], ids=["source-ends", "whole-array", "rows-change"])
+    def test_bad_block_source_is_a_value_error(self, blocks, match):
+        # the state is held at 1, outside the ball, so both rows stay live
+        m = scalar_model(lambda x, t: np.zeros_like(x))
+        cfg = sk.IntegratorConfig(h=1e-3, horizon=4.0)
+        with pytest.raises(ValueError, match=match):
+            integrate_batch(m, np.array([1.0]), blocks, 0.0, 4000, 10, cfg)
+
 
 def detect_settling(traj, eps_settle):
     """Oracle: earliest grid time from which the stored states stay inside

@@ -237,6 +237,32 @@ class TestEnvelopeCoverage:
         assert drawn == [sk.path_seed(1, i) for i in range(7)]
         assert cov.overall_fraction_from_l1_time >= cov.overall_fraction
 
+    @pytest.mark.parametrize("l", [8, 9])
+    def test_l1_start_reads_the_noise_checks_magnitudes(self, monkeypatch, l):
+        # from 8 channels on, numpy adds contiguous channels pairwise; the
+        # L1 start must add them in order, as the noise checks do
+        read = []
+        l1_ratios = montecarlo.l1_ratios
+
+        def recorded(mags, *args):
+            read.append(mags)
+            return l1_ratios(mags, *args)
+
+        monkeypatch.setattr(montecarlo, "l1_ratios", recorded)
+        model = sk.SystemModel(n=1, l=l, f=lambda x, t: -sk.signed_power(x, 0.5),
+                               g=lambda x, t: np.full(x.shape + (l,), 0.1),
+                               name=f"sqrt-{l}")
+        proc = sk.make_random_phase_cosine(0.1 + 0.05 * np.arange(l),
+                                           1.0 + np.arange(l))
+        sk.envelope_coverage(model, proc, np.array([1.0]), ex1_cert(dim=1),
+                             mc_config(n_paths=4, horizon=2.0, seed=7), 0.05)
+        mags = np.concatenate(read, axis=1)
+        assert mags.shape == (4, 201)
+        for i, row in enumerate(mags):
+            path = sk.sample_path(proc, 0.0, 2.0, 0.01, sk.path_seed(7, i))
+            expected = np.sqrt(np.sum(path.values ** 2, axis=-1))
+            assert np.array_equal(row.view(np.uint64), expected.view(np.uint64))
+
     def test_loosening_alpha1_never_reduces_coverage(self):
         model = sk.make_example1()
         proc = sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0])
@@ -250,6 +276,15 @@ class TestEnvelopeCoverage:
             covs.append(sk.envelope_coverage(model, proc, np.array([1.0, 1.0]),
                                              cert, cfg, 0.05))
         assert covs[1].overall_fraction >= covs[0].overall_fraction
+
+    @pytest.mark.parametrize("fraction, passed", [
+        (1.0, True), (0.75, True), (0.7, False), (0.0, False)])
+    def test_passed_needs_the_whole_path_fraction(self, fraction, passed):
+        cov = montecarlo.CoverageReport(
+            times=np.zeros(1), per_time_fraction=np.ones(1),
+            overall_fraction=fraction, overall_fraction_from_l1_time=1.0,
+            epsilon_target=0.25, extinction_time=1.0)
+        assert cov.passed is passed
 
 
 class TestPinnedResults:
@@ -293,7 +328,7 @@ class TestPinnedResults:
         for i in (2, 7):
             path = sk.sample_path(proc, 0.0, 6.0, 0.01, sk.path_seed(2, i))
             mags = np.sqrt(np.sum(path.values ** 2, axis=1))
-            assert not np.any(sk.noise.l1_ratios(mags, 0.01, 0.0, 0.3) <= 1.0)
+            assert not np.any(sk.noise.l1_ratios(mags, 0.01, 0.0, 0.3)[0] <= 1.0)
         self.assert_report(
             sk.envelope_coverage(model, proc, x0, cert, cfg, 0.05),
             (0.625, 0.875), 6.098107116160141,
@@ -309,7 +344,7 @@ class TestPinnedResults:
                           integrator=sk.IntegratorConfig(
                               h=1e-3, horizon=1.005, absorb_at_origin=False))
         path = sk.sample_path(proc, 0.0, 1.005, 0.01, sk.path_seed(2, 7))
-        good = sk.noise.l1_ratios(np.abs(path.values[:, 0]), 0.01, 0.0, 0.12) <= 1
+        good = sk.noise.l1_ratios(np.abs(path.values[:, 0]), 0.01, 0.0, 0.12)[0] <= 1
         assert good.argmax() == 95
         with np.errstate(over="ignore", invalid="ignore"):
             cov = sk.envelope_coverage(sk.get_model("unstable-cubic"), proc,

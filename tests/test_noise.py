@@ -285,7 +285,7 @@ class TestChannelMajorSampling:
         for i in range(3):
             path = sk.sample_path(process, t0, horizon, h, sk.path_seed(seed, i))
             sq = np.sum(np.ascontiguousarray(path.values) ** 2, axis=1)
-            ref = l1_ratios(np.sqrt(sq), h, t0, k)[path.times() >= t_min - 1e-12]
+            ref = l1_ratios(np.sqrt(sq), h, t0, k)[0][path.times() >= t_min - 1e-12]
             assert means[i].view(np.uint64) == np.mean(sq[:n_cells]).view(np.uint64)
             assert ratios[i] == np.max(ref)
             assert sk.check_l1_bound(path, k, t_min) == np.max(ref)
@@ -323,11 +323,20 @@ class TestBatchSampler:
         sizes = [1, 7, 64]
         sizes.append(_n_cells(t0, horizon, h) + 1 - sum(sizes))
         sampler = noise.BatchSampler(process, t0, h, seeds)
-        joined = np.concatenate([sampler.draw(k) for k in sizes], axis=2)
-        assert joined.shape == (b, process.dimension, 706)
+        joined = np.concatenate([sampler.draw(k) for k in sizes], axis=1)
+        assert joined.shape == (b, 706, process.dimension)
         for row, seed in zip(joined, seeds):
             expected = sk.sample_path(process, t0, horizon, h, seed).values
-            assert np.array_equal(row.T.view(np.uint64), expected.view(np.uint64))
+            assert np.array_equal(row.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("process", [
+        cosine(9), sk.make_filtered_white_noise(0.7, 0.3, 3), sk.zero_process(2),
+    ], ids=["cosine-9", "filtered-3", "zero-2"])
+    def test_blocks_are_time_major_views_of_channel_major_memory(self, process):
+        # channel-major memory keeps every broadcast on the long axis
+        block = noise.BatchSampler(process, 0.0, 0.01, [1, 2, 3]).draw(5)
+        assert block.shape == (3, 5, process.dimension)
+        assert block.transpose(0, 2, 1).flags.c_contiguous
 
     def test_non_finite_values_raise(self):
         huge = sk.make_filtered_white_noise(1e308, 1e-308, 1)
@@ -369,7 +378,7 @@ class TestL1Bound:
         p = sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0])
         paths = [sk.sample_path(p, 0.5, 10.0, 0.01, seed) for seed in range(4)]
         mags = np.sqrt(np.sum(np.stack([q.values for q in paths]) ** 2, axis=-1))
-        batch = l1_ratios(mags, 0.01, 0.5, 0.09)
+        batch = l1_ratios(mags, 0.01, 0.5, 0.09)[0]
         for row, q in zip(batch, paths):
             mags = np.sqrt(np.sum(q.values ** 2, axis=1))
             cum = np.concatenate([[0.0], np.cumsum(mags[:-1]) * q.h])
