@@ -61,6 +61,14 @@ def _require_fields(cfg, *keys) -> None:
             raise ConfigError(f"missing required field: {key}")
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message; an integer of more than 20
+    digits is given by its length, so the message stays one short line."""
+    if isinstance(value, int) and abs(value) >= 10 ** 20:
+        return f"an integer of {len(str(abs(value)))} digits"
+    return repr(value)
+
+
 def _number(value, where: str, kind=float, above=None):
     """``kind(value)``.  ``value`` must be a JSON number (not a string or a
     bool) and finite, integral when ``kind`` is int, and exceed ``above``
@@ -74,9 +82,9 @@ def _number(value, where: str, kind=float, above=None):
     try:
         v = kind(value)
     except OverflowError:
-        raise ConfigError(f"field {where} must be finite, got {value!r}")
+        raise ConfigError(f"field {where} must be finite, got {_shown(value)}")
     if above is not None and v <= above:
-        raise ConfigError(f"field {where} must be > {above:g}, got {v}")
+        raise ConfigError(f"field {where} must be > {above:g}, got {_shown(v)}")
     return v
 
 

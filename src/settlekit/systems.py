@@ -39,7 +39,7 @@ class SystemModel:
     f: Callable
     g: Callable
     name: str = ""
-    field_fn: Optional[Callable] = None   # fused f + g@xi, optional fast path
+    field_fn: Optional[Callable] = None   # f + g@xi in one call, used by field()
 
     def __post_init__(self):
         x0 = np.zeros(self.n)
@@ -144,24 +144,21 @@ def make_example2(control: Optional[Callable] = None,
 
 
 def make_example2_closed() -> SystemModel:
-    """``make_example2(control=stabilizing_controller)`` with one fused field.
+    """``make_example2(control=stabilizing_controller)`` integrated in its
+    reduced form.
 
-    The field computes arctan z, 1 + z^2 and (arctan z)^(1/3) once per call
-    instead of once in the drift and again in the controller.  Every
-    operation keeps the order of the unfused drift, controller and gain, so
-    the field has the same bits.
+    The controller cancels the drift's 3z (arctan z)^2/(1+z^2) - z/(1+z^2)
+    exactly, so the field is (1+z^2)(arctan z)^(1/3)(xi/2 - 1).  Evaluating
+    that product instead of the cancelling sum keeps the field within a few
+    ulp of the exact value (the sum loses most of its digits near xi = 2).
+    ``f`` and ``g`` still give the drift, controller and gain term by term.
     """
     base = make_example2(control=stabilizing_controller, name="example2-closed")
 
     def field_fn(x, t, xi):
         z = x[..., 0]
-        a = np.arctan(z)
-        one_p = 1.0 + z * z
-        c = np.cbrt(a)
-        taa = 3.0 * z * a * a
-        u = -one_p * c - (taa - z) / one_p
-        drift = taa / one_p + u - z / one_p
-        return (drift + 0.5 * one_p * c * xi[..., 0])[..., None]
+        out = (1.0 + z * z) * np.cbrt(np.arctan(z)) * (0.5 * xi[..., 0] - 1.0)
+        return out[..., None]
 
     return replace(base, field_fn=field_fn)
 

@@ -113,28 +113,79 @@ class TestExample2:
         m = sk.make_example2(noise_gain_scale=0.0)
         assert np.all(m.g(np.array([2.0]), 0.0) == 0.0)
 
-    def test_fused_closed_loop_field_has_the_unfused_bits(self):
-        fused = sk.get_model("example2-closed")
-        unfused = sk.make_example2(control=sk.stabilizing_controller)
+    @staticmethod
+    def closed_loop_reference(z, xi):
+        """The reduced closed-loop field (1+z^2)(arctan z)^(1/3)(xi/2 - 1)
+        evaluated in long double."""
+        assert np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
+        zl, xil = z.astype(np.longdouble), xi.astype(np.longdouble)
+        return (1 + zl * zl) * np.cbrt(np.arctan(zl)) * (xil / 2 - 1)
+
+    @staticmethod
+    def closed_loop_samples():
+        """20,000 states at scales 1e-300 to 1e150 with noise at 1e-3 to
+        1e3, and 20,000 with noise within 0.1 of 2, where f + g xi cancels."""
         rng = np.random.default_rng(2024)
-        z = rng.standard_normal(5000) * 10.0 ** rng.uniform(-200, 5, 5000)
-        xi = rng.standard_normal(5000) * 10.0 ** rng.uniform(-3, 3, 5000)
+        z = np.concatenate([
+            rng.standard_normal(20000) * 10.0 ** rng.uniform(-300, 150, 20000),
+            rng.standard_normal(20000) * 10.0 ** rng.uniform(-3, 3, 20000)])
+        xi = np.concatenate([
+            rng.standard_normal(20000) * 10.0 ** rng.uniform(-3, 3, 20000),
+            2.0 + rng.standard_normal(20000) * 10.0 ** rng.uniform(-15, -1, 20000)])
+        return z, xi
+
+    def test_closed_loop_field_is_within_8_ulp(self):
+        # the integrators evaluate the reduced form; against its long-double
+        # value every finite sample is within 8 ulp, and every special value
+        # lands in the class (finite, +inf, -inf, NaN) of the long-double
+        # value rounded to double
+        m = sk.get_model("example2-closed")
+        z, xi = self.closed_loop_samples()
+        ref = self.closed_loop_reference(z, xi)
+        ulp = np.spacing(np.abs(ref.astype(float))).astype(np.longdouble)
+        a = m.field(z[:, None], 0.0, xi[:, None])
+        assert a.shape == (z.size, 1)
+        assert np.all(np.isfinite(a))
+        assert np.max(np.abs(a[:, 0] - ref) / ulp) <= 8.0
+        for i in range(0, z.size, 400):
+            b = m.field(z[i:i + 1], 0.0, xi[i:i + 1])
+            assert b.shape == (1,)
+            assert np.array_equal(b.view(np.uint64), a[i].view(np.uint64))
+
         edge = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
                          1e154, -1e154, 1e308, -1e308])
         ones = np.ones(edge.size)
-        z = np.concatenate([z, edge, ones])
-        xi = np.concatenate([xi, ones, edge])
+        z, xi = np.concatenate([edge, ones]), np.concatenate([ones, edge])
+
+        def kind(v):
+            return np.where(np.isnan(v), 2, np.where(np.isinf(v), np.sign(v), 0))
+
         with np.errstate(all="ignore"):
-            a = fused.field(z[:, None], 0.0, xi[:, None])
-            b = unfused.field(z[:, None], 0.0, xi[:, None])
-            assert a.shape == (z.size, 1)
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-            for zi, xii in zip(z[::50].tolist() + edge.tolist(),
-                               xi[::50].tolist() + ones.tolist()):
-                a = fused.field(np.array([zi]), 0.0, np.array([xii]))
-                b = unfused.field(np.array([zi]), 0.0, np.array([xii]))
-                assert a.shape == (1,)
-                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+            expected = kind(self.closed_loop_reference(z, xi).astype(float))
+            a = m.field(z[:, None], 0.0, xi[:, None])
+            assert np.array_equal(kind(a[:, 0]), expected)
+            for i in range(z.size):
+                b = m.field(z[i:i + 1], 0.0, xi[i:i + 1])
+                assert b.shape == (1,)
+                assert kind(b[0]) == expected[i]
+
+    def test_closed_loop_evaluators_describe_the_integrated_field(self):
+        # certify reads f and g, which give the drift, controller and gain
+        # term by term; their sum cancels, so it is held to eps times the
+        # sum of the magnitudes of its terms rather than to ulps of the
+        # result
+        m = sk.get_model("example2-closed")
+        z, xi = self.closed_loop_samples()
+        x = z[:, None]
+        gain = m.g(x, 0.0)[:, 0, 0]
+        total = m.f(x, 0.0)[:, 0] + gain * xi
+        a, one_p = np.arctan(z), 1.0 + z * z
+        scale = (np.abs(3.0 * z * a * a / one_p)
+                 + np.abs(sk.stabilizing_controller(z))
+                 + np.abs(z / one_p) + np.abs(gain * xi))
+        err = np.abs(total - self.closed_loop_reference(z, xi))
+        assert np.all(np.isfinite(total))
+        assert np.all(err <= 8.0 * np.finfo(float).eps * scale)
 
     def test_fused_example1_field_has_the_unfused_bits(self):
         # simulate and settle integrate field_fn while certify checks f and
@@ -169,12 +220,12 @@ class TestExample2:
 
     @pytest.mark.parametrize("figure,sha256", [
         ("fig1", "e0f2fc0a58dc2014c476c50ebd50e6a2563a50f955baa589080f0585e8c04ed5"),
-        ("fig2", "d2516ce3f78af2a018626e2a41cfae171550e4200000c2c38aba7c591afb3c0c"),
-        ("fig3", "b0aa60cc56d4d57eb0d3d7347f4fc6946bf252b838976d14e64f46a448913509"),
+        ("fig2", "559fcd4c62ff196f7c7d7d7fd0a8860372bf28e50a86dcd2809f083430496e1d"),
+        ("fig3", "728d71ee94465ed9f0cdd4edf35fc62b4021c4962e9663418160a5d2c7695e03"),
     ])
     def test_figures_keep_their_bytes(self, tmp_path, figure, sha256):
-        # digests of the figure CSVs written with the unfused example2 field
-        # and by the hand-written figure pipeline
+        # digests of the figure CSVs written by the hand-written figure
+        # pipeline; fig2 and fig3 integrate example2-closed's reduced field
         path = sk.reproduce_figure(figure, tmp_path)[0]
         with open(path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == sha256
