@@ -32,7 +32,7 @@ from .fileio import ensure_dir, fmt, write_csv, write_json
 from .integrate import IntegratorConfig, check_run, integrate_path, \
     steps_per_cell, trajectory_to_csv
 from .montecarlo import McConfig, estimate_settling, write_settle_csv
-from .noise import (check_noise, check_phases, make_filtered_white_noise,
+from .noise import (check_noise, grid_points, make_filtered_white_noise,
                     make_random_phase_cosine, path_seed, sample_path,
                     zero_process)
 from .systems import get_model, stabilizing_controller
@@ -129,6 +129,15 @@ class _Block:
             return None
         return _number(value, f"{self.name}.{key}", kind, above)
 
+    def n_paths(self, default: int) -> int:
+        """The block's path count: at least 2, and below the largest index
+        an array can have, the bound the noise grids keep too."""
+        n = self.number("n_paths", default, int, above=1)
+        if not n < np.iinfo(np.intp).max:
+            raise ConfigError(f"field {self.name}.n_paths must be < "
+                              f"{np.iinfo(np.intp).max}, got {_shown(n)}")
+        return n
+
     def numbers(self, key: str) -> list:
         return _numbers(self.get(key), f"{self.name}.{key}")
 
@@ -165,9 +174,10 @@ class ExperimentConfig:
         master_seed = mc.number("master_seed", 0, int, above=-1)
         if seed_override is not None:
             master_seed = _number(seed_override, "mc.master_seed", int, above=-1)
-        n_paths = mc.number("n_paths", 100, int, above=1)
+        n_paths = mc.n_paths(100)
         # h | h_noise via McConfig; x0, the noise dimension and the horizon
-        # grid via the integrator's own check
+        # grid via the integrator's own check; the noise on the run's grid
+        # via the noise grid rule, as noise-check's grid below
         try:
             self.mc = McConfig(n_paths=n_paths, master_seed=master_seed,
                                integrator=integrator, h_noise=h_noise)
@@ -175,7 +185,7 @@ class ExperimentConfig:
                     and self.process is not None):
                 check_run(self.model, self.x0, self.process.dimension,
                           h_noise, integrator)
-                check_phases(self.process, 0.0, integrator.horizon, h_noise)
+                grid_points(self.process, 0.0, integrator.horizon, h_noise)
         except ValueError as e:
             raise ConfigError(str(e))
 
@@ -183,7 +193,7 @@ class ExperimentConfig:
                             if "certificate" in raw else None)
 
         nc = _Block(raw, "noise_check")
-        self.nc_paths = nc.number("n_paths", defaults.NOISE_CHECK_PATHS, int, above=1)
+        self.nc_paths = nc.n_paths(defaults.NOISE_CHECK_PATHS)
         self.nc_horizon = nc.number("horizon", defaults.NOISE_CHECK_HORIZON, above=0)
         self.nc_delta = nc.number("delta", defaults.WLLN_DELTA, above=0)
         times = nc.get("check_times", [self.nc_horizon])
@@ -196,10 +206,11 @@ class ExperimentConfig:
             raise ConfigError(f"field noise_check.t_min = {self.nc_t_min:g} must not "
                               f"exceed noise_check.horizon = {self.nc_horizon:g}")
         span = max(self.nc_horizon, *self.nc_times)    # noise-check's grid
-        if not span / h_noise < np.iinfo(np.intp).max:     # also inf
+        try:
+            grid_points(self.process or zero_process(), 0.0, span, h_noise)
+        except ValueError as e:
             field = "horizon" if span == self.nc_horizon else "check_times"
-            raise ConfigError(f"field noise_check.{field} = {span:g} over h_noise="
-                              f"{h_noise:g} is more cells than an array can index")
+            raise ConfigError(f"field noise_check.{field} = {span:g}: {e}")
 
         self.settled_threshold = _Block(raw, "settle").number(
             "settled_fraction_threshold", defaults.SETTLED_FRACTION_THRESHOLD)

@@ -34,8 +34,7 @@ from .certify import Certificate, Envelope, PowerLaw, settling_bound
 from .fileio import write_csv
 from .integrate import (IntegratorConfig, check_run, integrate_batch,
                         steps_per_cell)
-from .noise import (BatchSampler, NoiseProcess, _n_cells, check_phases,
-                    l1_ratios, path_seed)
+from .noise import BatchSampler, NoiseProcess, grid_points, l1_ratios, path_seed
 from .systems import SystemModel
 
 
@@ -49,9 +48,8 @@ class McConfig:
     def __post_init__(self):
         if self.n_paths < 2:
             raise ValueError("n_paths must be >= 2")
-        if self.h_noise <= 0:
-            raise ValueError("h_noise must be positive")
-        steps_per_cell(self.integrator.h, self.h_noise)  # validates divisibility
+        # h | h_noise, so h_noise > 0 as h > 0
+        steps_per_cell(self.integrator.h, self.h_noise)
 
 
 @dataclass(frozen=True)
@@ -117,8 +115,7 @@ class _BatchRun:
         self.t0 = t0
         self.x0, self.m, self.n_steps = check_run(
             model, x0, process.dimension, cfg.h_noise, cfg.integrator, t0)
-        check_phases(process, t0, cfg.integrator.horizon, cfg.h_noise)
-        self.n_points = _n_cells(t0, cfg.integrator.horizon, cfg.h_noise) + 1
+        self.n_points = grid_points(process, t0, cfg.integrator.horizon, cfg.h_noise)
         self.seeds = np.array([path_seed(cfg.master_seed, i)
                                for i in range(cfg.n_paths)], dtype=np.uint64)
 
@@ -131,9 +128,8 @@ class _BatchRun:
     def sweep(self, radius=None, blocks=None):
         """Integrate the paths in one batch against the per-node ball
         ``radius`` (eps_settle by default), under ``blocks`` (a fresh
-        ``blocks()`` by default).  Returns the seeds and the kernel's
-        ``BatchResult``."""
-        return self.seeds, integrate_batch(
+        ``blocks()`` by default).  Returns the kernel's ``BatchResult``."""
+        return integrate_batch(
             self.model, self.x0, self.blocks() if blocks is None else blocks,
             self.t0, self.n_steps, self.m, self.cfg.integrator, radius)
 
@@ -151,7 +147,7 @@ def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
             f"bound checks need n_paths >= {defaults.MIN_PATHS_FOR_BOUND}")
     run = _BatchRun(model, process, x0, cfg, t0)
     n = cfg.n_paths
-    seeds, res = run.sweep()
+    res = run.sweep()
     blown = res.blow_step >= 0
     settle_times = res.settle_times(t0, cfg.integrator.h)
     settled = ~np.isnan(settle_times)
@@ -170,14 +166,14 @@ def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
             hw = float(defaults.CONFIDENCE_Z * times.std(ddof=1) / math.sqrt(n_settled))
     bound = bound_ok = None
     if cert is not None:
-        bound = settling_bound(cert, float(cert.V(np.asarray(x0, dtype=float))))
+        bound = settling_bound(cert, float(cert.V(run.x0)))
         bound_ok = bool(mean is not None and mean - hw <= bound)
     return SettlingStats(
         n_paths=n, n_settled=n_settled, n_censored=n - n_settled,
         n_blowups=int(blown.sum()), mean=mean, half_width=hw,
         min_time=tmin, max_time=tmax, bound_from_certificate=bound,
         bound_satisfied=bound_ok, settle_times=settle_times,
-        settled_mask=settled, blown_mask=blown, seeds=seeds)
+        settled_mask=settled, blown_mask=blown, seeds=run.seeds)
 
 
 def estimate_stability_probability(model: SystemModel, process: NoiseProcess,
@@ -186,8 +182,8 @@ def estimate_stability_probability(model: SystemModel, process: NoiseProcess,
     """Fraction of paths whose whole trajectory stays inside the ball of
     radius gamma_fn(|x0|)."""
     run = _BatchRun(model, process, x0, cfg, t0)
-    level = float(gamma_fn(float(np.linalg.norm(np.asarray(x0, dtype=float)))))
-    _, res = run.sweep(np.full(run.n_steps + 1, level))
+    level = float(gamma_fn(float(np.linalg.norm(run.x0))))
+    res = run.sweep(np.full(run.n_steps + 1, level))
     return int(np.sum(res.last_out < 0)) / cfg.n_paths
 
 
@@ -203,7 +199,7 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
     """
     run = _BatchRun(model, process, x0, cfg, t0)
     icfg = cfg.integrator
-    x0_norm = float(np.linalg.norm(np.asarray(x0, dtype=float)))
+    x0_norm = float(np.linalg.norm(run.x0))
     env = Envelope(cert, x0_norm)
     grid = t0 + icfg.h * np.arange(run.n_steps + 1)
     env_vals = np.array([env.value(tj - t0) for tj in grid])
@@ -226,7 +222,7 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
             yield block
 
     l1 = blocks()
-    _, res = run.sweep(env_vals + slack, l1)
+    res = run.sweep(env_vals + slack, l1)
     # a path's last exit precedes its L1 start iff no grid index up to
     # last_out // m is L1-good; the kernel leaves a blown row's cells unread
     # after its blow-up, though its last exit is the last node, so those

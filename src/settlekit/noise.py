@@ -29,6 +29,12 @@ layout: it computes each block channel-major and hands out its time-major
 reaches them and stops when no path is live; ``sample_path`` is a batch of
 one drawn in one block.
 
+``grid_points`` is the one rule for whether a process can be sampled on a
+grid t0, t0+h, ... covering a horizon: it gives the grid's point count and
+raises ValueError for an empty grid, a grid no array can index and a
+random-phase cosine whose phase overflows on it.  ``sample_path``, the
+noise checks, the Monte Carlo sweep and the CLI's config check all call it.
+
 Every statistic of |xi| reads it one way: |xi|^2 is
 ``np.sum(values ** 2, axis=-1)`` over a time-major view, which adds the
 channels in order over the sampler's memory, and the accumulated-|xi| ratio
@@ -58,7 +64,8 @@ class NoiseProcess:
 
     ``declared_mean_square`` is the bound K under which certificates are
     stated; the built-in factories set it to the exact mean square
-    E|xi(t)|^2, which the WLLN check measures time averages against.
+    E|xi(t)|^2, which the WLLN check measures time averages against, and
+    reject a process whose mean square is not finite.
     """
 
     kind: str
@@ -93,14 +100,8 @@ class NoisePath:
         return self.t0 + self.h * (self.values.shape[0] - 1)
 
     def cell_index(self, t: float) -> int:
-        """Index of the grid point governing time t (largest grid point <= t).
-
-        A relative guard of 1e-9 cells absorbs float jitter in grid-aligned
-        arguments.
-        """
-        u = (t - self.t0) / self.h
-        k = int(math.floor(u + 1e-9))
-        return min(max(k, 0), self.values.shape[0] - 1)
+        """Index of the grid point governing time t (largest grid point <= t)."""
+        return _cell(t, self.t0, self.h, self.values.shape[0])
 
     def value_at(self, t: float) -> np.ndarray:
         """Zero-order-hold evaluation: the value at the largest grid point <= t."""
@@ -143,6 +144,8 @@ def make_random_phase_cosine(amplitudes, omegas) -> NoiseProcess:
     if not all(0 < v < math.inf for v in amplitudes + omegas):
         raise ValueError("amplitudes and omegas must be positive and finite")
     k = sum(a * a / 2.0 for a in amplitudes)
+    if not math.isfinite(k):
+        raise ValueError(f"mean square sum a_i^2/2 = {k:g} is not finite")
     return NoiseProcess(kind=KIND_COSINE, dimension=len(amplitudes),
                         amplitudes=amplitudes, omegas=omegas,
                         declared_mean_square=k)
@@ -157,6 +160,9 @@ def make_filtered_white_noise(intensity: float, tau_f: float, dimension: int = 1
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
     k = dimension * intensity / (2.0 * tau_f)
+    if not math.isfinite(k):
+        raise ValueError(f"mean square dimension*intensity/(2 tau_f) = {k:g} "
+                         "is not finite")
     return NoiseProcess(kind=KIND_FILTERED, dimension=int(dimension),
                         intensity=float(intensity), tau_f=float(tau_f),
                         declared_mean_square=k)
@@ -190,22 +196,38 @@ def _n_cells(t0: float, horizon: float, h_noise: float) -> int:
     return max(1, int(math.ceil((horizon - t0) / h_noise - 1e-12)))
 
 
-def check_phases(process: NoiseProcess, t0: float, horizon: float,
-                 h_noise: float) -> None:
-    """Raise ValueError if a random-phase cosine's phase omega t overflows on
-    the grid t0, t0+h, ... covering horizon, where its path would be NaN.
+def grid_points(process: NoiseProcess, t0: float, horizon: float,
+                h_noise: float) -> int:
+    """Number of points of the noise grid t0, t0+h, ... covering horizon.
 
-    A sampler finds non-finite values only in the blocks it draws, so a
-    sweep whose paths all settle first never draws them; checked up front,
-    the same grid fails the same way however far it is sampled.
+    Raises ValueError if the grid is empty, if no array can index its
+    cells, or if a random-phase cosine's phase omega t overflows on it,
+    where its path would be NaN.  A sampler finds non-finite values only in
+    the blocks it draws, so a sweep whose paths all settle first never draws
+    them; checked up front, the same grid fails the same way however far it
+    is sampled.
     """
-    if process.kind != KIND_COSINE:
-        return
-    t_end = t0 + h_noise * _n_cells(t0, horizon, h_noise)
-    for w in process.omegas:
+    if horizon <= t0:
+        raise ValueError("horizon must exceed t0")
+    if h_noise <= 0:
+        raise ValueError("h_noise must be positive")
+    if not (horizon - t0) / h_noise < np.iinfo(np.intp).max:     # also inf
+        raise ValueError(f"horizon - t0 = {horizon - t0:g} over h_noise="
+                         f"{h_noise:g} is more cells than an array can index")
+    n = _n_cells(t0, horizon, h_noise)
+    t_end = t0 + h_noise * n
+    for w in process.omegas or ():      # a cosine's phases
         if not math.isfinite(w * t_end):
             raise ValueError(f"noise omega {w:g} times the noise grid's last "
                              f"time {t_end:g} overflows")
+    return n + 1
+
+
+def _cell(t: float, t0: float, h: float, n_points: int) -> int:
+    """Index of the point of the grid t0, t0+h, ... (n_points points) that
+    governs time t: the largest grid point <= t.  A relative guard of 1e-9
+    cells absorbs float jitter in grid-aligned arguments."""
+    return min(max(int(math.floor((t - t0) / h + 1e-9)), 0), n_points - 1)
 
 
 def _ar1(x: np.ndarray, eta: np.ndarray, phi: float, out: np.ndarray) -> np.ndarray:
@@ -294,12 +316,8 @@ def sample_path(process: NoiseProcess, t0: float, horizon: float,
     and a longer horizon extends the path exactly (the shorter path is a
     prefix of the longer one).  ``values`` is the sampler's time-major view.
     """
-    if horizon <= t0:
-        raise ValueError("horizon must exceed t0")
-    if h_noise <= 0:
-        raise ValueError("h_noise must be positive")
-    n = _n_cells(t0, horizon, h_noise)
-    values = BatchSampler(process, t0, h_noise, [seed]).draw(n + 1)[0]
+    n_points = grid_points(process, t0, horizon, h_noise)
+    values = BatchSampler(process, t0, h_noise, [seed]).draw(n_points)[0]
     return NoisePath(t0=float(t0), h=float(h_noise), values=values, seed=int(seed))
 
 
@@ -316,29 +334,30 @@ def _path_statistics(process: NoiseProcess, n_paths: int, horizon: float,
     ``l1_bound`` > 0, ``check_l1_bound`` of the [t0, horizon] prefix
     (else 0), read from the squares already summed.  A longer path extends
     a shorter one exactly, so each statistic has the bits it has on a path
-    sampled to its own horizon.  Paths are streamed one at a time to keep
-    memory flat in n_paths.
+    sampled to its own horizon.  Each path is a ``BatchSampler`` of one seed
+    drawn in one block, as ``sample_path`` draws it; paths are streamed one
+    at a time to keep memory flat in n_paths.
     """
-    n_cells = _n_cells(t0, horizon, h_noise)
+    n_cells = grid_points(process, t0, horizon, h_noise) - 1
+    n_points = grid_points(process, t0, max([horizon, *t_grid]), h_noise)
     if l1_bound > 0:
         if t_min <= t0:
             raise ValueError("t_min must exceed the path start time")
         late = t0 + h_noise * np.arange(n_cells + 1) >= t_min - 1e-12
-    span = max([horizon, *t_grid])
+    cells = [_cell(t, t0, h_noise, n_points) for t in t_grid]
     means = np.empty(n_paths)
     averages = np.empty((len(t_grid), n_paths))
     ratios = np.zeros(n_paths)
     for i in range(n_paths):
-        p = sample_path(process, t0, span, h_noise, path_seed(seed, i))
-        sq = np.sum(p.values ** 2, axis=-1)
+        values = BatchSampler(process, t0, h_noise, [path_seed(seed, i)]).draw(n_points)[0]
+        sq = np.sum(values ** 2, axis=-1)
         means[i] = np.mean(sq[:n_cells])
         # running integral: left-rectangle sum, partial final cell pro rata
-        cum = np.concatenate([[0.0], np.cumsum(sq[:-1]) * p.h])
-        for j, t in enumerate(t_grid):
-            k = p.cell_index(t)
-            averages[j, i] = (cum[k] + (t - (p.t0 + k * p.h)) * sq[k]) / (t - t0)
+        cum = np.concatenate([[0.0], np.cumsum(sq[:-1]) * h_noise])
+        for j, (t, k) in enumerate(zip(t_grid, cells)):
+            averages[j, i] = (cum[k] + (t - (t0 + k * h_noise)) * sq[k]) / (t - t0)
         if l1_bound > 0:
-            ratios[i] = _late_max(l1_ratios(np.sqrt(sq[:n_cells + 1]), p.h, p.t0,
+            ratios[i] = _late_max(l1_ratios(np.sqrt(sq[:n_cells + 1]), h_noise, t0,
                                             l1_bound)[0], late)
     return means, averages, ratios
 

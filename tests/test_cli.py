@@ -153,6 +153,9 @@ class TestConfigErrors:
         ("settle", "mc.n_paths", 1),
         ("simulate", "integrator.horizon", 10 ** 400),
         ("settle", "mc.n_paths", -10 ** 400),
+        ("noise-check", "noise_check.n_paths", 1e300),
+        ("simulate", "mc.n_paths", 1e300),
+        ("certify", "mc.n_paths", 2 ** 63 - 1),
     ], ids=["n_paths-ten", "x0-string", "master_seed-x", "threshold-x",
             "threshold-above-1", "threshold-below-0",
             "nc_paths-1", "nc_paths-x", "check_times-empty", "check_times-0",
@@ -164,7 +167,8 @@ class TestConfigErrors:
             "int-string", "int-bool", "float-bool", "float-string",
             "x0-numeric-string", "amplitudes-numeric-string",
             "K-numeric-string", "gamma-bool", "alpha-numeric-string",
-            "n_paths-1", "horizon-int-overflow", "n_paths-long-negative"])
+            "n_paths-1", "horizon-int-overflow", "n_paths-long-negative",
+            "nc_paths-unindexable", "n_paths-unindexable", "n_paths-intp-max"])
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, command,
                                                field, value):
         out = tmp_path / "out"
@@ -344,6 +348,48 @@ class TestConfigErrors:
             "last time 5 overflows\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["noise-check", "certify", "simulate",
+                                         "settle"])
+    def test_noise_check_grid_phase_overflow_is_a_config_error(
+            self, tmp_path, capsys, command):
+        # omega t overflows past t = 17.98: on noise-check's grid to 50, not
+        # on the run's grid to 10, so every command rejects it at load
+        out = tmp_path / "out"
+        cfg = base_config(out, n_paths=4, horizon=10.0)
+        cfg["noise"]["omegas"] = [1e307, 1.0]
+        cfg["noise_check"] = {"n_paths": 5, "horizon": 50.0}
+        if command == "certify":
+            cfg["certificate"] = TestCertify().cert_block()
+        assert main(["--config", write_config(tmp_path, cfg), command]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: field noise_check.horizon = 50: noise omega "
+            "1e+307 times the noise grid's last time 50 overflows\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,noise_block,message", [
+        (command, {"kind": "filtered-white-noise", "intensity": 1e308,
+                   "tau_f": 1e-10, "h_noise": 0.01},
+         "dimension*intensity/(2 tau_f) = inf")
+        for command in ("noise-check", "simulate", "settle")] + [
+        ("noise-check", {"kind": "random-phase-cosine", "h_noise": 0.01,
+                         "amplitudes": [1e308, 1e308], "omegas": [1.0, 2.0]},
+         "sum a_i^2/2 = inf")],
+        ids=["filtered-noise-check", "filtered-simulate", "filtered-settle",
+             "cosine-noise-check"])
+    def test_mean_square_that_is_not_finite_is_a_config_error(
+            self, tmp_path, capsys, command, noise_block, message):
+        out = tmp_path / "out"
+        cfg = base_config(out, n_paths=4)
+        if noise_block["kind"] == "filtered-white-noise":
+            cfg.update(model="example2-closed", x0=[1.0])
+        cfg["noise"] = noise_block
+        cfg["noise_check"] = {"n_paths": 5, "horizon": 5.0}
+        assert main(["--config", write_config(tmp_path, cfg), command]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: field noise: mean square {message} "
+            "is not finite\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "reproduce"])
     def test_empty_out_override(self, tmp_path, capsys, monkeypatch, command):
         monkeypatch.chdir(tmp_path)      # reproduce's default is ./out
@@ -376,19 +422,19 @@ class TestNoiseCheck:
         assert report["moment"]["k_bound"] == pytest.approx(0.09)
 
     def test_each_path_is_sampled_once(self, tmp_path, monkeypatch):
-        calls = []
-        sample_path = noise.sample_path
+        drawn = []
+        init = noise.BatchSampler.__init__
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return sample_path(*args, **kwargs)
+        def counted(self, process, t0, h_noise, seeds):
+            drawn.extend(int(s) for s in seeds)
+            init(self, process, t0, h_noise, seeds)
 
-        monkeypatch.setattr(noise, "sample_path", counted)
+        monkeypatch.setattr(noise.BatchSampler, "__init__", counted)
         cfg = base_config(tmp_path / "out")
         cfg["noise_check"] = {"n_paths": 12, "horizon": 10.0,
                               "check_times": [4.0, 15.0]}
         main(["--config", write_config(tmp_path, cfg), "noise-check"])
-        assert len(calls) == 12
+        assert drawn == [sk.path_seed(31415, i) for i in range(12)]
 
     @pytest.mark.parametrize("check_times", [[3.0, 12.5], [7.5, 30.0]],
                              ids=["below-horizon", "above-horizon"])

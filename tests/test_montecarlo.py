@@ -110,7 +110,7 @@ class TestEstimateSettling:
         cfg = mc_config(n_paths=10, horizon=20.0, seed=3, h=2e-3)
         run = montecarlo._BatchRun(sk.make_example1(), proc,
                                    np.array([1.0, 1.0]), cfg)
-        _, res = run.sweep()
+        res = run.sweep()
         # every row is absorbed; the last to go read cells 0 .. reached - 1
         assert np.all(res.absorb_step > 0)
         reached = (res.absorb_step.max() - 1) // run.m + 1

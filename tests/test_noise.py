@@ -29,6 +29,8 @@ class TestCosineProcess:
         ([-1.0], [1.0]),
         ([1.0], [0.0]),
         ([1.0, 1.0], [1.0]),
+        ([1e308, 1e308], [1.0, 2.0]),
+        ([2e154], [1.0]),
     ])
     def test_invalid_parameters(self, amps, oms):
         with pytest.raises(ValueError):
@@ -71,6 +73,12 @@ class TestFilteredProcess:
     def test_invalid_parameters(self, a, tau):
         with pytest.raises(ValueError):
             sk.make_filtered_white_noise(a, tau, 1)
+
+    @pytest.mark.parametrize("a,tau,dimension", [
+        (1e308, 1e-10, 1), (1e308, 0.5, 2), (math.inf, 1.0, 1)])
+    def test_mean_square_that_is_not_finite_is_rejected(self, a, tau, dimension):
+        with pytest.raises(ValueError, match="is not finite"):
+            sk.make_filtered_white_noise(a, tau, dimension)
 
     def test_degenerate_step_variance_vanishes(self):
         # one-step update from xi_0 = 0 collapses to 0 as h -> 0
@@ -177,6 +185,48 @@ class TestSamplePath:
             assert long.values.shape[0] > n
             assert np.array_equal(long.values[:n], short.values)
             assert np.array_equal(long.times()[:n], short.times())
+
+
+class TestGridPoints:
+    """``grid_points`` is the one rule for a sampled grid's size."""
+
+    @pytest.mark.parametrize("t0,horizon,h_noise", [
+        (0.0, 1.0, 0.1), (0.0, 1.0, 0.3), (0.25, 7.3, 0.01), (0.0, 5.0, 1e20),
+        (0.0, 5.0, 1e300), (0.3, 0.3 + 1e-13, 0.01), (0.0, 20.0, 2e-3)])
+    @pytest.mark.parametrize("process", [
+        sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0]),
+        sk.zero_process(1)], ids=["cosine", "zero"])
+    def test_counts_the_cells_and_one(self, process, t0, horizon, h_noise):
+        # an h_noise of 1e20 or 1e300 past a horizon of 5 is one cell
+        n = noise.grid_points(process, t0, horizon, h_noise)
+        assert n == _n_cells(t0, horizon, h_noise) + 1
+        assert sk.sample_path(process, t0, horizon, h_noise, 3).values.shape[0] == n
+
+    @pytest.mark.parametrize("t0,horizon,h_noise,process,message", [
+        (1.0, 1.0, 0.1, sk.zero_process(1), "horizon must exceed t0"),
+        (0.0, -1.0, 0.1, sk.zero_process(1), "horizon must exceed t0"),
+        (0.0, 1.0, 0.0, sk.zero_process(1), "h_noise must be positive"),
+        (0.0, 1.0, -0.1, sk.zero_process(1), "h_noise must be positive"),
+        (0.0, 1e300, 0.01, sk.zero_process(1), "more cells than an array can index"),
+        (0.0, 1e300, 1e-300, sk.zero_process(1), "more cells than an array can index"),
+        (0.0, 1e5, 1e-14, sk.zero_process(1), "more cells than an array can index"),
+        (0.0, 5.0, 0.01, sk.make_random_phase_cosine([0.3, 0.3], [1.0, 4e307]),
+         "noise omega 4e\\+307 times the noise grid's last time 5 overflows"),
+    ], ids=["empty", "backwards", "h-0", "h-negative", "unindexable",
+            "unindexable-inf", "unindexable-finite", "phase-overflow"])
+    def test_unsampleable_grid_raises(self, t0, horizon, h_noise, process,
+                                      message):
+        with pytest.raises(ValueError, match=message):
+            noise.grid_points(process, t0, horizon, h_noise)
+        with pytest.raises(ValueError, match=message):
+            sk.sample_path(process, t0, horizon, h_noise, 0)
+
+    def test_noise_checks_reach_the_rule(self):
+        overflows = sk.make_random_phase_cosine([0.3], [1e307])
+        with pytest.raises(ValueError, match="overflows"):
+            sk.estimate_mean_square(overflows, 2, 50.0, 0.01, seed=0)
+        with pytest.raises(ValueError, match="array can index"):
+            check_noise(sk.zero_process(1), 2, 1.0, 0.01, 0, [1e300], 0.1, 1.0)
 
 
 class TestMeanSquareEstimate:
@@ -339,7 +389,9 @@ class TestBatchSampler:
         assert block.transpose(0, 2, 1).flags.c_contiguous
 
     def test_non_finite_values_raise(self):
-        huge = sk.make_filtered_white_noise(1e308, 1e-308, 1)
+        huge = sk.NoiseProcess(kind="filtered-white-noise", dimension=1,
+                               intensity=1e308, tau_f=1e-308,
+                               declared_mean_square=math.inf)
         with pytest.raises(ValueError, match="non-finite"):
             noise.BatchSampler(huge, 0.0, 0.01, [1, 2]).draw(4)
 
