@@ -7,6 +7,16 @@ evaluator that returns NaN), 2 configuration error.  A configuration error
 never leaves partial output files: the whole config is validated and all
 objects are constructed before anything is written.
 
+``COMMANDS`` maps each config command to its handler and the top-level
+config blocks it needs.  A handler ``cmd_*(cfg)`` computes everything and
+returns the tuple ``(outputs, ok, line)``: the files it writes (name ->
+data, in write order; a dict for a ``.json`` name, a CSV ``(header,
+columns)`` pair otherwise), whether its checks passed, and its one-line
+summary.  ``main`` then writes the outputs in one step with
+``fileio.write_outputs``, prints the line and exits 0 or 1, so a command
+that stops before that step leaves no files.  ``reproduce_figure`` writes
+its CSV through the same function.
+
 Every field of a config block is read through one ``_Block`` reader, which
 names the field once by its key: it reports the field as ``<block>.<key>``,
 applies the default, raises "missing required field" for an absent field
@@ -19,7 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -28,10 +37,10 @@ from . import defaults
 from .certify import certificate_from_dict, settling_bound, verify_drift, \
     verify_sandwich
 from .errors import ConfigError, ConstantConditionError, EvaluatorError
-from .fileio import ensure_dir, fmt, write_csv, write_json
+from .fileio import fmt, write_outputs
 from .integrate import IntegratorConfig, check_run, integrate_path, \
-    steps_per_cell, trajectory_to_csv
-from .montecarlo import McConfig, estimate_settling, write_settle_csv
+    steps_per_cell
+from .montecarlo import McConfig, estimate_settling
 from .noise import (check_noise, grid_points, make_filtered_white_noise,
                     make_random_phase_cosine, path_seed, sample_path,
                     zero_process)
@@ -53,12 +62,6 @@ FIGURES = {
     "fig2": _EXAMPLE2_FIGURE,
     "fig3": _EXAMPLE2_FIGURE,
 }
-
-
-def _require_fields(cfg, *keys) -> None:
-    for key in keys:
-        if key not in cfg.raw:
-            raise ConfigError(f"missing required field: {key}")
 
 
 def _shown(value) -> str:
@@ -282,8 +285,7 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
     return ExperimentConfig(raw, seed_override, out_override)
 
 
-def cmd_noise_check(cfg: ExperimentConfig) -> int:
-    _require_fields(cfg, "noise")
+def cmd_noise_check(cfg: ExperimentConfig):
     moment, wlln, max_ratio = check_noise(
         cfg.process, cfg.nc_paths, cfg.nc_horizon, cfg.mc.h_noise,
         cfg.mc.master_seed, cfg.nc_times, cfg.nc_delta,
@@ -298,16 +300,12 @@ def cmd_noise_check(cfg: ExperimentConfig) -> int:
                  "delta": wlln.delta, "passed": wlln_ok},
         "l1": {"max_ratio": max_ratio, "t_min": cfg.nc_t_min, "passed": l1_ok},
     }
-    ensure_dir(cfg.out_dir)
-    write_json(os.path.join(cfg.out_dir, "noise_check.json"), report)
-    ok = moment.passed and wlln_ok and l1_ok
-    print(f"noise-check: moment={'pass' if moment.passed else 'FAIL'} "
-          f"wlln={'pass' if wlln_ok else 'FAIL'} l1={'pass' if l1_ok else 'FAIL'}")
-    return 0 if ok else 1
+    return ({"noise_check.json": report}, moment.passed and wlln_ok and l1_ok,
+            f"noise-check: moment={'pass' if moment.passed else 'FAIL'} "
+            f"wlln={'pass' if wlln_ok else 'FAIL'} l1={'pass' if l1_ok else 'FAIL'}")
 
 
-def cmd_certify(cfg: ExperimentConfig) -> int:
-    _require_fields(cfg, "certificate", "model", "x0")
+def cmd_certify(cfg: ExperimentConfig):
     cert = cfg.certificate
     sampled = dict(box_radius=defaults.CERTIFY_BOX_RADIUS, n=defaults.CERTIFY_SAMPLES,
                    tol=defaults.SAMPLED_INEQUALITY_TOL, seed=cfg.mc.master_seed)
@@ -326,13 +324,10 @@ def cmd_certify(cfg: ExperimentConfig) -> int:
         "settling_bound_at_x0": bound,
         "certificate": cert.to_dict(),
     }
-    ensure_dir(cfg.out_dir)
-    write_json(os.path.join(cfg.out_dir, "certify_report.json"), report)
-    ok = sandwich.passed and drift.passed
-    print(f"certify: sandwich={'pass' if sandwich.passed else 'FAIL'} "
-          f"drift={'pass' if drift.passed else 'FAIL'} "
-          f"settling bound at x0 = {fmt(bound)}")
-    return 0 if ok else 1
+    return ({"certify_report.json": report}, sandwich.passed and drift.passed,
+            f"certify: sandwich={'pass' if sandwich.passed else 'FAIL'} "
+            f"drift={'pass' if drift.passed else 'FAIL'} "
+            f"settling bound at x0 = {fmt(bound)}")
 
 
 def run_single_path(cfg: ExperimentConfig):
@@ -343,38 +338,48 @@ def run_single_path(cfg: ExperimentConfig):
     return path, integrate_path(cfg.model, path, cfg.x0, cfg.mc.integrator)
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> int:
-    _require_fields(cfg, "model", "x0", "noise")
+def _trajectory_csv(traj) -> tuple:
+    """The ``t,x_1,...,x_n`` CSV pair of a trajectory."""
+    return ["t"] + [f"x_{i + 1}" for i in range(traj.n)], [traj.times(), *traj.states.T]
+
+
+def cmd_simulate(cfg: ExperimentConfig):
     traj = run_single_path(cfg)[1]
-    ensure_dir(cfg.out_dir)
-    trajectory_to_csv(traj, os.path.join(cfg.out_dir, "trajectory.csv"),
-                      os.path.join(cfg.out_dir, "trajectory.json"))
+    outputs = {"trajectory.csv": _trajectory_csv(traj), "trajectory.json": {
+        "settled": traj.settled, "settle_time": traj.settle_time, "seed": traj.seed,
+        "blowup": traj.blowup, "blowup_time": traj.blowup_time}}
     if traj.blowup:
-        print(f"simulate: blow-up at t = {fmt(traj.blowup_time)}")
-        return 1
-    print(f"simulate: settled={traj.settled}"
-          + (f" settle_time={fmt(traj.settle_time)}" if traj.settled else ""))
-    return 0
+        return outputs, False, f"simulate: blow-up at t = {fmt(traj.blowup_time)}"
+    return outputs, True, (f"simulate: settled={traj.settled}" + (
+        f" settle_time={fmt(traj.settle_time)}" if traj.settled else ""))
 
 
-def cmd_settle(cfg: ExperimentConfig) -> int:
-    _require_fields(cfg, "model", "x0", "noise", "mc")
+def cmd_settle(cfg: ExperimentConfig):
     if cfg.certificate is not None and cfg.mc.n_paths < defaults.MIN_PATHS_FOR_BOUND:
         raise ConfigError(
             f"field mc.n_paths: bound checks need at least "
             f"{defaults.MIN_PATHS_FOR_BOUND} paths, got {cfg.mc.n_paths}")
     stats = estimate_settling(cfg.model, cfg.process, cfg.x0, cfg.mc,
                               cert=cfg.certificate)
-    ensure_dir(cfg.out_dir)
-    write_json(os.path.join(cfg.out_dir, "settle_stats.json"), stats.to_dict())
-    write_settle_csv(stats, os.path.join(cfg.out_dir, "settle_paths.csv"))
-    ok = stats.settled_fraction >= cfg.settled_threshold
-    if cfg.certificate is not None:
-        ok = ok and bool(stats.bound_satisfied)
-    print(f"settle: fraction={stats.settled_fraction:.4f} "
-          f"mean={stats.mean if stats.mean is None else fmt(stats.mean)} "
-          f"bound={stats.bound_from_certificate if stats.bound_from_certificate is None else fmt(stats.bound_from_certificate)}")
-    return 0 if ok else 1
+    ok = stats.settled_fraction >= cfg.settled_threshold and (
+        cfg.certificate is None or bool(stats.bound_satisfied))
+    outputs = {"settle_stats.json": stats.to_dict(), "settle_paths.csv": (
+        ["path_index", "seed", "settled", "settle_time"],
+        [np.arange(stats.n_paths), stats.seeds, stats.settled_mask,
+         stats.settle_times])}
+    return outputs, ok, (
+        f"settle: fraction={stats.settled_fraction:.4f} "
+        f"mean={stats.mean if stats.mean is None else fmt(stats.mean)} "
+        f"bound={stats.bound_from_certificate if stats.bound_from_certificate is None else fmt(stats.bound_from_certificate)}")
+
+
+# each config command's handler and the top-level config blocks it needs
+COMMANDS = {
+    "noise-check": (cmd_noise_check, ("noise",)),
+    "certify": (cmd_certify, ("certificate", "model", "x0")),
+    "simulate": (cmd_simulate, ("model", "x0", "noise")),
+    "settle": (cmd_settle, ("model", "x0", "noise", "mc")),
+}
 
 
 def reproduce_figure(name: str, out_dir) -> list:
@@ -389,23 +394,16 @@ def reproduce_figure(name: str, out_dir) -> list:
         raise ConfigError(f"unknown figure name: {name!r} (known: fig1, fig2, fig3)")
     cfg = ExperimentConfig(FIGURES[name])
     path, traj = run_single_path(cfg)
-    ensure_dir(out_dir)
-    out = os.path.join(out_dir, f"{name}.csv")
     if name == "fig3":
         # each integration step holds the noise value of its cell
         m = steps_per_cell(cfg.mc.integrator.h, cfg.mc.h_noise)
         times = traj.times()
-        write_csv(out, ["t", "u", "xi_1"],
-                  [times, stabilizing_controller(traj.states[:, 0]),
-                   path.values[np.arange(times.size) // m, 0]])
+        pair = (["t", "u", "xi_1"],
+                [times, stabilizing_controller(traj.states[:, 0]),
+                 path.values[np.arange(times.size) // m, 0]])
     else:
-        trajectory_to_csv(traj, out)
-    return [out]
-
-
-def cmd_reproduce(figure: str, out_dir) -> int:
-    print("reproduce: wrote " + ", ".join(reproduce_figure(figure, out_dir)))
-    return 0
+        pair = _trajectory_csv(traj)
+    return write_outputs(out_dir, {f"{name}.csv": pair})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate randomly forced nonlinear systems and check "
                     "finite-time settling certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("noise-check", "certify", "simulate", "settle"):
+    for name in COMMANDS:
         sub.add_parser(name, parents=[shared])
     rep = sub.add_parser("reproduce", parents=[shared])
     rep.add_argument("figure", help="fig1, fig2, or fig3")
@@ -444,13 +442,20 @@ def main(argv=None) -> int:
         if seed is not None and seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
         if args.command == "reproduce":
-            return cmd_reproduce(args.figure, _out_dir({}, out_dir))
+            paths = reproduce_figure(args.figure, _out_dir({}, out_dir))
+            print("reproduce: wrote " + ", ".join(paths))
+            return 0
         if not config_path:
             raise ConfigError("--config is required for this command")
         cfg = load_config(config_path, seed_override=seed, out_override=out_dir)
-        handler = {"noise-check": cmd_noise_check, "certify": cmd_certify,
-                   "simulate": cmd_simulate, "settle": cmd_settle}[args.command]
-        return handler(cfg)
+        handler, needs = COMMANDS[args.command]
+        for block in needs:
+            if block not in cfg.raw:
+                raise ConfigError(f"missing required field: {block}")
+        outputs, ok, line = handler(cfg)
+        write_outputs(cfg.out_dir, outputs)
+        print(line)
+        return 0 if ok else 1
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2

@@ -1,11 +1,17 @@
 """Deterministic CSV/JSON writers: same data in, same bytes out.
 
-This module is the one place that turns a value into text.  A CSV column is
-formatted as a whole, by the kind of its numpy dtype: booleans as
-``true``/``false``, floats with 17 significant digits (a lossless round
+This module is the one place that turns a value into text, and
+``write_outputs`` is the one place that writes a command's files.  A CSV
+column is formatted as a whole, by the kind of its numpy dtype: booleans
+as ``true``/``false``, floats with 17 significant digits (a lossless round
 trip) and NaN as an empty cell, anything else, integers included, by
 ``str``, so a uint64 seed is written exactly.  JSON goes through
 ``json.dump``; numpy arrays and scalars reach it through ``.tolist()``.
+
+Each CLI command returns the tuple ``(outputs, ok, line)``.  Its
+``outputs`` map a file name to its data, in write order: a ``.json`` name
+maps to a dict, any other name to a CSV ``(header, columns)`` pair.
+``write_outputs`` writes them all, after the command's computation is done.
 """
 
 import json
@@ -58,3 +64,17 @@ def ensure_dir(path) -> None:
         os.makedirs(path, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"cannot create output directory {path!r}: {e}")
+
+
+def write_outputs(out_dir, outputs: dict) -> list:
+    """Create ``out_dir`` and write each of ``outputs`` (file name -> data)
+    into it, in order: a ``.json`` name's dict by ``write_json``, any other
+    name's ``(header, columns)`` pair by ``write_csv``.  Returns the paths."""
+    ensure_dir(out_dir)
+    paths = [os.path.join(out_dir, name) for name in outputs]
+    for path, data in zip(paths, outputs.values()):
+        if path.endswith(".json"):
+            write_json(path, data)
+        else:
+            write_csv(path, *data)
+    return paths

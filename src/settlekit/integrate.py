@@ -37,7 +37,6 @@ import numpy as np
 
 from . import defaults
 from .errors import EvaluatorError
-from .fileio import write_csv, write_json
 from .noise import NoisePath
 from .systems import ConditionReport, SystemModel
 
@@ -357,18 +356,3 @@ def uniqueness_probe(model: SystemModel, path: NoisePath, x0, delta0: float,
     n = min(ta.states.shape[0], tb.states.shape[0])
     gap = np.linalg.norm(ta.states[:n] - tb.states[:n], axis=1)
     return float(np.max(gap))
-
-
-def trajectory_to_csv(traj: Trajectory, csv_path, sidecar_path=None) -> None:
-    """Write t,x_1,...,x_n CSV plus a JSON sidecar with settling metadata."""
-    header = ["t"] + [f"x_{i + 1}" for i in range(traj.n)]
-    columns = [traj.times()] + [traj.states[:, i] for i in range(traj.n)]
-    write_csv(csv_path, header, columns)
-    if sidecar_path is not None:
-        write_json(sidecar_path, {
-            "settled": traj.settled,
-            "settle_time": traj.settle_time,
-            "seed": traj.seed,
-            "blowup": traj.blowup,
-            "blowup_time": traj.blowup_time,
-        })

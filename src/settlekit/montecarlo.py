@@ -31,7 +31,6 @@ import numpy as np
 
 from . import defaults
 from .certify import Certificate, Envelope, PowerLaw, settling_bound
-from .fileio import write_csv
 from .integrate import (IntegratorConfig, check_run, integrate_batch,
                         steps_per_cell)
 from .noise import BatchSampler, NoiseProcess, grid_points, l1_ratios, path_seed
@@ -238,12 +237,3 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
         overall_fraction_from_l1_time=(
             int(np.sum(res.last_out < start_idx * run.m)) / cfg.n_paths),
         epsilon_target=float(epsilon_target), extinction_time=env.t_ext)
-
-
-def write_settle_csv(stats: SettlingStats, file_path) -> None:
-    """Per-path settle times: path_index,seed,settled,settle_time (empty
-    when the path is censored)."""
-    write_csv(file_path,
-              ["path_index", "seed", "settled", "settle_time"],
-              [np.arange(stats.n_paths), stats.seeds, stats.settled_mask,
-               stats.settle_times])

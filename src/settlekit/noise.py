@@ -51,7 +51,6 @@ from typing import Optional
 import numpy as np
 
 from .defaults import CONFIDENCE_Z, L1_T_MIN
-from .fileio import write_csv
 
 KIND_COSINE = "random-phase-cosine"
 KIND_FILTERED = "filtered-white-noise"
@@ -378,15 +377,18 @@ def _moment_report(means: np.ndarray, horizon: float, k_bound: float) -> MomentR
         raise ValueError("n_paths must be >= 2")
     est = float(np.mean(means))
     hw = float(CONFIDENCE_Z * np.std(means, ddof=1) / math.sqrt(n_paths))
+    # an estimate or half-width that overflowed decides nothing: it fails
     return MomentReport(estimate=est, half_width=hw, n_paths=n_paths,
                         horizon=horizon, k_bound=float(k_bound),
-                        passed=bool(est - hw <= k_bound))
+                        passed=math.isfinite(est) and math.isfinite(hw)
+                        and bool(est - hw <= k_bound))
 
 
 def _wlln_report(process: NoiseProcess, t_grid: np.ndarray,
                  averages: np.ndarray, delta: float) -> WllnReport:
     k_true = process.declared_mean_square
-    fractions = (np.abs(averages - k_true) >= delta).mean(axis=1)
+    # written so that a NaN average, like an infinite one, is a violation
+    fractions = (~(np.abs(averages - k_true) < delta)).mean(axis=1)
     return WllnReport(times=t_grid, fractions=fractions, delta=float(delta),
                       n_paths=averages.shape[1])
 
@@ -478,10 +480,3 @@ def _late_max(ratios: np.ndarray, late: np.ndarray) -> float:
     """The largest L1 ratio at the grid times the mask ``late`` marks, those
     at or after t_min; 0 when it marks none (the ratios are >= 0)."""
     return float(np.max(ratios[late], initial=0.0))
-
-
-def path_to_csv(path: NoisePath, file_path) -> None:
-    """Write the path as CSV with header t,xi_1,...,xi_l (17 significant digits)."""
-    header = ["t"] + [f"xi_{i + 1}" for i in range(path.dimension)]
-    columns = [path.times()] + [path.values[:, i] for i in range(path.dimension)]
-    write_csv(file_path, header, columns)

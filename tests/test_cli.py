@@ -483,6 +483,21 @@ class TestNoiseCheck:
                "mc": {"master_seed": 5, "n_paths": 10}, "out_dir": str(out)}
         assert main(["--config", write_config(tmp_path, cfg), "noise-check"]) == 1
 
+    def test_overflowing_half_width_fails(self, tmp_path, capsys):
+        # K = 5e159: the estimate is finite, its half-width overflows to inf
+        out = tmp_path / "out"
+        cfg = {"noise": {"kind": "random-phase-cosine", "amplitudes": [1e80],
+                         "omegas": [1.3], "h_noise": 0.01},
+               "noise_check": {"n_paths": 20, "horizon": 50.0},
+               "mc": {"master_seed": 0}, "out_dir": str(out)}
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["--config", write_config(tmp_path, cfg), "noise-check"])
+        assert code == 1
+        assert "moment=FAIL" in capsys.readouterr().out
+        report = json.loads((out / "noise_check.json").read_text())
+        assert report["moment"]["half_width"] == math.inf
+        assert report["moment"]["passed"] is False
+
 
 class TestCertify:
     def cert_block(self, k=0.09):
@@ -581,6 +596,21 @@ class TestSimulate:
         side = json.loads((out / "trajectory.json").read_text())
         assert side["settled"] is True and not side["blowup"]
 
+    def test_trajectory_csv_and_sidecar(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = {"model": "example1", "x0": [0.3, 0.1],
+               "noise": {"kind": "zero", "dimension": 2, "h_noise": 0.01},
+               "integrator": {"h": 1e-3, "horizon": 1.0}, "out_dir": str(out)}
+        assert main(["--config", write_config(tmp_path, cfg), "simulate"]) == 0
+        traj = sk.integrate_path(
+            sk.make_example1(), sk.sample_path(sk.zero_process(2), 0.0, 1.0, 0.01, 0),
+            np.array([0.3, 0.1]), sk.IntegratorConfig(h=1e-3, horizon=1.0))
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert lines[0] == "t,x_1,x_2"
+        side = json.loads((out / "trajectory.json").read_text())
+        assert set(side) >= {"settled", "settle_time", "seed", "blowup"}
+        assert side["settled"] == traj.settled
+
     def test_output_bytes_are_pinned(self, tmp_path):
         out = tmp_path / "out"
         assert main(["--config", write_config(tmp_path, base_config(out)),
@@ -603,6 +633,15 @@ class TestSettle:
         out = tmp_path / "out"
         cfg = base_config(out, horizon=0.5)
         assert main(["--config", write_config(tmp_path, cfg), "settle"]) == 1
+
+    def test_settle_csv_format(self, tmp_path):
+        # no path settles by t = 0.5, so path 0 is censored
+        out = tmp_path / "out"
+        cfg = base_config(out, n_paths=3, horizon=0.5)
+        assert main(["--config", write_config(tmp_path, cfg), "settle"]) == 1
+        lines = (out / "settle_paths.csv").read_text().splitlines()
+        assert lines[0] == "path_index,seed,settled,settle_time"
+        assert lines[1].endswith(",false,")   # censored -> empty settle time
 
     def test_censored_output_bytes_are_pinned(self, tmp_path):
         # 24 of the 60 paths are censored at the 1.5-s horizon; their

@@ -4,8 +4,12 @@ and the integral-form check import scipy, when they are called.
 
 Each case runs in a fresh interpreter, so modules that other tests loaded
 into this one do not count.
+
+The library modules below the CLI write no files: none of them imports
+``settlekit.fileio``, so the file formats live in ``cli`` and ``fileio``.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -122,3 +126,35 @@ def test_cli_command_loads_no_scipy(tmp_path, config, command):
 def test_scipy_users_import_it_when_called(tmp_path, body, module):
     # the control for the tests above: the probe does see a lazy import
     assert module in scipy_modules_after(body, tmp_path)
+
+
+def imported_modules(source: str) -> set:
+    """Absolute names of the modules a ``settlekit`` module's source
+    imports, the names a ``from`` import takes from a package included."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["settlekit" if node.level else "",
+                                          node.module]))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_library_modules_write_no_files():
+    package = Path(settlekit.__file__).parent
+    importers = [name for name in ("noise", "integrate", "montecarlo", "certify",
+                                   "systems")
+                 if "settlekit.fileio" in imported_modules(
+                     (package / f"{name}.py").read_text())]
+    assert importers == []
+
+
+@pytest.mark.parametrize("source", [
+    "from .fileio import write_csv", "from . import fileio",
+    "from settlekit import fileio", "import settlekit.fileio"])
+def test_every_import_form_is_seen(source):
+    # the control for the test above
+    assert "settlekit.fileio" in imported_modules(source)

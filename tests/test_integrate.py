@@ -390,20 +390,3 @@ class TestUniquenessProbe:
         ta = sk.integrate_path(m, path, x0, cfg)
         tb = sk.integrate_path(m, path, xb, cfg)
         assert np.linalg.norm(ta.states[-1] - tb.states[-1]) == 0.0
-
-
-def test_trajectory_csv_and_sidecar(tmp_path):
-    m = sk.make_example1()
-    path = zero_path(1.0, dim=2)
-    traj = sk.integrate_path(m, path, np.array([0.3, 0.1]),
-                             sk.IntegratorConfig(h=1e-3, horizon=1.0))
-    csv_path = tmp_path / "traj.csv"
-    side_path = tmp_path / "traj.json"
-    from settlekit.integrate import trajectory_to_csv
-    trajectory_to_csv(traj, csv_path, side_path)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "t,x_1,x_2"
-    import json
-    side = json.loads(side_path.read_text())
-    assert set(side) >= {"settled", "settle_time", "seed", "blowup"}
-    assert side["settled"] == traj.settled

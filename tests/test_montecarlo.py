@@ -8,7 +8,6 @@ import pytest
 import settlekit as sk
 from settlekit import integrate, montecarlo, noise
 from settlekit.certify import LYAPUNOV_FUNCTIONS, Certificate, PowerLaw
-from settlekit.montecarlo import write_settle_csv
 
 TWO_23 = 2.0 ** (2.0 / 3.0)
 V_NORM, GRAD_NORM = LYAPUNOV_FUNCTIONS["half-square-norm"]
@@ -394,13 +393,3 @@ class TestFigures:
     def test_unknown_name(self, tmp_path):
         with pytest.raises(ValueError):
             sk.reproduce_figure("fig9", tmp_path)
-
-
-def test_settle_csv_format(tmp_path):
-    stats = sk.estimate_settling(sqrt_model(), sk.zero_process(1),
-                                 np.array([1.0]), mc_config(n_paths=3, horizon=1.0))
-    out = tmp_path / "paths.csv"
-    write_settle_csv(stats, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "path_index,seed,settled,settle_time"
-    assert lines[1].endswith(",false,")   # censored -> empty settle time

@@ -12,7 +12,7 @@ from settlekit import noise
 from settlekit.cli import main
 from settlekit.defaults import CONFIDENCE_Z
 from settlekit.noise import (_n_cells, _path_statistics, ar1_step_coefficients,
-                             check_noise, l1_ratios, path_to_csv)
+                             check_noise, l1_ratios)
 from test_imports import example2_filtered_config, small_config
 
 
@@ -248,6 +248,16 @@ class TestMeanSquareEstimate:
         rep = sk.estimate_mean_square(p, 20, 20.0, 0.01, seed=2, k_bound=0.05)
         assert not rep.passed
 
+    def test_overflowing_half_width_fails(self):
+        # K = 5e159: the per-path means are finite, but np.std squares
+        # deviations of about 1e157, so the half-width is inf and
+        # estimate - inf <= K would pass by default
+        p = sk.make_random_phase_cosine([1e80], [1.3])
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = sk.estimate_mean_square(p, 20, 50.0, 0.01, seed=0)
+        assert math.isfinite(rep.estimate) and rep.half_width == math.inf
+        assert rep.passed is False
+
 
 class TestWlln:
     def test_cosine_whole_periods_concentrate_exactly(self):
@@ -269,6 +279,30 @@ class TestWlln:
         rep = sk.check_wlln(p, [25.0, 50.0, 100.0], 0.1, 300, 0.05, seed=17)
         f = rep.fractions
         assert f[1] <= f[0] + 0.05 and f[2] <= f[1] + 0.05
+
+    def test_non_finite_average_is_a_violation(self, tmp_path):
+        # K = 5e307: |xi|^2 overflows, so 19 of the 20 running averages at
+        # t = 50 are inf and one is NaN (0 * inf at the check cell); the NaN
+        # one lies in no delta band either
+        p = sk.make_filtered_white_noise(1e308, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = sk.check_wlln(p, [50.0], 0.1, 20, 0.01, seed=0)
+        assert rep.fractions.tolist() == [1.0]
+        # and the non-finite L1 maximum of the same paths fails its check
+        out = tmp_path / "out"
+        cfg = {"noise": {"kind": "filtered-white-noise", "intensity": 1e308,
+                         "tau_f": 1.0, "h_noise": 0.01},
+               "mc": {"master_seed": 0},
+               "noise_check": {"n_paths": 20, "horizon": 50.0,
+                               "check_times": [50.0]}, "out_dir": str(out)}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["--config", str(tmp_path / "config.json"), "noise-check"])
+        report = json.loads((out / "noise_check.json").read_text())
+        assert code == 1
+        assert report["wlln"]["fractions"] == [1.0]
+        assert not math.isfinite(report["l1"]["max_ratio"])
+        assert report["l1"]["passed"] is False
 
     def test_preconditions(self):
         p = sk.zero_process(1)
@@ -469,15 +503,3 @@ class TestOnePass:
         _, _, max_ratio = check_noise(sk.zero_process(1), 3, 2.0, 0.1, 0,
                                       [2.0], 0.1, 0.0)
         assert max_ratio == 0.0
-
-
-def test_csv_round_trip(tmp_path):
-    p = sk.make_filtered_white_noise(1.0, 1.0, 2)
-    path = sk.sample_path(p, 0.0, 1.0, 0.1, seed=4)
-    out = tmp_path / "path.csv"
-    path_to_csv(path, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,xi_1,xi_2"
-    parsed = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
-    assert np.array_equal(parsed[:, 1:], path.values)
-    assert np.array_equal(parsed[:, 0], path.times())
