@@ -14,6 +14,7 @@ maps to a dict, any other name to a CSV ``(header, columns)`` pair.
 ``write_outputs`` writes them all, after the command's computation is done.
 """
 
+import contextlib
 import json
 import os
 
@@ -57,24 +58,31 @@ def write_json(file_path, obj) -> None:
         fh.write("\n")
 
 
-def ensure_dir(path) -> None:
-    """Create the output directory; a path that cannot be one is a
-    configuration error."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as e:
-        raise ConfigError(f"cannot create output directory {path!r}: {e}")
-
-
 def write_outputs(out_dir, outputs: dict) -> list:
     """Create ``out_dir`` and write each of ``outputs`` (file name -> data)
     into it, in order: a ``.json`` name's dict by ``write_json``, any other
-    name's ``(header, columns)`` pair by ``write_csv``.  Returns the paths."""
-    ensure_dir(out_dir)
-    paths = [os.path.join(out_dir, name) for name in outputs]
-    for path, data in zip(paths, outputs.values()):
-        if path.endswith(".json"):
-            write_json(path, data)
-        else:
-            write_csv(path, *data)
+    name's ``(header, columns)`` pair by ``write_csv``.  Returns the paths.
+
+    A directory or file that cannot be written is a configuration error
+    that names it, and the files this call opened are removed: those
+    written before it and, when a write fails after its ``open``, the
+    truncated file itself.
+    """
+    paths, path = [], out_dir
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, data in outputs.items():
+            path = os.path.join(out_dir, name)
+            if name.endswith(".json"):
+                write_json(path, data)
+            else:
+                write_csv(path, *data)
+            paths.append(path)
+    except OSError as e:
+        if e.filename is None:      # raised by a write, not by open or mkdir
+            paths.append(path)
+        for written in paths:
+            with contextlib.suppress(OSError):
+                os.remove(written)
+        raise ConfigError(f"cannot write {path!r}: {e}")
     return paths

@@ -120,9 +120,8 @@ class _BatchRun:
 
     def blocks(self):
         """The paths' noise over the grid, (b, k, l) blocks of _BLOCK points."""
-        sampler = BatchSampler(self.process, self.t0, self.cfg.h_noise, self.seeds)
-        for p in range(0, self.n_points, _BLOCK):
-            yield sampler.draw(min(_BLOCK, self.n_points - p))
+        return BatchSampler(self.process, self.t0, self.cfg.h_noise,
+                            self.seeds).blocks(self.n_points, _BLOCK)
 
     def sweep(self, radius=None, blocks=None):
         """Integrate the paths in one batch against the per-node ball

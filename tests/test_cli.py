@@ -1,12 +1,14 @@
 """Tests for the CLI: exit codes, outputs, and reproducibility."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +259,35 @@ class TestConfigErrors:
             ["afile"] if command == "reproduce" else ["afile", "config.json"])
         assert blocker.read_text() == ""
 
+    def test_unwritable_output_file_leaves_no_files(self, tmp_path, capsys):
+        # simulate writes trajectory.csv, then fails on trajectory.json
+        od = tmp_path / "od"
+        (od / "trajectory.json").mkdir(parents=True)
+        cfg = base_config(tmp_path / "out")
+        assert main(["--config", write_config(tmp_path, cfg), "simulate",
+                     "--out", str(od)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert "trajectory.json" in err and "Traceback" not in err
+        assert os.listdir(od) == ["trajectory.json"]
+
+    def test_failed_write_removes_the_truncated_file(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # trajectory.json opens, then its write fails as on a full disk
+        def dump(obj, fh, **kwargs):
+            fh.write("{")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(json, "dump", dump)
+        od = tmp_path / "od"
+        cfg = base_config(tmp_path / "out")
+        assert main(["--config", write_config(tmp_path, cfg), "simulate",
+                     "--out", str(od)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert "trajectory.json" in err and "Traceback" not in err
+        assert os.listdir(od) == []
+
     def test_bound_check_needs_enough_paths(self, tmp_path):
         cfg = base_config(tmp_path / "out", n_paths=20)
         cfg["certificate"] = {"gamma": 2.0 / 3.0, "c1": TWO_23, "c2": TWO_23,
@@ -422,11 +453,12 @@ class TestNoiseCheck:
         assert report["moment"]["k_bound"] == pytest.approx(0.09)
 
     def test_each_path_is_sampled_once(self, tmp_path, monkeypatch):
-        drawn = []
+        drawn, samplers = [], []
         init = noise.BatchSampler.__init__
 
         def counted(self, process, t0, h_noise, seeds):
             drawn.extend(int(s) for s in seeds)
+            samplers.append(self)
             init(self, process, t0, h_noise, seeds)
 
         monkeypatch.setattr(noise.BatchSampler, "__init__", counted)
@@ -435,6 +467,7 @@ class TestNoiseCheck:
                               "check_times": [4.0, 15.0]}
         main(["--config", write_config(tmp_path, cfg), "noise-check"])
         assert drawn == [sk.path_seed(31415, i) for i in range(12)]
+        assert len(samplers) < len(drawn)       # paths are drawn in batches
 
     @pytest.mark.parametrize("check_times", [[3.0, 12.5], [7.5, 30.0]],
                              ids=["below-horizon", "above-horizon"])
@@ -490,13 +523,26 @@ class TestNoiseCheck:
                          "omegas": [1.3], "h_noise": 0.01},
                "noise_check": {"n_paths": 20, "horizon": 50.0},
                "mc": {"master_seed": 0}, "out_dir": str(out)}
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["--config", write_config(tmp_path, cfg), "noise-check"])
+        code = main(["--config", write_config(tmp_path, cfg), "noise-check"])
         assert code == 1
         assert "moment=FAIL" in capsys.readouterr().out
         report = json.loads((out / "noise_check.json").read_text())
         assert report["moment"]["half_width"] == math.inf
         assert report["moment"]["passed"] is False
+
+    def test_overflowing_statistics_warn_nothing(self, tmp_path, capsys):
+        # |xi|^2 of 1e154-sized values overflows: inf and NaN statistics
+        # fail their checks, and numpy is told to keep quiet about them
+        out = tmp_path / "out"
+        cfg = {"noise": {"kind": "filtered-white-noise", "intensity": 1e308,
+                         "tau_f": 1.0, "h_noise": 0.01},
+               "noise_check": {"n_paths": 20}, "mc": {"master_seed": 0},
+               "out_dir": str(out)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--config", write_config(tmp_path, cfg), "noise-check"])
+        assert code == 1
+        assert capsys.readouterr().err == ""
 
 
 class TestCertify:

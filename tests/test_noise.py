@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,16 +364,17 @@ class TestChannelMajorSampling:
     def test_channel_sums_keep_the_row_major_bits(self, l):
         process = cosine(l)
         t0, horizon, h, seed, k, t_min = 0.5, 6.0, 0.01, 9, 0.2, 1.5
-        means, _, ratios = _path_statistics(process, 3, horizon, h, seed,
-                                            (horizon,), k, t_min, t0)
         n_cells = _n_cells(t0, horizon, h)
-        for i in range(3):
-            path = sk.sample_path(process, t0, horizon, h, sk.path_seed(seed, i))
-            sq = np.sum(np.ascontiguousarray(path.values) ** 2, axis=1)
-            ref = l1_ratios(np.sqrt(sq), h, t0, k)[0][path.times() >= t_min - 1e-12]
-            assert means[i].view(np.uint64) == np.mean(sq[:n_cells]).view(np.uint64)
-            assert ratios[i] == np.max(ref)
-            assert sk.check_l1_bound(path, k, t_min) == np.max(ref)
+        for n in (3, 19):           # one partial batch; four full, one partial
+            means, _, ratios = _path_statistics(process, n, horizon, h, seed,
+                                                (horizon,), k, t_min, t0)
+            for i in range(n):
+                path = sk.sample_path(process, t0, horizon, h, sk.path_seed(seed, i))
+                sq = np.sum(np.ascontiguousarray(path.values) ** 2, axis=1)
+                ref = l1_ratios(np.sqrt(sq), h, t0, k)[0][path.times() >= t_min - 1e-12]
+                assert means[i].view(np.uint64) == np.mean(sq[:n_cells]).view(np.uint64)
+                assert ratios[i] == np.max(ref)
+                assert sk.check_l1_bound(path, k, t_min) == np.max(ref)
 
     @pytest.mark.parametrize("config,digest", [
         (small_config, "71aa566e8568645056002bd1384b4965d1af091a02c5985d3bb2c492da50b692"),
@@ -473,11 +475,15 @@ class TestL1Bound:
 
 
 class TestOnePass:
-    @pytest.mark.parametrize("times", [[5.0, 12.5], [8.0, 30.0]])
-    def test_matches_per_statistic_loops(self, times):
+    @pytest.mark.parametrize("times,n", [
+        pytest.param([5.0, 12.5], 12, id="times0"),
+        pytest.param([8.0, 30.0], 12, id="times1"),
+        pytest.param([8.0, 30.0], 19, id="19-paths"),    # batches of 4, 4, 4, 4, 3
+    ])
+    def test_matches_per_statistic_loops(self, times, n):
         """check_noise against one freshly sampled path per statistic."""
         p = sk.make_filtered_white_noise(0.5, 1.0, 2)
-        n, horizon, h, seed, k = 12, 20.0, 0.01, 3, 0.3
+        horizon, h, seed, k = 20.0, 0.01, 3, 0.3
         moment, wlln, max_ratio = check_noise(p, n, horizon, h, seed, times,
                                               0.1, k, t_min=1.5)
         per_path, ratios = [], []
@@ -503,3 +509,22 @@ class TestOnePass:
         _, _, max_ratio = check_noise(sk.zero_process(1), 3, 2.0, 0.1, 0,
                                       [2.0], 0.1, 0.0)
         assert max_ratio == 0.0
+
+    def test_memory_is_flat_in_the_path_count(self):
+        """Traced peaks of the README noise-check over 5001 grid points: a
+        batch's buffers do not grow with n_paths, and stay small next to the
+        process's resident size."""
+        p = sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0])
+
+        def peak(n_paths):
+            tracemalloc.start()
+            try:
+                check_noise(p, n_paths, 50.0, 0.01, 2024, [50.0], 0.1, 0.09)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        check_noise(p, 16, 50.0, 0.01, 2024, [50.0], 0.1, 0.09)     # warm-up
+        small, large = peak(16), peak(64)
+        assert large <= small + 64 * 1024
+        assert max(small, large) < 3 * 1024 * 1024
