@@ -11,9 +11,8 @@ built-in demonstration configs.
 """
 
 from .certify import (Certificate, Envelope, FitResult, PowerLaw,
-                      certificate_from_dict, decay_envelope, fit_constants,
-                      settling_bound, theta, theta_inverse, verify_drift,
-                      verify_sandwich)
+                      certificate_from_dict, fit_constants, settling_bound,
+                      theta, theta_inverse, verify_drift, verify_sandwich)
 from .cli import reproduce_figure
 from .errors import (ConfigError, ConstantConditionError, EvaluatorError,
                      QuadratureError, RateIntegralError)

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConstantConditionError, RateIntegralError
-from .systems import ConditionReport, SystemModel
+from .systems import ConditionReport, SystemModel, log_quad
 
 
 @dataclass(frozen=True)
@@ -166,20 +166,11 @@ def _theta_quadrature(rate_fn: Callable, v: float) -> float:
     Raises RateIntegralError when the refinement has not converged by
     u ~ 1e-300 (1/r not integrable at 0, or too slowly integrable to tell).
     """
-    # imported on use: no CLI command needs scipy
-    from scipy.integrate import quad
-
-    s0 = -math.log(v)
-
-    def integrand(s):
-        u = math.exp(-s)
-        return u / rate_fn(u)
-
     total = 0.0
-    s = s0
+    s = -math.log(v)
     while s < _QUAD_S_MAX:
         s_next = min(s + _QUAD_SEGMENT, _QUAD_S_MAX)
-        seg, _ = quad(integrand, s, s_next, limit=200)
+        seg = log_quad(rate_fn, s, s_next)
         total += seg
         if seg <= 1e-12 * max(1.0, abs(total)):
             return total
@@ -341,23 +332,22 @@ class Envelope:
     t_ext: float = field(init=False)
 
     def __post_init__(self):
+        if self.x0_norm < 0:
+            raise ValueError("x0_norm must be nonnegative")
         th0 = theta(self.cert, float(self.cert.alpha2(self.x0_norm)))
         object.__setattr__(self, "theta0", th0)
         object.__setattr__(self, "t_ext", th0 / self.cert.decay_rate)
 
     def value(self, t_minus_t0: float) -> float:
+        """Envelope alpha1^-1(theta^-1(theta(alpha2(|x0|)) - rate * dt)) at
+        dt = t_minus_t0; exactly 0 from the extinction time on, nonincreasing
+        in dt."""
+        if t_minus_t0 < 0:
+            raise ValueError("t_minus_t0 must be nonnegative")
         y = self.theta0 - self.cert.decay_rate * t_minus_t0
         if y <= 0.0:
             return 0.0
         return float(self.cert.alpha1.inverse(theta_inverse(self.cert, y)))
-
-
-def decay_envelope(cert: Certificate, x0_norm: float, t_minus_t0: float) -> float:
-    """Envelope alpha1^-1(theta^-1(theta(alpha2(|x0|)) - rate * dt)); exactly 0
-    from the extinction time on, nonincreasing in dt."""
-    if x0_norm < 0 or t_minus_t0 < 0:
-        raise ValueError("arguments must be nonnegative")
-    return Envelope(cert, x0_norm).value(t_minus_t0)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +359,6 @@ class FitResult:
     c1: float
     c2: float
     certifiable: bool
-    n_samples: int
 
 
 def fit_constants(model: SystemModel, V: Callable, gradV: Callable, gamma: float,
@@ -389,4 +378,4 @@ def fit_constants(model: SystemModel, V: Callable, gradV: Callable, gamma: float
     vpow = np.asarray(V(x)) ** gamma
     c1_fit = float(np.min(-lf / vpow))
     return FitResult(c1=c1_fit, c2=float(np.max(lg / vpow)),
-                     certifiable=bool(c1_fit > 0), n_samples=lf.size)
+                     certifiable=bool(c1_fit > 0))

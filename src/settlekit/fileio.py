@@ -5,8 +5,9 @@ This module is the one place that turns a value into text, and
 column is formatted as a whole, by the kind of its numpy dtype: booleans
 as ``true``/``false``, floats with 17 significant digits (a lossless round
 trip) and NaN as an empty cell, anything else, integers included, by
-``str``, so a uint64 seed is written exactly.  JSON goes through
-``json.dump``; numpy arrays and scalars reach it through ``.tolist()``.
+``str``, so a uint64 seed is written exactly.  JSON is strict: numpy
+arrays and scalars are written as their ``.tolist()`` values and a
+non-finite float as ``null``, never as ``Infinity`` or ``NaN``.
 
 Each CLI command returns the tuple ``(outputs, ok, line)``.  Its
 ``outputs`` map a file name to its data, in write order: a ``.json`` name
@@ -16,6 +17,7 @@ maps to a dict, any other name to a CSV ``(header, columns)`` pair.
 
 import contextlib
 import json
+import math
 import os
 
 import numpy as np
@@ -46,15 +48,24 @@ def write_csv(file_path, header, columns) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _tolist(value):
+def _json_value(value):
+    """``value`` with numpy values turned into Python values, tuples into
+    lists and non-finite floats into None."""
     if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def write_json(file_path, obj) -> None:
     with open(file_path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_tolist)
+        json.dump(_json_value(obj), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 

@@ -177,6 +177,8 @@ class BatchResult(NamedTuple):
                         t0 + (self.last_out + 1) * h, np.nan)
 
 
+# the loop finds inf and NaN itself, so numpy's warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_batch(model: SystemModel, x0: np.ndarray, blocks: Iterable,
                     t0: float, n_steps: int, m: int, cfg: IntegratorConfig,
                     radius: Optional[np.ndarray] = None,

@@ -119,7 +119,6 @@ class MomentReport:
     estimate: float
     half_width: float
     n_paths: int
-    horizon: float
     k_bound: float
     passed: bool
 
@@ -131,7 +130,6 @@ class WllnReport:
     times: np.ndarray
     fractions: np.ndarray       # fraction of paths violating the delta band
     delta: float
-    n_paths: int
 
 
 def make_random_phase_cosine(amplitudes, omegas) -> NoiseProcess:
@@ -395,7 +393,7 @@ def _check_times(t_grid, delta: float, t0: float) -> np.ndarray:
     return t_grid
 
 
-def _moment_report(means: np.ndarray, horizon: float, k_bound: float) -> MomentReport:
+def _moment_report(means: np.ndarray, k_bound: float) -> MomentReport:
     n_paths = len(means)
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
@@ -404,7 +402,7 @@ def _moment_report(means: np.ndarray, horizon: float, k_bound: float) -> MomentR
         hw = float(CONFIDENCE_Z * np.std(means, ddof=1) / math.sqrt(n_paths))
     # an estimate or half-width that overflowed decides nothing: it fails
     return MomentReport(estimate=est, half_width=hw, n_paths=n_paths,
-                        horizon=horizon, k_bound=float(k_bound),
+                        k_bound=float(k_bound),
                         passed=math.isfinite(est) and math.isfinite(hw)
                         and bool(est - hw <= k_bound))
 
@@ -414,8 +412,7 @@ def _wlln_report(process: NoiseProcess, t_grid: np.ndarray,
     k_true = process.declared_mean_square
     # written so that a NaN average, like an infinite one, is a violation
     fractions = (~(np.abs(averages - k_true) < delta)).mean(axis=1)
-    return WllnReport(times=t_grid, fractions=fractions, delta=float(delta),
-                      n_paths=averages.shape[1])
+    return WllnReport(times=t_grid, fractions=fractions, delta=float(delta))
 
 
 def estimate_mean_square(process: NoiseProcess, n_paths: int, horizon: float,
@@ -431,7 +428,7 @@ def estimate_mean_square(process: NoiseProcess, n_paths: int, horizon: float,
     if k_bound is None:
         k_bound = process.declared_mean_square
     means = _path_statistics(process, n_paths, horizon, h_noise, seed)[0]
-    return _moment_report(means, horizon, k_bound)
+    return _moment_report(means, k_bound)
 
 
 def check_wlln(process: NoiseProcess, t_grid, delta: float, n_paths: int,
@@ -462,7 +459,7 @@ def check_noise(process: NoiseProcess, n_paths: int, horizon: float,
     t_grid = _check_times(t_grid, delta, 0.0)
     means, averages, ratios = _path_statistics(
         process, n_paths, horizon, h_noise, seed, t_grid, k_bound, t_min)
-    return (_moment_report(means, horizon, k_bound),
+    return (_moment_report(means, k_bound),
             _wlln_report(process, t_grid, averages, delta), float(np.max(ratios)))
 
 

@@ -12,6 +12,7 @@ confidence, not prove it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -112,18 +113,14 @@ def stabilizing_controller(x):
 
 
 def make_example2(control: Optional[Callable] = None,
-                  noise_gain_scale: float = 1.0,
                   name: str = "example2") -> SystemModel:
     """Scalar system with arctan nonlinearity and state-dependent noise gain.
 
         x' = 3x (arctan x)^2 / (1+x^2) + u(x) - x / (1+x^2)
              + (1/2)(1+x^2)(arctan x)^(1/3) xi
 
-    ``control`` defaults to zero (open loop); ``noise_gain_scale`` scales the
-    gain (0 disables the noise channel).
+    ``control`` defaults to zero (open loop).
     """
-    if noise_gain_scale < 0:
-        raise ValueError("noise_gain_scale must be nonnegative")
     if control is None:
         control = lambda x: np.zeros(np.shape(x))
 
@@ -137,7 +134,7 @@ def make_example2(control: Optional[Callable] = None,
     def g(x, t):
         z = x[..., 0]
         a = np.arctan(z)
-        gain = 0.5 * (1.0 + z * z) * np.cbrt(a) * noise_gain_scale
+        gain = 0.5 * (1.0 + z * z) * np.cbrt(a)
         return gain[..., None, None]
 
     return SystemModel(n=1, l=1, f=f, g=g, name=name)
@@ -363,20 +360,18 @@ class DivergenceReport:
     combined_diverging: bool
 
 
-def _log_substituted_integral(denom: Callable, delta: float, gamma: float) -> float:
-    """Integral of du/denom(u) over [delta, gamma] via u = exp(-s)."""
+def log_quad(denom: Callable, s_lo: float, s_hi: float) -> float:
+    """Integral of du/denom(u) over [exp(-s_hi), exp(-s_lo)], by quadrature
+    of u/denom(u) in s = -ln u, which maps a singular end u -> 0 to a long
+    but tame range of s."""
     # imported on use: no CLI command needs scipy
     from scipy.integrate import quad
 
-    s_lo = np.log(1.0 / gamma)
-    s_hi = np.log(1.0 / delta)
-
     def integrand(s):
-        u = np.exp(-s)
+        u = math.exp(-s)
         return u / denom(u)
 
-    val, _ = quad(integrand, s_lo, s_hi, limit=200)
-    return val
+    return quad(integrand, s_lo, s_hi, limit=200)[0]
 
 
 def check_osgood_divergence(moduli: ModulusPair, gamma_upper: float) -> DivergenceReport:
@@ -388,16 +383,22 @@ def check_osgood_divergence(moduli: ModulusPair, gamma_upper: float) -> Divergen
     """
     if gamma_upper <= 0:
         raise ValueError("gamma_upper must be positive")
+    # a concave modulus vanishing at 0 and positive at gamma_upper is
+    # positive on (0, gamma_upper], so no denominator below is 0
+    if not (moduli.rho(gamma_upper) > 0 and moduli.kappa(gamma_upper) > 0):
+        raise ValueError(f"moduli must be positive at gamma_upper={gamma_upper:g}")
     deltas = 10.0 ** -np.arange(1, 13)
     deltas = deltas[deltas < gamma_upper]
     if len(deltas) < 3:
         raise ValueError("gamma_upper too small to probe divergence")
 
+    s_lo = math.log(1.0 / gamma_upper)
     rho_vals, comb_vals = [], []
     for d in deltas:
-        rho_vals.append(_log_substituted_integral(moduli.rho, d, gamma_upper))
-        comb_vals.append(_log_substituted_integral(
-            lambda u: np.sqrt(moduli.rho(u)) + moduli.kappa(u), d, gamma_upper))
+        s_hi = math.log(1.0 / d)
+        rho_vals.append(log_quad(moduli.rho, s_lo, s_hi))
+        comb_vals.append(log_quad(
+            lambda u: np.sqrt(moduli.rho(u)) + moduli.kappa(u), s_lo, s_hi))
     rho_vals = np.asarray(rho_vals)
     comb_vals = np.asarray(comb_vals)
 

@@ -239,7 +239,7 @@ class TestDecayEnvelope:
     def test_identity_at_start(self):
         cert = quad_cert(gamma=0.5, c1=2.0, c2=0.25, k=1.0)
         x0 = math.sqrt(2.0)
-        assert sk.decay_envelope(cert, x0, 0.0) == pytest.approx(x0, abs=1e-12)
+        assert Envelope(cert, x0).value(0.0) == pytest.approx(x0, abs=1e-12)
 
     def test_extinction_exact_zero(self):
         cert = quad_cert(gamma=0.5, c1=2.0, c2=0.25, k=1.0)
@@ -252,7 +252,7 @@ class TestDecayEnvelope:
         # envelope after one unit is sqrt(2 * 0.0625) = sqrt(0.125)
         cert = quad_cert(gamma=0.5, c1=1.5, c2=0.5, k=0.0)
         assert cert.decay_rate == pytest.approx(1.5)
-        val = sk.decay_envelope(cert, math.sqrt(2.0), 1.0)
+        val = Envelope(cert, math.sqrt(2.0)).value(1.0)
         assert val == pytest.approx(math.sqrt(0.125), abs=1e-12)
 
     def test_nonincreasing(self):
@@ -261,6 +261,13 @@ class TestDecayEnvelope:
         ts = np.linspace(0.0, env.t_ext * 1.2, 60)
         vals = [env.value(t) for t in ts]
         assert np.all(np.diff(vals) <= 1e-15)
+
+    def test_negative_arguments_raise(self):
+        cert = quad_cert(gamma=0.5, c1=2.0, c2=0.25, k=1.0)
+        with pytest.raises(ValueError, match="x0_norm"):
+            Envelope(cert, -1.0)
+        with pytest.raises(ValueError, match="t_minus_t0"):
+            Envelope(cert, 1.5).value(-0.1)
 
 
 class TestFitConstants:
@@ -283,7 +290,9 @@ class TestFitConstants:
         assert fit.c2 == pytest.approx(2.0 ** (-1.0 / 3.0), rel=1e-9)
 
     def test_zero_gain_scale(self):
-        m = sk.make_example2(control=sk.stabilizing_controller, noise_gain_scale=0.0)
+        closed = sk.get_model("example2-closed")
+        m = sk.SystemModel(n=1, l=1, f=closed.f,
+                           g=lambda x, t: np.zeros(x.shape + (1,)), name="no-noise")
         fit = sk.fit_constants(m, V_ATAN, GRAD_ATAN, 2.0 / 3.0, box_radius=2.0,
                                n=500, t_grid=[0.0], seed=3)
         assert fit.c2 == 0.0

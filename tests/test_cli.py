@@ -527,7 +527,7 @@ class TestNoiseCheck:
         assert code == 1
         assert "moment=FAIL" in capsys.readouterr().out
         report = json.loads((out / "noise_check.json").read_text())
-        assert report["moment"]["half_width"] == math.inf
+        assert report["moment"]["half_width"] is None
         assert report["moment"]["passed"] is False
 
     def test_overflowing_statistics_warn_nothing(self, tmp_path, capsys):
@@ -543,6 +543,25 @@ class TestNoiseCheck:
             code = main(["--config", write_config(tmp_path, cfg), "noise-check"])
         assert code == 1
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("noise_cfg", [
+        {"kind": "filtered-white-noise", "intensity": 1e308, "tau_f": 1.0},
+        {"kind": "random-phase-cosine", "amplitudes": [1e80], "omegas": [1.3]}],
+        ids=["filtered", "cosine"])
+    def test_overflowing_statistics_write_strict_json(self, tmp_path, noise_cfg):
+        # a non-finite statistic is written as null, never as Infinity or NaN
+        out = tmp_path / "out"
+        cfg = {"noise": {**noise_cfg, "h_noise": 0.01},
+               "noise_check": {"n_paths": 20, "horizon": 50.0},
+               "mc": {"master_seed": 0}, "out_dir": str(out)}
+        assert main(["--config", write_config(tmp_path, cfg), "noise-check"]) == 1
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        report = json.loads((out / "noise_check.json").read_text(),
+                            parse_constant=reject)
+        assert report["moment"]["passed"] is False
 
 
 class TestCertify:
@@ -616,12 +635,28 @@ class TestSimulate:
                          "tau_f": 1.0, "h_noise": 0.01},
                "integrator": {"h": 0.001, "horizon": 0.5},
                "mc": {"n_paths": 4, "master_seed": 2024}, "out_dir": str(out)}
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["--config", write_config(tmp_path, cfg), command])
         assert code == 1
         err = capsys.readouterr().err
         assert err == "evaluator error: evaluator returned NaN at t=0.001\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "settle"])
+    def test_overflowing_blowup_warns_nothing(self, tmp_path, capsys, command):
+        # x' = x^3 from 1e6 overflows to inf in the first step: the kernel
+        # marks the blow-up itself, and numpy is told to keep quiet about it
+        out = tmp_path / "out"
+        cfg = {"model": "unstable-cubic", "x0": [1e6],
+               "noise": {"kind": "zero", "dimension": 1},
+               "integrator": {"h": 0.001, "horizon": 1.0},
+               "mc": {"n_paths": 10, "master_seed": 0}, "out_dir": str(out)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--config", write_config(tmp_path, cfg), command])
+        assert code == 1
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("h_noise", [1e20, 1e300])
     @pytest.mark.parametrize("command,output", [

@@ -132,10 +132,9 @@ class TestIntegrateBatch:
         m, cfg = self.model(), sk.IntegratorConfig(h=1e-3, horizon=3.0)
         values = np.array(self.XI)[:, None, None] * np.ones((3, 301, 1))
         radius = np.linspace(0.5, 2.0, 3001)
-        with np.errstate(over="ignore"):
-            last_out, blow, absorb, n_out, states = integrate_batch(
-                m, np.array([1.0]), [values], 0.0, 3000, 10, cfg, radius,
-                keep_states=True)
+        last_out, blow, absorb, n_out, states = integrate_batch(
+            m, np.array([1.0]), [values], 0.0, 3000, 10, cfg, radius,
+            keep_states=True)
         assert blow[0] > 0 and blow[1] == blow[2] == -1
         assert absorb[1] > 0 and absorb[0] == absorb[2] == -1
         assert np.all(states[absorb[1]:, 1] == 0.0)
@@ -149,23 +148,20 @@ class TestIntegrateBatch:
         for r, xi in enumerate(self.XI):
             path = sk.NoisePath(t0=0.0, h=0.01, values=np.full((301, 1), xi),
                                 seed=0)
-            with np.errstate(over="ignore"):
-                traj = sk.integrate_path(m, path, np.array([1.0]), cfg)
+            traj = sk.integrate_path(m, path, np.array([1.0]), cfg)
             assert traj.blowup == (blow[r] > 0)
             assert np.array_equal(traj.states, states[:len(traj.states), r])
 
     def test_record_settle_times_match_single_paths(self):
         m, cfg = self.model(), sk.IntegratorConfig(h=1e-3, horizon=3.0)
         values = np.array(self.XI)[:, None, None] * np.ones((3, 301, 1))
-        with np.errstate(over="ignore"):
-            res = integrate_batch(m, np.array([1.0]), [values], 0.0, 3000, 10, cfg)
+        res = integrate_batch(m, np.array([1.0]), [values], 0.0, 3000, 10, cfg)
         assert res.last_out is res[0] and res.states is None
         times = res.settle_times(0.0, cfg.h)
         for r, xi in enumerate(self.XI):
             path = sk.NoisePath(t0=0.0, h=0.01, values=np.full((301, 1), xi),
                                 seed=0)
-            with np.errstate(over="ignore"):
-                traj = sk.integrate_path(m, path, np.array([1.0]), cfg)
+            traj = sk.integrate_path(m, path, np.array([1.0]), cfg)
             single = np.nan if traj.settle_time is None else traj.settle_time
             assert times[r].tobytes() == np.float64(single).tobytes()
         # the blown row and the held (censored) row are NaN
@@ -281,9 +277,8 @@ class TestDetectSettling:
         batch = TestIntegrateBatch()
         cfg = sk.IntegratorConfig(h=1e-3, horizon=3.0)
         values = np.array(batch.XI)[:, None, None] * np.ones((3, 301, 1))
-        with np.errstate(over="ignore"):
-            res = integrate_batch(batch.model(), np.array([1.0]), [values], 0.0,
-                                  3000, 10, cfg)
+        res = integrate_batch(batch.model(), np.array([1.0]), [values], 0.0,
+                              3000, 10, cfg)
         assert res.blow_step[0] > 0 and np.isnan(res.settle_times(0.0, 1e-3)[0])
         m = sk.get_model("unstable-cubic")
         cfg = sk.IntegratorConfig(h=1e-3, horizon=1.0, absorb_at_origin=False)

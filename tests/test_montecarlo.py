@@ -345,10 +345,9 @@ class TestPinnedResults:
         path = sk.sample_path(proc, 0.0, 1.005, 0.01, sk.path_seed(2, 7))
         good = sk.noise.l1_ratios(np.abs(path.values[:, 0]), 0.01, 0.0, 0.12)[0] <= 1
         assert good.argmax() == 95
-        with np.errstate(over="ignore", invalid="ignore"):
-            cov = sk.envelope_coverage(sk.get_model("unstable-cubic"), proc,
-                                       np.array([2.0]), ex1_cert(0.12, 1), cfg,
-                                       0.05)
+        cov = sk.envelope_coverage(sk.get_model("unstable-cubic"), proc,
+                                   np.array([2.0]), ex1_cert(0.12, 1), cfg,
+                                   0.05)
         self.assert_report(
             cov, (0.0, 0.25), 7.751494504520428,
             ["8a897666aee384b4aedc56a912986750875fa1e560e7a842f4fd2d6dfc1df02c",

@@ -109,10 +109,6 @@ class TestExample2:
         x = np.linspace(0.1, 8.0, 25)[:, None]
         assert np.allclose(m.f(-x, 0.0), -m.f(x, 0.0), atol=1e-12)
 
-    def test_gain_scale_zero_allowed(self):
-        m = sk.make_example2(noise_gain_scale=0.0)
-        assert np.all(m.g(np.array([2.0]), 0.0) == 0.0)
-
     @staticmethod
     def closed_loop_reference(z, xi):
         """The reduced closed-loop field (1+z^2)(arctan z)^(1/3)(xi/2 - 1)
@@ -396,6 +392,12 @@ class TestOsgoodDivergence:
         for d, val in zip(rep.deltas, rep.rho_integral):
             expected = math.log(math.log(1.0 / d) / math.log(10.0))
             assert val == pytest.approx(expected, abs=1e-8)
+
+    def test_modulus_vanishing_at_gamma_upper_is_rejected(self):
+        # u ln(1/u) is 0 at u = 1, so 1/rho is not integrable up to it
+        mp = ModulusPair(kappa=Modulus.log_osgood(1.0), rho=Modulus.log_osgood(1.0))
+        with pytest.raises(ValueError, match="positive at gamma_upper=1"):
+            sk.check_osgood_divergence(mp, 1.0)
 
 
 def test_unstable_cubic_grows():
