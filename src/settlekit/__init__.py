@@ -10,9 +10,9 @@ everything from a JSON config, and ``reproduce_figure`` runs it on the
 built-in demonstration configs.
 """
 
-from .certify import (Certificate, Envelope, FitResult, PowerLaw,
-                      certificate_from_dict, fit_constants, settling_bound,
-                      theta, theta_inverse, verify_drift, verify_sandwich)
+from .certify import (Certificate, Envelope, PowerLaw, fit_constants,
+                      settling_bound, theta, theta_inverse, verify_drift,
+                      verify_sandwich)
 from .cli import reproduce_figure
 from .errors import (ConfigError, ConstantConditionError, EvaluatorError,
                      QuadratureError, RateIntegralError)
@@ -25,9 +25,9 @@ from .noise import (MomentReport, NoisePath, NoiseProcess, WllnReport,
                     check_l1_bound, check_wlln, estimate_mean_square,
                     make_filtered_white_noise, make_random_phase_cosine,
                     path_seed, sample_path, zero_process)
-from .systems import (ConditionReport, Modulus, ModulusPair, OsgoodReport,
-                      SystemModel, check_origin, check_osgood,
-                      check_osgood_divergence, get_model, make_example1,
-                      make_example2, signed_power, stabilizing_controller)
+from .systems import (ConditionReport, Modulus, SystemModel, check_origin,
+                      check_osgood, check_osgood_divergence, get_model,
+                      make_example1, make_example2, signed_power,
+                      stabilizing_controller)
 
 __version__ = "0.1.0"

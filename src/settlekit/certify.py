@@ -22,6 +22,14 @@ for which theta and its inverse are closed-form; a general rate evaluator is
 admitted with quadrature fallbacks and a heuristic integrability check.
 Class-K-infinity bounds are restricted to power laws a*s^b so the envelope
 stays in closed form.
+
+The sampled checks return what they measured: ``verify_sandwich`` the
+``ConditionReport``s ``(lower, upper)``, ``verify_drift`` ``(drift, gain)``
+and ``fit_constants`` the floats ``(c1, c2)``; a pair of conditions holds
+when both reports have ``passed``.  ``settling_bound_at`` is the one
+evaluation of the bound at an initial state, for ``certify`` and the
+settling study alike; it reads inf when V(x0) overflows, a bound that no
+check accepts.
 """
 
 from __future__ import annotations
@@ -116,8 +124,9 @@ class Certificate:
         if float(np.max(np.abs(self.gradV(zero)))) > 1e-12:
             raise ValueError("gradV(0) must vanish (within 1e-12)")
         s = np.logspace(-6, 3, 37)
-        if np.any(self.alpha1(s) > self.alpha2(s) * (1.0 + 1e-12)):
-            raise ValueError("alpha1 must not exceed alpha2")
+        with np.errstate(over="ignore"):    # an overflowing alpha reads inf
+            if np.any(self.alpha1(s) > self.alpha2(s) * (1.0 + 1e-12)):
+                raise ValueError("alpha1 must not exceed alpha2")
 
     @property
     def decay_rate(self) -> float:
@@ -133,21 +142,6 @@ class Certificate:
         return {"gamma": self.gamma, "c1": self.c1, "c2": self.c2,
                 "K": self.noise_bound, "alpha1": self.alpha1.to_dict(),
                 "alpha2": self.alpha2.to_dict(), "V": self.lyapunov_name}
-
-
-def certificate_from_dict(data: dict, state_dim: int) -> Certificate:
-    """Build a certificate from its JSON form (V given by builtin name)."""
-    name = data.get("V", "")
-    if name not in LYAPUNOV_FUNCTIONS:
-        raise ValueError(f"unknown Lyapunov function name: {name!r} "
-                         f"(known: {sorted(LYAPUNOV_FUNCTIONS)})")
-    v_fn, grad_fn = LYAPUNOV_FUNCTIONS[name]
-    return Certificate(
-        state_dim=state_dim, V=v_fn, gradV=grad_fn,
-        c1=float(data["c1"]), c2=float(data["c2"]),
-        noise_bound=float(data["K"]),
-        alpha1=PowerLaw(**data["alpha1"]), alpha2=PowerLaw(**data["alpha2"]),
-        gamma=float(data["gamma"]), lyapunov_name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -248,26 +242,6 @@ def _deterministic_extras(dim: int, radius: float) -> np.ndarray:
     return np.asarray(points)
 
 
-@dataclass(frozen=True)
-class SandwichReport:
-    lower: ConditionReport   # V - alpha1(|x|) >= 0
-    upper: ConditionReport   # alpha2(|x|) - V >= 0
-
-    @property
-    def passed(self) -> bool:
-        return self.lower.passed and self.upper.passed
-
-
-@dataclass(frozen=True)
-class DriftReport:
-    drift: ConditionReport   # -gradV.f - c1 r(V) >= 0
-    gain: ConditionReport    # c2 r(V) - |gradV.g| >= 0
-
-    @property
-    def passed(self) -> bool:
-        return self.drift.passed and self.gain.passed
-
-
 def _lie_derivatives(model: SystemModel, gradV: Callable, x, t_grid):
     """gradV.f and |gradV.g| at the states x, shape (len(t_grid), len(x))."""
     grad = gradV(x)
@@ -279,9 +253,14 @@ def _lie_derivatives(model: SystemModel, gradV: Callable, x, t_grid):
     return np.array(lf), np.array(lg)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_sandwich(cert: Certificate, box_radius: float, n: int, tol: float,
-                    seed: int) -> SandwichReport:
-    """Sample the ball and check alpha1(|x|) <= V(x) <= alpha2(|x|)."""
+                    seed: int) -> tuple:
+    """Sample the ball and check alpha1(|x|) <= V(x) <= alpha2(|x|).
+
+    Returns the ``ConditionReport``s ``(lower, upper)`` of the margins
+    V - alpha1(|x|) and alpha2(|x|) - V; an overflowing margin reads +-inf
+    or NaN, without a numpy warning."""
     x = _sample_states(cert.state_dim, box_radius, n, seed)
     norms = np.linalg.norm(x, axis=1)
     v = cert.V(x)
@@ -289,14 +268,18 @@ def verify_sandwich(cert: Certificate, box_radius: float, n: int, tol: float,
     def where(i, j):
         return tuple(x[j])
 
-    return SandwichReport(
-        lower=ConditionReport.from_margins(v - cert.alpha1(norms), tol, where),
-        upper=ConditionReport.from_margins(cert.alpha2(norms) - v, tol, where))
+    return (ConditionReport.from_margins(v - cert.alpha1(norms), tol, where),
+            ConditionReport.from_margins(cert.alpha2(norms) - v, tol, where))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_drift(cert: Certificate, model: SystemModel, box_radius: float,
-                 n: int, t_grid, tol: float, seed: int) -> DriftReport:
-    """Sample (x, t) and check the two rate inequalities of the certificate."""
+                 n: int, t_grid, tol: float, seed: int) -> tuple:
+    """Sample (x, t) and check the two rate inequalities of the certificate.
+
+    Returns the ``ConditionReport``s ``(drift, gain)`` of the margins
+    -gradV.f - c1 r(V) and c2 r(V) - |gradV.g|, quietly as
+    ``verify_sandwich``."""
     x = _sample_states(cert.state_dim, box_radius, n, seed)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     lf, lg = _lie_derivatives(model, cert.gradV, x, t_grid)
@@ -305,9 +288,8 @@ def verify_drift(cert: Certificate, model: SystemModel, box_radius: float,
     def where(i, j):
         return tuple(x[j]), float(t_grid[i])
 
-    return DriftReport(
-        drift=ConditionReport.from_margins(-lf - cert.c1 * rv, tol, where),
-        gain=ConditionReport.from_margins(cert.c2 * rv - lg, tol, where))
+    return (ConditionReport.from_margins(-lf - cert.c1 * rv, tol, where),
+            ConditionReport.from_margins(cert.c2 * rv - lg, tol, where))
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +302,13 @@ def settling_bound(cert: Certificate, v0: float) -> float:
     if v0 < 0:
         raise ValueError("v0 must be nonnegative")
     return theta(cert, v0) / cert.decay_rate
+
+
+@np.errstate(over="ignore")
+def settling_bound_at(cert: Certificate, x0) -> float:
+    """``settling_bound`` at the level V(x0); inf, without a numpy warning,
+    when V(x0) overflows."""
+    return settling_bound(cert, float(cert.V(x0)))
 
 
 @dataclass(frozen=True)
@@ -354,28 +343,20 @@ class Envelope:
 # Empirical constant fitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FitResult:
-    c1: float
-    c2: float
-    certifiable: bool
-
-
 def fit_constants(model: SystemModel, V: Callable, gradV: Callable, gamma: float,
-                  box_radius: float, n: int, t_grid, seed: int) -> FitResult:
-    """Tightest empirical constants for the power-rate inequalities:
+                  box_radius: float, n: int, t_grid, seed: int) -> tuple:
+    """Tightest empirical constants ``(c1, c2)`` for the power-rate
+    inequalities:
 
         c1 = inf over samples of -(gradV.f) / V^gamma
         c2 = sup over samples of |gradV.g| / V^gamma
 
-    The origin is excluded (0/0); ``certifiable`` is False when c1 <= 0,
-    i.e. the Lyapunov candidate fails on the sampled set.
+    The origin is excluded (0/0).  The Lyapunov candidate fails on the
+    sampled set when c1 <= 0.
     """
     x = _sample_states(model.n, box_radius, n, seed)
     x = x[np.linalg.norm(x, axis=1) > 1e-12]
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     lf, lg = _lie_derivatives(model, gradV, x, t_grid)
     vpow = np.asarray(V(x)) ** gamma
-    c1_fit = float(np.min(-lf / vpow))
-    return FitResult(c1=c1_fit, c2=float(np.max(lg / vpow)),
-                     certifiable=bool(c1_fit > 0))
+    return float(np.min(-lf / vpow)), float(np.max(lg / vpow))

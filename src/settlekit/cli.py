@@ -3,9 +3,10 @@
 Commands: noise-check, certify, simulate, settle, reproduce.  ``reproduce``
 runs ``simulate``'s single path on one of three built-in configs.
 Exit codes: 0 success, 1 check/bound failure (or blow-up, or a model
-evaluator that returns NaN), 2 configuration error.  A configuration error
-never leaves partial output files: the whole config is validated and all
-objects are constructed before anything is written.
+evaluator that returns NaN, or a certify settling bound that is not
+finite), 2 configuration error.  A configuration error never leaves
+partial output files: the whole config is validated and all objects are
+constructed before anything is written.
 
 ``COMMANDS`` maps each config command to its handler and the top-level
 config blocks it needs.  A handler ``cmd_*(cfg)`` computes everything and
@@ -34,8 +35,8 @@ import sys
 import numpy as np
 
 from . import defaults
-from .certify import certificate_from_dict, settling_bound, verify_drift, \
-    verify_sandwich
+from .certify import (LYAPUNOV_FUNCTIONS, Certificate, PowerLaw,
+                      settling_bound_at, verify_drift, verify_sandwich)
 from .errors import ConfigError, ConstantConditionError, EvaluatorError
 from .fileio import fmt, write_outputs
 from .integrate import IntegratorConfig, check_run, integrate_path, \
@@ -258,19 +259,29 @@ class ExperimentConfig:
     def _parse_certificate(self, cert: _Block):
         if self.model is None:
             raise ConfigError("field certificate requires a model")
-        # checked, not converted: certify_report.json echoes the JSON values
-        for key in ("gamma", "c1", "c2", "K"):
-            cert.number(key)
+        # every field is read before the try, as ConfigError is a ValueError
+        gamma, c1, c2, noise_bound = map(cert.number, ("gamma", "c1", "c2", "K"))
+        # the alphas are checked, not converted: certify_report.json echoes
+        # their JSON values
+        alpha = {}
         for key in ("alpha1", "alpha2"):
-            alpha = cert.get(key)
-            for k, v in (alpha.items() if isinstance(alpha, dict) else ()):
+            alpha[key] = cert.get(key)
+            for k, v in (alpha[key].items() if isinstance(alpha[key], dict) else ()):
                 _number(v, f"certificate.{key}.{k}")
-        v_default = "half-square-arctan" if self.model.n == 1 else "half-square-norm"
+        name = cert.get("V", "half-square-arctan" if self.model.n == 1
+                        else "half-square-norm")
         try:
-            return certificate_from_dict({"V": v_default, **cert.data}, self.model.n)
+            if name not in LYAPUNOV_FUNCTIONS:
+                raise ValueError(f"unknown Lyapunov function name: {name!r} "
+                                 f"(known: {sorted(LYAPUNOV_FUNCTIONS)})")
+            v_fn, grad_fn = LYAPUNOV_FUNCTIONS[name]
+            return Certificate(
+                state_dim=self.model.n, V=v_fn, gradV=grad_fn, c1=c1, c2=c2,
+                noise_bound=noise_bound, alpha1=PowerLaw(**alpha["alpha1"]),
+                alpha2=PowerLaw(**alpha["alpha2"]), gamma=gamma, lyapunov_name=name)
         except ConstantConditionError:
             raise
-        except (ValueError, KeyError, TypeError) as e:
+        except (ValueError, TypeError) as e:
             raise ConfigError(f"field certificate: {e}")
 
 
@@ -309,24 +320,27 @@ def cmd_certify(cfg: ExperimentConfig):
     cert = cfg.certificate
     sampled = dict(box_radius=defaults.CERTIFY_BOX_RADIUS, n=defaults.CERTIFY_SAMPLES,
                    tol=defaults.SAMPLED_INEQUALITY_TOL, seed=cfg.mc.master_seed)
-    sandwich = verify_sandwich(cert, **sampled)
-    drift = verify_drift(cert, cfg.model, t_grid=[0.0], **sampled)
-    bound = settling_bound(cert, float(cert.V(cfg.x0)))
+    lower, upper = verify_sandwich(cert, **sampled)
+    drift, gain = verify_drift(cert, cfg.model, t_grid=[0.0], **sampled)
+    sandwich_ok = lower.passed and upper.passed
+    drift_ok = drift.passed and gain.passed
+    bound = settling_bound_at(cert, cfg.x0)
     report = {
         "constant_condition": {"c1": cert.c1,
                                "two_c2_sqrt_k": 2.0 * cert.c2 * cert.noise_bound ** 0.5,
                                "passed": True},
-        "sandwich": {"lower": sandwich.lower.to_dict(),
-                     "upper": sandwich.upper.to_dict(),
-                     "passed": sandwich.passed},
-        "drift": {"drift": drift.drift.to_dict(), "gain": drift.gain.to_dict(),
-                  "passed": drift.passed},
+        "sandwich": {"lower": lower.to_dict(), "upper": upper.to_dict(),
+                     "passed": sandwich_ok},
+        "drift": {"drift": drift.to_dict(), "gain": gain.to_dict(),
+                  "passed": drift_ok},
         "settling_bound_at_x0": bound,
         "certificate": cert.to_dict(),
     }
-    return ({"certify_report.json": report}, sandwich.passed and drift.passed,
-            f"certify: sandwich={'pass' if sandwich.passed else 'FAIL'} "
-            f"drift={'pass' if drift.passed else 'FAIL'} "
+    # a bound that is not finite (V(x0) overflowed) certifies nothing
+    return ({"certify_report.json": report},
+            sandwich_ok and drift_ok and math.isfinite(bound),
+            f"certify: sandwich={'pass' if sandwich_ok else 'FAIL'} "
+            f"drift={'pass' if drift_ok else 'FAIL'} "
             f"settling bound at x0 = {fmt(bound)}")
 
 

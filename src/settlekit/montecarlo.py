@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import defaults
-from .certify import Certificate, Envelope, PowerLaw, settling_bound
+from .certify import Certificate, Envelope, PowerLaw, settling_bound_at
 from .integrate import (IntegratorConfig, check_run, integrate_batch,
                         steps_per_cell)
 from .noise import BatchSampler, NoiseProcess, grid_points, l1_ratios, path_seed
@@ -88,12 +88,7 @@ class CoverageReport:
     per_time_fraction: np.ndarray
     overall_fraction: float
     overall_fraction_from_l1_time: float
-    epsilon_target: float
     extinction_time: float
-
-    @property
-    def passed(self) -> bool:
-        return self.overall_fraction >= 1.0 - self.epsilon_target
 
 
 # Grid points drawn per noise block: with m steps per cell a block lasts 64 m
@@ -138,7 +133,8 @@ def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
     """Integrate n_paths independent paths and summarize settling times.
 
     With a certificate, evaluates the expected-settling-time bound at V(x0)
-    and sets ``bound_satisfied`` one-sidedly (mean - half_width <= bound).
+    and sets ``bound_satisfied`` one-sidedly (mean - half_width <= bound);
+    a bound that is not finite is not satisfied.
     """
     if cert is not None and cfg.n_paths < defaults.MIN_PATHS_FOR_BOUND:
         raise ValueError(
@@ -164,8 +160,9 @@ def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
             hw = float(defaults.CONFIDENCE_Z * times.std(ddof=1) / math.sqrt(n_settled))
     bound = bound_ok = None
     if cert is not None:
-        bound = settling_bound(cert, float(cert.V(run.x0)))
-        bound_ok = bool(mean is not None and mean - hw <= bound)
+        bound = settling_bound_at(cert, run.x0)
+        bound_ok = bool(mean is not None and math.isfinite(bound)
+                        and mean - hw <= bound)
     return SettlingStats(
         n_paths=n, n_settled=n_settled, n_censored=n - n_settled,
         n_blowups=int(blown.sum()), mean=mean, half_width=hw,
@@ -186,7 +183,7 @@ def estimate_stability_probability(model: SystemModel, process: NoiseProcess,
 
 
 def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
-                      cert: Certificate, cfg: McConfig, epsilon_target: float,
+                      cert: Certificate, cfg: McConfig,
                       t0: float = 0.0) -> CoverageReport:
     """Per-time and whole-path fractions of trajectories under the decay
     envelope.
@@ -235,4 +232,4 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
         overall_fraction=int(np.sum(res.last_out < 0)) / cfg.n_paths,
         overall_fraction_from_l1_time=(
             int(np.sum(res.last_out < start_idx * run.m)) / cfg.n_paths),
-        epsilon_target=float(epsilon_target), extinction_time=env.t_ext)
+        extinction_time=env.t_ext)

@@ -7,7 +7,12 @@ Evaluators are pure functions that broadcast over leading batch axes:
 CLI and config files.
 
 Structural checks are sampling-based: they can falsify a condition or build
-confidence, not prove it.
+confidence, not prove it.  Each reduces its sampled margins to one
+``ConditionReport`` per condition and returns them as a plain value:
+``check_origin`` one report, ``check_osgood`` the pair ``(f_condition,
+g_condition)``.  The moduli kappa (for f) and rho (for g) are passed as two
+``Modulus`` arguments, to ``check_osgood`` and ``check_osgood_divergence``
+alike.
 """
 
 from __future__ import annotations
@@ -241,14 +246,6 @@ class Modulus:
 
 
 @dataclass(frozen=True)
-class ModulusPair:
-    """Moduli (kappa for f, rho for g) of the continuity conditions."""
-
-    kappa: Modulus
-    rho: Modulus
-
-
-@dataclass(frozen=True)
 class ConditionReport:
     """Outcome of a sampled inequality check; margin >= 0 means slack."""
 
@@ -276,21 +273,9 @@ class ConditionReport:
     def to_dict(self) -> dict:
         return {"n_samples": self.n_samples,
                 "worst_margin": self.worst_margin,
-                "violations": [[list(e) if isinstance(e, tuple) else e for e in v]
-                               if isinstance(v, tuple) else v
-                               for v in self.violations],
+                "violations": self.violations,
                 "tolerance": self.tolerance,
                 "passed": self.passed}
-
-
-@dataclass(frozen=True)
-class OsgoodReport:
-    f_condition: ConditionReport
-    g_condition: ConditionReport
-
-    @property
-    def passed(self) -> bool:
-        return self.f_condition.passed and self.g_condition.passed
 
 
 def _spectral_norm(a):
@@ -316,16 +301,17 @@ def check_origin(model: SystemModel, t_grid, tol: float) -> ConditionReport:
         lambda i, j: (tuple(zero), float(t_grid[i])))
 
 
-def check_osgood(model: SystemModel, moduli: ModulusPair, box_radius: float,
-                 n_pairs: int, t_grid, tol: float, seed: int) -> OsgoodReport:
+def check_osgood(model: SystemModel, kappa: Modulus, rho: Modulus,
+                 box_radius: float, n_pairs: int, t_grid, tol: float,
+                 seed: int) -> tuple:
     """Sample state pairs in the box and test the two continuity conditions
 
         |f(x1,t) - f(x2,t)|      <= kappa(|x1 - x2|)
         ||g(x1,t) - g(x2,t)||^2  <= rho(|x1 - x2|)
 
     at every time of ``t_grid``, with the same moduli at each time.  Margins
-    are (right side - left side); the worst over samples is reported
-    separately for the f and g conditions.
+    are (right side - left side).  Returns the ``ConditionReport``s
+    ``(f_condition, g_condition)``.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
@@ -339,14 +325,14 @@ def check_osgood(model: SystemModel, moduli: ModulusPair, box_radius: float,
     for t in t_grid:
         df = np.linalg.norm(model.f(x1, t) - model.f(x2, t), axis=1)
         dg = _spectral_norm(model.g(x1, t) - model.g(x2, t))
-        mf.append(moduli.kappa(dist) - df)
-        mg.append(moduli.rho(dist) - dg ** 2)
+        mf.append(kappa(dist) - df)
+        mg.append(rho(dist) - dg ** 2)
 
     def where(i, j):
         return tuple(x1[j]), tuple(x2[j]), float(t_grid[i])
 
-    return OsgoodReport(f_condition=ConditionReport.from_margins(mf, tol, where),
-                        g_condition=ConditionReport.from_margins(mg, tol, where))
+    return (ConditionReport.from_margins(mf, tol, where),
+            ConditionReport.from_margins(mg, tol, where))
 
 
 @dataclass(frozen=True)
@@ -374,7 +360,8 @@ def log_quad(denom: Callable, s_lo: float, s_hi: float) -> float:
     return quad(integrand, s_lo, s_hi, limit=200)[0]
 
 
-def check_osgood_divergence(moduli: ModulusPair, gamma_upper: float) -> DivergenceReport:
+def check_osgood_divergence(kappa: Modulus, rho: Modulus,
+                            gamma_upper: float) -> DivergenceReport:
     """Probe the divergence of the two Osgood integrals near zero.
 
     Evaluates the truncated integrals at delta = 10^-k, k = 1..12, and calls
@@ -385,7 +372,7 @@ def check_osgood_divergence(moduli: ModulusPair, gamma_upper: float) -> Divergen
         raise ValueError("gamma_upper must be positive")
     # a concave modulus vanishing at 0 and positive at gamma_upper is
     # positive on (0, gamma_upper], so no denominator below is 0
-    if not (moduli.rho(gamma_upper) > 0 and moduli.kappa(gamma_upper) > 0):
+    if not (rho(gamma_upper) > 0 and kappa(gamma_upper) > 0):
         raise ValueError(f"moduli must be positive at gamma_upper={gamma_upper:g}")
     deltas = 10.0 ** -np.arange(1, 13)
     deltas = deltas[deltas < gamma_upper]
@@ -396,9 +383,8 @@ def check_osgood_divergence(moduli: ModulusPair, gamma_upper: float) -> Divergen
     rho_vals, comb_vals = [], []
     for d in deltas:
         s_hi = math.log(1.0 / d)
-        rho_vals.append(log_quad(moduli.rho, s_lo, s_hi))
-        comb_vals.append(log_quad(
-            lambda u: np.sqrt(moduli.rho(u)) + moduli.kappa(u), s_lo, s_hi))
+        rho_vals.append(log_quad(rho, s_lo, s_hi))
+        comb_vals.append(log_quad(lambda u: np.sqrt(rho(u)) + kappa(u), s_lo, s_hi))
     rho_vals = np.asarray(rho_vals)
     comb_vals = np.asarray(comb_vals)
 

@@ -78,6 +78,19 @@ class TestConfigErrors:
         cfg["certificate"] = {}
         assert main(["--config", write_config(tmp_path, cfg), "certify"]) == 2
 
+    def test_unknown_lyapunov_name(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = base_config(out)
+        cfg["certificate"] = {"V": "mystery", "gamma": 0.5, "c1": 1, "c2": 0.1,
+                              "K": 0.0, "alpha1": {"a": 1, "b": 2},
+                              "alpha2": {"a": 1, "b": 2}}
+        assert main(["--config", write_config(tmp_path, cfg), "certify"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: field certificate: unknown "
+                              "Lyapunov function name: 'mystery'")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_no_partial_outputs_on_config_error(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_config(out)
@@ -604,6 +617,46 @@ class TestCertify:
             report = json.loads(data)
             assert len(report["sandwich"]["lower"]["violations"]) == 10
             assert len(report["drift"]["drift"]["violations"]) == 10
+
+    def test_default_lyapunov_report_bytes_are_pinned(self, tmp_path):
+        # no V key: the one-state example2 reads half-square-arctan
+        out = tmp_path / "out"
+        cfg = {"model": "example2-closed", "x0": [3],
+               "noise": {"kind": "filtered-white-noise", "intensity": 0.5,
+                         "tau_f": 1.0, "h_noise": 0.01},
+               "certificate": {"gamma": 2.0 / 3.0, "c1": 2.0 ** (2.0 / 3.0),
+                               "c2": 2.0 ** (-1.0 / 3.0), "K": 0.25,
+                               "alpha1": {"a": 1.0 / 32.0, "b": 2},
+                               "alpha2": {"a": 0.5, "b": 2}},
+               "mc": {"master_seed": 2024}, "out_dir": str(out)}
+        assert main(["--config", write_config(tmp_path, cfg), "certify"]) == 0
+        assert file_digests(out, "certify_report.json") == [
+            "711a7d97d8069c5f1375ced8eea0bc12a998651c243ab3231d4dafe9f71b6b00"]
+
+    @pytest.mark.parametrize("x0,alphas,code,line,err", [
+        ([1e200, 0], {}, 1, "settling bound at x0 = inf", ""),
+        ([1.0, 1.0], {"alpha1": {"a": 0.5, "b": 200},
+                      "alpha2": {"a": 0.5, "b": 200}}, 1, "sandwich=FAIL", ""),
+        ([1.0, 1.0], {"alpha1": {"a": 1e308, "b": 2}}, 2, "",
+         "configuration error: field certificate: alpha1 must not exceed alpha2\n"),
+    ], ids=["x0-1e200", "alpha-b-200", "alpha1-a-1e308"])
+    def test_overflow_warns_nothing(self, tmp_path, capsys, x0, alphas, code,
+                                    line, err):
+        # V(x0) overflows to an infinite bound, which fails; the sampled
+        # margins and the alpha ordering check read an overflow as inf
+        out = tmp_path / "out"
+        cfg = readme_config()
+        cfg["x0"] = x0
+        cfg["certificate"].update(alphas)
+        cfg["out_dir"] = str(out)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", write_config(tmp_path, cfg), "certify"]) == code
+        captured = capsys.readouterr()
+        assert line in captured.out and captured.err == err
+        if code == 1 and not alphas:
+            report = json.loads((out / "certify_report.json").read_text())
+            assert report["settling_bound_at_x0"] is None
 
 
 class TestSimulate:

@@ -110,9 +110,8 @@ def test_cli_command_loads_no_scipy(tmp_path, config, command):
      "                   alpha1=PowerLaw(0.5, 2), alpha2=PowerLaw(0.5, 2))\n"
      "settlekit.theta_inverse(cert, 1.0)",
      "scipy.optimize"),
-    ("from settlekit.systems import Modulus, ModulusPair\n"
-     "settlekit.check_osgood_divergence(\n"
-     "    ModulusPair(kappa=Modulus.linear(1.0), rho=Modulus.linear(1.0)), 1.0)",
+    ("from settlekit.systems import Modulus\n"
+     "settlekit.check_osgood_divergence(Modulus.linear(1.0), Modulus.linear(1.0), 1.0)",
      "scipy.integrate"),
     ("import numpy as np\n"
      "m = settlekit.make_example1()\n"

@@ -77,8 +77,7 @@ class TestEstimateSettling:
                 lambda: sk.estimate_settling(*args, cfg),
                 lambda: sk.estimate_stability_probability(
                     *args, PowerLaw(1.0, 1.0), cfg),
-                lambda: sk.envelope_coverage(*args, ex1_cert(k=0.0, dim=1),
-                                             cfg, 0.05)):
+                lambda: sk.envelope_coverage(*args, ex1_cert(k=0.0, dim=1), cfg)):
             calls.clear()
             study()
             steps.append(len(calls))
@@ -162,6 +161,20 @@ class TestEstimateSettling:
                                  np.array([1.0, 1.0]), mc_config(n_paths=10),
                                  cert=ex1_cert())
 
+    def test_non_finite_bound_is_not_satisfied(self):
+        # V(x0) = 1e308 |x0|^2 / 2 overflows at x0 = 2: every path settles,
+        # and the infinite bound still fails, without a numpy warning
+        cert = Certificate(state_dim=1, V=lambda x: 1e308 * V_NORM(x),
+                           gradV=GRAD_NORM, gamma=2.0 / 3.0, c1=TWO_23, c2=TWO_23,
+                           noise_bound=0.0, alpha1=PowerLaw(0.5, 2),
+                           alpha2=PowerLaw(0.5, 2))
+        stats = sk.estimate_settling(sqrt_model(), sk.zero_process(1),
+                                     np.array([2.0]), mc_config(n_paths=100),
+                                     cert=cert)
+        assert stats.n_settled == 100
+        assert stats.bound_from_certificate == np.inf
+        assert stats.bound_satisfied is False
+
     def test_blowups_flagged_and_censored(self):
         model = sk.get_model("unstable-cubic")
         cfg = sk.McConfig(n_paths=3, master_seed=1,
@@ -215,8 +228,7 @@ class TestEnvelopeCoverage:
         cert = ex1_cert(k=0.0)
         cov = sk.envelope_coverage(sk.make_example1(), sk.zero_process(2),
                                    np.array([1.0, 1.0]), cert,
-                                   mc_config(n_paths=4, horizon=6.0, h=2e-3),
-                                   epsilon_target=0.05)
+                                   mc_config(n_paths=4, horizon=6.0, h=2e-3))
         assert cov.overall_fraction == 1.0
         assert np.all(cov.per_time_fraction == 1.0)
 
@@ -232,7 +244,7 @@ class TestEnvelopeCoverage:
         proc = sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0])
         cov = sk.envelope_coverage(sk.make_example1(), proc, np.array([1.0, 1.0]),
                                    ex1_cert(), mc_config(n_paths=7, horizon=2.0,
-                                                         h=2e-3), 0.05)
+                                                         h=2e-3))
         assert drawn == [sk.path_seed(1, i) for i in range(7)]
         assert cov.overall_fraction_from_l1_time >= cov.overall_fraction
 
@@ -254,7 +266,7 @@ class TestEnvelopeCoverage:
         proc = sk.make_random_phase_cosine(0.1 + 0.05 * np.arange(l),
                                            1.0 + np.arange(l))
         sk.envelope_coverage(model, proc, np.array([1.0]), ex1_cert(dim=1),
-                             mc_config(n_paths=4, horizon=2.0, seed=7), 0.05)
+                             mc_config(n_paths=4, horizon=2.0, seed=7))
         mags = np.concatenate(read, axis=1)
         assert mags.shape == (4, 201)
         for i, row in enumerate(mags):
@@ -273,17 +285,8 @@ class TestEnvelopeCoverage:
                                noise_bound=0.09, alpha1=PowerLaw(a1, 2),
                                alpha2=PowerLaw(0.5, 2))
             covs.append(sk.envelope_coverage(model, proc, np.array([1.0, 1.0]),
-                                             cert, cfg, 0.05))
+                                             cert, cfg))
         assert covs[1].overall_fraction >= covs[0].overall_fraction
-
-    @pytest.mark.parametrize("fraction, passed", [
-        (1.0, True), (0.75, True), (0.7, False), (0.0, False)])
-    def test_passed_needs_the_whole_path_fraction(self, fraction, passed):
-        cov = montecarlo.CoverageReport(
-            times=np.zeros(1), per_time_fraction=np.ones(1),
-            overall_fraction=fraction, overall_fraction_from_l1_time=1.0,
-            epsilon_target=0.25, extinction_time=1.0)
-        assert cov.passed is passed
 
 
 class TestPinnedResults:
@@ -297,8 +300,7 @@ class TestPinnedResults:
 
     def test_envelope_coverage(self):
         cov = sk.envelope_coverage(*self.strong_noise(), ex1_cert(),
-                                   mc_config(n_paths=40, horizon=4.0, h=2e-3),
-                                   0.05)
+                                   mc_config(n_paths=40, horizon=4.0, h=2e-3))
         assert hashlib.sha256(cov.per_time_fraction.tobytes()).hexdigest() == \
             "3238db73106a9867ace1a4b46cb0e017051687f18d6c9e6a092da4a256b43efe"
         assert cov.overall_fraction == 0.575
@@ -307,7 +309,7 @@ class TestPinnedResults:
     @staticmethod
     def assert_report(cov, fractions, extinction, digests):
         assert (cov.overall_fraction, cov.overall_fraction_from_l1_time) == fractions
-        assert (cov.extinction_time, cov.epsilon_target) == (extinction, 0.05)
+        assert cov.extinction_time == extinction
         assert [hashlib.sha256(a.tobytes()).hexdigest()
                 for a in (cov.times, cov.per_time_fraction)] == digests
 
@@ -329,7 +331,7 @@ class TestPinnedResults:
             mags = np.sqrt(np.sum(path.values ** 2, axis=1))
             assert not np.any(sk.noise.l1_ratios(mags, 0.01, 0.0, 0.3)[0] <= 1.0)
         self.assert_report(
-            sk.envelope_coverage(model, proc, x0, cert, cfg, 0.05),
+            sk.envelope_coverage(model, proc, x0, cert, cfg),
             (0.625, 0.875), 6.098107116160141,
             ["cf9271de5cac40aaf16c25adb16bdfd21f1960e885655e61b0b7f3e1c8fad23f",
              "d53350154a5d7587cf012f4a991b730200ccc12f32eae20e155ced3b313a2268"])
@@ -346,8 +348,7 @@ class TestPinnedResults:
         good = sk.noise.l1_ratios(np.abs(path.values[:, 0]), 0.01, 0.0, 0.12)[0] <= 1
         assert good.argmax() == 95
         cov = sk.envelope_coverage(sk.get_model("unstable-cubic"), proc,
-                                   np.array([2.0]), ex1_cert(0.12, 1), cfg,
-                                   0.05)
+                                   np.array([2.0]), ex1_cert(0.12, 1), cfg)
         self.assert_report(
             cov, (0.0, 0.25), 7.751494504520428,
             ["8a897666aee384b4aedc56a912986750875fa1e560e7a842f4fd2d6dfc1df02c",
@@ -366,7 +367,7 @@ class TestPinnedResults:
                           h_noise=0.01)
         cov = sk.envelope_coverage(sk.get_model("unstable-cubic"),
                                    sk.zero_process(1), np.array([2.0]),
-                                   ex1_cert(dim=1), cfg, 0.05)
+                                   ex1_cert(dim=1), cfg)
         assert hashlib.sha256(cov.per_time_fraction.tobytes()).hexdigest() == \
             "f1f767bcef9abd9978a09acda2bf15e3c7538101c7d5d01383e3255a6bf7c0de"
         assert cov.overall_fraction == cov.overall_fraction_from_l1_time == 0.0

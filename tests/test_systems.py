@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import settlekit as sk
-from settlekit.systems import Modulus, ModulusPair, make_unstable_cubic
+from settlekit.systems import Modulus, make_unstable_cubic
 
 
 class TestSignedPower:
@@ -279,7 +279,7 @@ class TestCheckOrigin:
         rep = sk.check_origin(bad, [0.0, 1.0, 2.0], tol=1e-12)
         assert not rep.passed
         assert len(rep.violations) == 3
-        assert rep.to_dict()["violations"][1] == [[0.0, 0.0], 1.0]
+        assert rep.to_dict()["violations"][1] == ((0.0, 0.0), 1.0)
 
     @pytest.mark.parametrize("nan_in", ["f", "g"])
     def test_nan_at_the_origin_fails(self, nan_in):
@@ -322,11 +322,11 @@ class TestCheckOsgood:
         # f = -x with kappa(u) = u gives margin exactly 0 at every pair
         m = sk.SystemModel(n=1, l=1, f=lambda x, t: -x,
                            g=lambda x, t: np.zeros(x.shape + (1,)), name="lin")
-        mp = ModulusPair(kappa=Modulus.linear(1.0), rho=Modulus.linear(1.0))
-        rep = sk.check_osgood(m, mp, box_radius=2.0, n_pairs=200, t_grid=[0.0],
-                              tol=1e-12, seed=5)
-        assert rep.f_condition.worst_margin == 0.0
-        assert rep.passed
+        f_cond, g_cond = sk.check_osgood(m, Modulus.linear(1.0), Modulus.linear(1.0),
+                                         box_radius=2.0, n_pairs=200, t_grid=[0.0],
+                                         tol=1e-12, seed=5)
+        assert f_cond.worst_margin == 0.0
+        assert f_cond.passed and g_cond.passed
 
     @pytest.mark.parametrize("nan_in", ["f", "g"])
     def test_nan_on_part_of_the_box_fails(self, nan_in):
@@ -334,50 +334,47 @@ class TestCheckOsgood:
         # linear moduli every finite margin is >= 0
         f = lambda x, t: np.where(x > 1.0, np.nan, -x) if nan_in == "f" else -x
         g = lambda x, t: np.where((x[..., None] > 1.0) & (nan_in == "g"), np.nan, 0.0)
-        mp = ModulusPair(kappa=Modulus.linear(1.0), rho=Modulus.linear(1.0))
-        rep = sk.check_osgood(sk.SystemModel(n=1, l=1, f=f, g=g), mp,
-                              box_radius=2.0, n_pairs=200, t_grid=[0.0],
-                              tol=1e-12, seed=5)
-        bad, good = ((rep.f_condition, rep.g_condition) if nan_in == "f"
-                     else (rep.g_condition, rep.f_condition))
+        f_cond, g_cond = sk.check_osgood(
+            sk.SystemModel(n=1, l=1, f=f, g=g), Modulus.linear(1.0),
+            Modulus.linear(1.0), box_radius=2.0, n_pairs=200, t_grid=[0.0],
+            tol=1e-12, seed=5)
+        bad, good = (f_cond, g_cond) if nan_in == "f" else (g_cond, f_cond)
         assert math.isnan(bad.worst_margin) and not bad.passed
-        assert good.passed and not rep.passed
+        assert good.passed and not (f_cond.passed and g_cond.passed)
 
     def test_example1_candidate_moduli_pass(self):
         m = sk.make_example1()
-        mp = ModulusPair(kappa=Modulus.root(4.0, 1.0 / 3.0) + Modulus.linear(2.0),
-                         rho=Modulus.root(8.0, 1.0 / 3.0) + Modulus.linear(4.0))
-        rep = sk.check_osgood(m, mp, box_radius=2.0, n_pairs=20000,
-                              t_grid=[0.0], tol=1e-9, seed=3)
-        assert rep.passed
-        assert rep.f_condition.worst_margin > 0.5
+        f_cond, g_cond = sk.check_osgood(
+            m, Modulus.root(4.0, 1.0 / 3.0) + Modulus.linear(2.0),
+            Modulus.root(8.0, 1.0 / 3.0) + Modulus.linear(4.0), box_radius=2.0,
+            n_pairs=20000, t_grid=[0.0], tol=1e-9, seed=3)
+        assert f_cond.passed and g_cond.passed
+        assert f_cond.worst_margin > 0.5
 
     def test_margin_symmetric_under_swap(self):
         m = sk.make_example1()
-        mp = ModulusPair(kappa=Modulus.root(4.0, 1.0 / 3.0) + Modulus.linear(2.0),
-                         rho=Modulus.root(8.0, 1.0 / 3.0) + Modulus.linear(4.0))
+        kappa = Modulus.root(4.0, 1.0 / 3.0) + Modulus.linear(2.0)
         rng = np.random.default_rng(1)
         x1 = rng.uniform(-2, 2, size=(50, 2))
         x2 = rng.uniform(-2, 2, size=(50, 2))
         d12 = np.linalg.norm(x1 - x2, axis=1)
         d21 = np.linalg.norm(x2 - x1, axis=1)
-        m12 = mp.kappa(d12) - np.linalg.norm(m.f(x1, 0.0) - m.f(x2, 0.0), axis=1)
-        m21 = mp.kappa(d21) - np.linalg.norm(m.f(x2, 0.0) - m.f(x1, 0.0), axis=1)
+        m12 = kappa(d12) - np.linalg.norm(m.f(x1, 0.0) - m.f(x2, 0.0), axis=1)
+        m21 = kappa(d21) - np.linalg.norm(m.f(x2, 0.0) - m.f(x1, 0.0), axis=1)
         assert np.array_equal(m12, m21)
 
 
 class TestOsgoodDivergence:
     def test_linear_modulus_diverges_logarithmically(self):
-        mp = ModulusPair(kappa=Modulus.linear(1.0), rho=Modulus.linear(1.0))
-        rep = sk.check_osgood_divergence(mp, 1.0)
+        rep = sk.check_osgood_divergence(Modulus.linear(1.0), Modulus.linear(1.0), 1.0)
         assert rep.rho_diverging
         # I(delta) = ln(gamma/delta)
         for d, val in zip(rep.deltas, rep.rho_integral):
             assert val == pytest.approx(math.log(1.0 / d), abs=1e-8)
 
     def test_square_root_modulus_converges(self):
-        mp = ModulusPair(kappa=Modulus.root(1.0, 0.5), rho=Modulus.root(1.0, 0.5))
-        rep = sk.check_osgood_divergence(mp, 1.0)
+        rep = sk.check_osgood_divergence(Modulus.root(1.0, 0.5),
+                                         Modulus.root(1.0, 0.5), 1.0)
         assert not rep.rho_diverging
         assert not rep.combined_diverging
         # I(delta) = 2 (sqrt(gamma) - sqrt(delta))
@@ -385,8 +382,8 @@ class TestOsgoodDivergence:
             2.0 * (1.0 - math.sqrt(rep.deltas[-1])), abs=1e-8)
 
     def test_log_osgood_modulus_diverges(self):
-        mp = ModulusPair(kappa=Modulus.log_osgood(1.0), rho=Modulus.log_osgood(1.0))
-        rep = sk.check_osgood_divergence(mp, 0.1)
+        rep = sk.check_osgood_divergence(Modulus.log_osgood(1.0),
+                                         Modulus.log_osgood(1.0), 0.1)
         assert rep.rho_diverging
         # I(delta) = ln ln(1/delta) - ln ln(10) for gamma = 0.1
         for d, val in zip(rep.deltas, rep.rho_integral):
@@ -395,9 +392,9 @@ class TestOsgoodDivergence:
 
     def test_modulus_vanishing_at_gamma_upper_is_rejected(self):
         # u ln(1/u) is 0 at u = 1, so 1/rho is not integrable up to it
-        mp = ModulusPair(kappa=Modulus.log_osgood(1.0), rho=Modulus.log_osgood(1.0))
         with pytest.raises(ValueError, match="positive at gamma_upper=1"):
-            sk.check_osgood_divergence(mp, 1.0)
+            sk.check_osgood_divergence(Modulus.log_osgood(1.0),
+                                       Modulus.log_osgood(1.0), 1.0)
 
 
 def test_unstable_cubic_grows():
