@@ -158,10 +158,20 @@ def _theta_quadrature(rate_fn: Callable, v: float) -> float:
     With u = exp(-s) the singular end u -> 0 maps to s -> infinity; segments
     of the transformed integral are accumulated until they stop contributing.
     Raises RateIntegralError when the refinement has not converged by
-    u ~ 1e-300 (1/r not integrable at 0, or too slowly integrable to tell).
+    u ~ 1e-300 (1/r not integrable at 0, or too slowly integrable to tell),
+    and for a level below that range.  An infinite level gives inf, the
+    bound the power rate gives there.
     """
-    total = 0.0
+    if math.isnan(v):
+        raise ValueError("v must be a number, got nan")
+    if math.isinf(v):
+        return math.inf
     s = -math.log(v)
+    if s >= _QUAD_S_MAX:
+        raise RateIntegralError(
+            f"level v = {v:g} is below the quadrature's range "
+            f"v >= exp(-{_QUAD_S_MAX:g}) = {math.exp(-_QUAD_S_MAX):g}")
+    total = 0.0
     while s < _QUAD_S_MAX:
         s_next = min(s + _QUAD_SEGMENT, _QUAD_S_MAX)
         seg = log_quad(rate_fn, s, s_next)

@@ -23,4 +23,5 @@ class QuadratureError(RuntimeError):
 
 
 class RateIntegralError(ValueError):
-    """The rate function's integral 1/r diverges at 0 (refinement did not converge)."""
+    """The rate function's integral 1/r diverges at 0 (refinement did not
+    converge), or the level lies below the quadrature's range."""

@@ -90,13 +90,19 @@ def make_example1() -> SystemModel:
         out[..., 1, 1] = np.cbrt(x2)
         return out
 
+    lin = np.array([0.5, 1.0])
+    cross = np.array([2.0 / 3.0, 1.0 / 3.0])
+
     def field_fn(x, t, xi):
-        x1, x2 = x[..., 0], x[..., 1]
-        c1, c2 = np.cbrt(x1), np.cbrt(x2)
-        # filling one output costs less than np.stack on a single-row state
-        out = np.empty(x.shape)
-        out[..., 0] = -c1 - 0.5 * x1 + (2.0 / 3.0) * x2 + c1 * xi[..., 0]
-        out[..., 1] = -c2 - x2 + (1.0 / 3.0) * x1 + c2 * xi[..., 1]
+        # both columns at once, in f's order ((-c - a x_i) + b x_j) + c xi_i;
+        # 1.0 * x2 is exact, so the bits are f + g xi's.  The sum behind
+        # g xi starts from +0 and is never -0, so a -0 here becomes +0
+        c = np.cbrt(x)
+        out = np.negative(c)
+        out -= lin * x
+        out += cross * x[..., ::-1]
+        out += c * xi
+        out += 0.0
         return out
 
     return SystemModel(n=2, l=2, f=f, g=g, name="example1", field_fn=field_fn)

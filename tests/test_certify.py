@@ -106,6 +106,20 @@ class TestTheta:
         with pytest.raises(sk.RateIntegralError):
             sk.theta(cert, 1.0)
 
+    def test_quadrature_nan_level_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            sk.theta(general_rate_cert(0.5), math.nan)
+
+    def test_quadrature_infinite_level_is_infinite(self):
+        # as the power rate gives: v ** (1 - gamma) / (1 - gamma) at v = inf
+        assert sk.theta(general_rate_cert(0.5), math.inf) == math.inf
+        assert sk.theta(quad_cert(gamma=0.5), math.inf) == math.inf
+
+    @pytest.mark.parametrize("v", [5e-324, 1e-305])
+    def test_quadrature_level_below_its_range_rejected(self, v):
+        with pytest.raises(sk.RateIntegralError, match=f"{v:g}.*range"):
+            sk.theta(general_rate_cert(0.5), v)
+
 
 class TestThetaInverse:
     def test_zero(self):

@@ -192,27 +192,37 @@ class TestExample2:
         # NaN state gives a NaN of the other sign on the fused path).
         fused = sk.make_example1()
         unfused = replace(fused, field_fn=None)
+
+        def same_bits(x, xi):
+            a = fused.field(x, 0.0, xi)
+            b = unfused.field(x, 0.0, xi)
+            assert a.shape == x.shape
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
         rng = np.random.default_rng(2024)
         x = rng.standard_normal((20000, 2)) * 10.0 ** rng.uniform(-200, 5, (20000, 2))
         xi = rng.standard_normal((20000, 2)) * 10.0 ** rng.uniform(-3, 3, (20000, 2))
         edge = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
                          1e154, -1e154, 1e308, -1e308])
-        ones = np.ones(edge.size)
-        special = np.concatenate([np.stack(pair, axis=1) for pair in
-                                  ((edge, ones), (ones, edge), (edge, edge),
-                                   (edge, edge[::-1]))])
-        x = np.concatenate([x, special])
-        xi = np.concatenate([xi, rng.standard_normal(special.shape)])
+        # all 121 ordered pairs of edge values, and each edge value beside a 1
+        values = np.append(edge, 1.0)
+        special = np.stack(np.meshgrid(values, values, indexing="ij"), axis=-1).reshape(-1, 2)
+        # each special row with noise of both signs: a zero state component
+        # times negative noise is -0, and f + g xi never gives -0
+        noise = rng.standard_normal(special.shape)
+        x = np.concatenate([x, special, special])
+        xi = np.concatenate([xi, noise, -noise])
         with np.errstate(all="ignore"):
-            a = fused.field(x, 0.0, xi)
-            b = unfused.field(x, 0.0, xi)
-            assert a.shape == x.shape
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+            same_bits(x, xi)
+            # the widths a shrinking active set passes through
+            for rows in (1, 2, 50, 500, 1000):
+                for start in (0, x.shape[0] - rows):
+                    same_bits(x[start:start + rows], xi[start:start + rows])
             for i in [*range(0, 20000, 50), *range(20000, x.shape[0])]:
-                a = fused.field(x[i:i + 1], 0.0, xi[i:i + 1])
-                b = unfused.field(x[i:i + 1], 0.0, xi[i:i + 1])
-                assert a.shape == (1, 2)
-                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                same_bits(x[i:i + 1], xi[i:i + 1])
+            # leading axes broadcast through the per-column constants
+            same_bits(x[:20].reshape(4, 5, 2), xi[:20].reshape(4, 5, 2))
+            same_bits(x[-20:].reshape(4, 5, 2), xi[-20:].reshape(4, 5, 2))
 
     @pytest.mark.parametrize("figure,sha256", [
         ("fig1", "e0f2fc0a58dc2014c476c50ebd50e6a2563a50f955baa589080f0585e8c04ed5"),
