@@ -21,10 +21,10 @@ from .integrate import (IntegratorConfig, Trajectory, check_integral_form,
 from .montecarlo import (CoverageReport, McConfig, SettlingStats,
                          envelope_coverage, estimate_settling,
                          estimate_stability_probability)
-from .noise import (MomentReport, NoisePath, NoiseProcess, WllnReport,
-                    check_l1_bound, check_wlln, estimate_mean_square,
-                    make_filtered_white_noise, make_random_phase_cosine,
-                    path_seed, sample_path, zero_process)
+from .noise import (NoisePath, NoiseProcess, check_l1_bound, check_wlln,
+                    estimate_mean_square, make_filtered_white_noise,
+                    make_random_phase_cosine, path_seed, sample_path,
+                    zero_process)
 from .systems import (ConditionReport, Modulus, SystemModel, check_origin,
                       check_osgood, check_osgood_divergence, get_model,
                       make_example1, make_example2, signed_power,

@@ -162,8 +162,6 @@ def _theta_quadrature(rate_fn: Callable, v: float) -> float:
     and for a level below that range.  An infinite level gives inf, the
     bound the power rate gives there.
     """
-    if math.isnan(v):
-        raise ValueError("v must be a number, got nan")
     if math.isinf(v):
         return math.inf
     s = -math.log(v)
@@ -186,9 +184,10 @@ def _theta_quadrature(rate_fn: Callable, v: float) -> float:
 
 
 def theta(cert: Certificate, v: float) -> float:
-    """theta(v) = integral_0^v dv'/r(v'); closed form for the power rate."""
-    if v < 0:
-        raise ValueError("v must be nonnegative")
+    """theta(v) = integral_0^v dv'/r(v'); closed form for the power rate.
+    A negative or NaN level raises ValueError, for either rate."""
+    if not v >= 0:
+        raise ValueError(f"v must be nonnegative, got {v:g}")
     if v == 0.0:
         return 0.0
     if cert.gamma is not None:
@@ -199,8 +198,8 @@ def theta(cert: Certificate, v: float) -> float:
 def theta_inverse(cert: Certificate, y: float) -> float:
     """Inverse of theta; closed form for the power rate, bracketed root
     finding (relative tolerance ~1e-15) otherwise."""
-    if y < 0:
-        raise ValueError("y must be nonnegative")
+    if not y >= 0:
+        raise ValueError(f"y must be nonnegative, got {y:g}")
     if y == 0.0:
         return 0.0
     if cert.gamma is not None:
@@ -309,8 +308,6 @@ def verify_drift(cert: Certificate, model: SystemModel, box_radius: float,
 def settling_bound(cert: Certificate, v0: float) -> float:
     """Upper bound on the expected settling time from Lyapunov level v0:
     theta(v0) / (c1 - 2 c2 sqrt(K))."""
-    if v0 < 0:
-        raise ValueError("v0 must be nonnegative")
     return theta(cert, v0) / cert.decay_rate
 
 
@@ -331,8 +328,8 @@ class Envelope:
     t_ext: float = field(init=False)
 
     def __post_init__(self):
-        if self.x0_norm < 0:
-            raise ValueError("x0_norm must be nonnegative")
+        if not self.x0_norm >= 0:
+            raise ValueError(f"x0_norm must be nonnegative, got {self.x0_norm:g}")
         th0 = theta(self.cert, float(self.cert.alpha2(self.x0_norm)))
         object.__setattr__(self, "theta0", th0)
         object.__setattr__(self, "t_ext", th0 / self.cert.decay_rate)
@@ -341,8 +338,8 @@ class Envelope:
         """Envelope alpha1^-1(theta^-1(theta(alpha2(|x0|)) - rate * dt)) at
         dt = t_minus_t0; exactly 0 from the extinction time on, nonincreasing
         in dt."""
-        if t_minus_t0 < 0:
-            raise ValueError("t_minus_t0 must be nonnegative")
+        if not t_minus_t0 >= 0:
+            raise ValueError(f"t_minus_t0 must be nonnegative, got {t_minus_t0:g}")
         y = self.theta0 - self.cert.decay_rate * t_minus_t0
         if y <= 0.0:
             return 0.0

@@ -41,6 +41,13 @@ Every statistic of |xi| reads it one way: |xi|^2 is
 ``np.sum(values ** 2, axis=-1)`` over a time-major view, which adds the
 channels in order over the sampler's memory, the accumulated-|xi| ratio
 is ``l1_ratios``, and its largest value from t_min on is ``_l1_max``.
+
+The noise checks return what they measured, as plain numbers:
+``estimate_mean_square`` the pair (estimate, half_width), ``check_wlln``
+the violation fractions in ascending order of the check times, and
+``check_noise`` all of them with the largest L1 ratio from one sampling
+pass.  None of them decides a verdict; the CLI's ``noise-check`` compares
+each with its bound.
 """
 
 from __future__ import annotations
@@ -110,26 +117,6 @@ class NoisePath:
 
     def times(self) -> np.ndarray:
         return self.t0 + self.h * np.arange(self.values.shape[0])
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Mean-square estimate with a 95% half-width over per-path averages."""
-
-    estimate: float
-    half_width: float
-    n_paths: int
-    k_bound: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class WllnReport:
-    """Per-time concentration of the time average of |xi|^2 around its mean."""
-
-    times: np.ndarray
-    fractions: np.ndarray       # fraction of paths violating the delta band
-    delta: float
 
 
 def make_random_phase_cosine(amplitudes, omegas) -> NoiseProcess:
@@ -383,84 +370,78 @@ def _path_statistics(process: NoiseProcess, n_paths: int, horizon: float,
     return means, averages, ratios
 
 
-def _check_times(t_grid, delta: float, t0: float) -> np.ndarray:
-    """Sorted check times; each must exceed t0, and delta must be positive."""
+def _check_times(t_grid, delta: float) -> np.ndarray:
+    """Sorted check times; each must be positive, and so must delta."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    if t_grid.size == 0 or np.any(t_grid <= t0):
-        raise ValueError("check times must be non-empty and all exceed t0")
+    if t_grid.size == 0 or np.any(t_grid <= 0):
+        raise ValueError("check times must be non-empty and all positive")
     return t_grid
 
 
-def _moment_report(means: np.ndarray, k_bound: float) -> MomentReport:
+def _moment_report(means: np.ndarray):
+    """(estimate, 95% half-width) of the mean of the per-path means."""
     n_paths = len(means)
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
     with np.errstate(over="ignore", invalid="ignore"):
-        est = float(np.mean(means))
-        hw = float(CONFIDENCE_Z * np.std(means, ddof=1) / math.sqrt(n_paths))
-    # an estimate or half-width that overflowed decides nothing: it fails
-    return MomentReport(estimate=est, half_width=hw, n_paths=n_paths,
-                        k_bound=float(k_bound),
-                        passed=math.isfinite(est) and math.isfinite(hw)
-                        and bool(est - hw <= k_bound))
+        return (float(np.mean(means)),
+                float(CONFIDENCE_Z * np.std(means, ddof=1) / math.sqrt(n_paths)))
 
 
-def _wlln_report(process: NoiseProcess, t_grid: np.ndarray,
-                 averages: np.ndarray, delta: float) -> WllnReport:
-    k_true = process.declared_mean_square
-    # written so that a NaN average, like an infinite one, is a violation
-    fractions = (~(np.abs(averages - k_true) < delta)).mean(axis=1)
-    return WllnReport(times=t_grid, fractions=fractions, delta=float(delta))
+def _wlln_report(process: NoiseProcess, averages: np.ndarray,
+                 delta: float) -> np.ndarray:
+    """Fraction of paths whose average lies outside the delta band around
+    the exact mean square, for each row of ``averages``; a NaN average,
+    like an infinite one, lies outside."""
+    return (~(np.abs(averages - process.declared_mean_square) < delta)).mean(axis=1)
 
 
 def estimate_mean_square(process: NoiseProcess, n_paths: int, horizon: float,
-                         h_noise: float, seed: int,
-                         k_bound: Optional[float] = None) -> MomentReport:
-    """Pooled time-and-path average of |xi|^2 against the bound K.
+                         h_noise: float, seed: int):
+    """Pooled time-and-path average of |xi|^2: (estimate, half_width).
 
     Per-path time averages use left-rectangle cells (exact for zero-order
     hold); the 95% half-width is the central-limit interval over per-path
-    averages.  ``k_bound`` defaults to the process's declared mean square;
-    passing a different value checks the estimate against that bound instead.
+    averages.  Either is inf or NaN, without a warning, if it overflows.
     """
-    if k_bound is None:
-        k_bound = process.declared_mean_square
-    means = _path_statistics(process, n_paths, horizon, h_noise, seed)[0]
-    return _moment_report(means, k_bound)
+    return _moment_report(_path_statistics(process, n_paths, horizon,
+                                           h_noise, seed)[0])
 
 
 def check_wlln(process: NoiseProcess, t_grid, delta: float, n_paths: int,
-               h_noise: float, seed: int, t0: float = 0.0) -> WllnReport:
-    """Fraction of paths whose running time average of |xi|^2 leaves the
-    delta band around the exact mean square, for each time in ``t_grid``.
+               h_noise: float, seed: int) -> np.ndarray:
+    """Fraction of paths whose running time average of |xi|^2 from 0 leaves
+    the delta band around the exact mean square, for each time in
+    ``t_grid``, in ascending order of the times.
 
     The running integral is the left-rectangle sum on the noise grid (exact
     under zero-order hold); a partial final cell is included pro rata.
     """
-    t_grid = _check_times(t_grid, delta, t0)
+    t_grid = _check_times(t_grid, delta)
     averages = _path_statistics(process, n_paths, t_grid[-1], h_noise, seed,
-                                t_grid, t0=t0)[1]
-    return _wlln_report(process, t_grid, averages, delta)
+                                t_grid)[1]
+    return _wlln_report(process, averages, delta)
 
 
 def check_noise(process: NoiseProcess, n_paths: int, horizon: float,
                 h_noise: float, seed: int, t_grid, delta: float,
                 k_bound: float, t_min: float = L1_T_MIN):
-    """The moment, WLLN and L1 checks from one sampling pass, each path
+    """The moment, WLLN and L1 statistics from one sampling pass, each path
     sampled once; the same numbers as ``estimate_mean_square``,
     ``check_wlln`` and the maximum of ``check_l1_bound`` over the paths.
 
-    ``k_bound`` is the bound K on the mean square and scales the L1 budget;
-    with K = 0 there is no L1 budget and the ratio is reported as 0.
-    Returns (MomentReport, WllnReport, max L1 ratio).
+    ``k_bound`` is the bound K on the mean square that scales the L1
+    budget; with K = 0 there is no L1 budget and the ratio is reported as 0.
+    Returns (estimate, half_width, fractions, max L1 ratio), the fractions
+    in ascending order of the check times.
     """
-    t_grid = _check_times(t_grid, delta, 0.0)
+    t_grid = _check_times(t_grid, delta)
     means, averages, ratios = _path_statistics(
         process, n_paths, horizon, h_noise, seed, t_grid, k_bound, t_min)
-    return (_moment_report(means, k_bound),
-            _wlln_report(process, t_grid, averages, delta), float(np.max(ratios)))
+    return (*_moment_report(means), _wlln_report(process, averages, delta),
+            float(np.max(ratios)))
 
 
 def l1_ratios(mags: np.ndarray, h: float, t0: float, k_bound: float,

@@ -106,21 +106,20 @@ def test_criterion_04_integrator_order():
 
 def test_criterion_05_noise_moments():
     filt = sk.make_filtered_white_noise(1.0, 1.0, 1)
-    rep = sk.estimate_mean_square(filt, 200, 50.0, 0.01, seed=77)
-    se = rep.half_width / 1.959963984540054
-    assert abs(rep.estimate - 0.5) <= 3.0 * se
+    est, hw = sk.estimate_mean_square(filt, 200, 50.0, 0.01, seed=77)
+    se = hw / 1.959963984540054
+    assert abs(est - 0.5) <= 3.0 * se
     cos = sk.make_random_phase_cosine([2.0], [1.0])
     horizon = 20.0 * math.pi
-    rep2 = sk.estimate_mean_square(cos, 4, horizon, horizon / 4000, seed=5)
-    assert abs(rep2.estimate - 2.0) <= 1e-12
-    ok(5, f"filtered mean square {rep.estimate:.4f} within 3 SE of 0.5; "
-          f"cosine whole-period average err {abs(rep2.estimate - 2.0):.1e} <= 1e-12")
+    est2 = sk.estimate_mean_square(cos, 4, horizon, horizon / 4000, seed=5)[0]
+    assert abs(est2 - 2.0) <= 1e-12
+    ok(5, f"filtered mean square {est:.4f} within 3 SE of 0.5; "
+          f"cosine whole-period average err {abs(est2 - 2.0):.1e} <= 1e-12")
 
 
 def test_criterion_06_wlln():
     proc = sk.make_filtered_white_noise(**EX2_NOISE)
-    rep = sk.check_wlln(proc, [100.0], 0.1, 500, 0.05, seed=123)
-    frac = float(rep.fractions[0])
+    frac = float(sk.check_wlln(proc, [100.0], 0.1, 500, 0.05, seed=123)[0])
     assert frac <= 0.05
     ok(6, f"time-average concentration: violation fraction {frac:.3f} <= 0.05 "
           f"at t=100, delta=0.1, 500 paths")

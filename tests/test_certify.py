@@ -110,6 +110,21 @@ class TestTheta:
         with pytest.raises(ValueError, match="nan"):
             sk.theta(general_rate_cert(0.5), math.nan)
 
+    @pytest.mark.parametrize("call", [
+        lambda cert: sk.theta(cert, math.nan),
+        lambda cert: sk.settling_bound(cert, math.nan),
+        lambda cert: sk.theta_inverse(cert, math.nan),
+        lambda cert: Envelope(cert, 1.0).value(math.nan),
+        lambda cert: Envelope(cert, math.nan),
+    ], ids=["theta", "settling_bound", "theta_inverse", "envelope_value",
+            "envelope_x0_norm"])
+    @pytest.mark.parametrize("cert", [quad_cert(gamma=0.5), general_rate_cert(0.5)],
+                             ids=["power", "general"])
+    def test_nan_argument_rejected(self, call, cert):
+        # one rule for both rates: NaN fails the "nonnegative" check
+        with pytest.raises(ValueError, match="must be nonnegative, got nan"):
+            call(cert)
+
     def test_quadrature_infinite_level_is_infinite(self):
         # as the power rate gives: v ** (1 - gamma) / (1 - gamma) at v = inf
         assert sk.theta(general_rate_cert(0.5), math.inf) == math.inf

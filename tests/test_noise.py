@@ -41,9 +41,9 @@ class TestCosineProcess:
         # left-rectangle average of 4 cos^2 over whole periods is exactly 2
         p = sk.make_random_phase_cosine([2.0], [1.0])
         horizon = 20.0 * math.pi
-        rep = sk.estimate_mean_square(p, 4, horizon, horizon / 4000, seed=5)
-        assert abs(rep.estimate - 2.0) <= 1e-12
-        assert rep.passed
+        est, hw = sk.estimate_mean_square(p, 4, horizon, horizon / 4000, seed=5)
+        assert abs(est - 2.0) <= 1e-12
+        assert est - hw <= p.declared_mean_square
 
     def test_value_at_start_matches_redrawn_phase(self):
         p = sk.make_random_phase_cosine([1.0], [1.0])
@@ -91,10 +91,10 @@ class TestFilteredProcess:
 
     def test_stationary_mean_square(self):
         p = sk.make_filtered_white_noise(0.5, 1.0, 1)
-        rep = sk.estimate_mean_square(p, 200, 50.0, 0.01, seed=77)
-        se = rep.half_width / 1.959963984540054
-        assert abs(rep.estimate - 0.25) <= 3.0 * se
-        assert rep.passed
+        est, hw = sk.estimate_mean_square(p, 200, 50.0, 0.01, seed=77)
+        se = hw / 1.959963984540054
+        assert abs(est - 0.25) <= 3.0 * se
+        assert est - hw <= p.declared_mean_square
 
     def test_lag1_autocorrelation(self):
         tau = 2.0
@@ -137,13 +137,14 @@ class TestZeroProcess:
         assert np.all(path.values == 0.0)
 
     def test_moment_report(self):
-        rep = sk.estimate_mean_square(sk.zero_process(1), 5, 1.0, 0.1, seed=1)
-        assert rep.estimate == 0.0
-        assert rep.passed
+        est, hw = sk.estimate_mean_square(sk.zero_process(1), 5, 1.0, 0.1, seed=1)
+        assert est == 0.0
+        assert est - hw <= 0.0
 
     def test_wlln_all_zero(self):
-        rep = sk.check_wlln(sk.zero_process(1), [1.0, 2.0], 0.5, 10, 0.1, seed=1)
-        assert np.all(rep.fractions == 0.0)
+        fractions = sk.check_wlln(sk.zero_process(1), [1.0, 2.0], 0.5, 10, 0.1,
+                                  seed=1)
+        assert np.all(fractions == 0.0)
 
 
 class TestSamplePath:
@@ -241,43 +242,45 @@ class TestMeanSquareEstimate:
         sk.make_filtered_white_noise(1.0, 1.0, 2),
     ], ids=["zero", "cosine", "filtered"])
     def test_declared_bound_consistency(self, process):
-        rep = sk.estimate_mean_square(process, 500, 20.0, 0.01, seed=11)
-        assert rep.passed
+        est, hw = sk.estimate_mean_square(process, 500, 20.0, 0.01, seed=11)
+        assert math.isfinite(est) and math.isfinite(hw)
+        assert est - hw <= process.declared_mean_square
 
     def test_k_bound_override_fails_low(self):
+        # mean square 0.5: the lower limit lies above a bound K = 0.05
         p = sk.make_random_phase_cosine([1.0], [1.0])
-        rep = sk.estimate_mean_square(p, 20, 20.0, 0.01, seed=2, k_bound=0.05)
-        assert not rep.passed
+        est, hw = sk.estimate_mean_square(p, 20, 20.0, 0.01, seed=2)
+        assert math.isfinite(hw) and est - hw > 0.05
 
     def test_overflowing_half_width_fails(self):
         # K = 5e159: the per-path means are finite, but np.std squares
         # deviations of about 1e157, so the half-width is inf and
-        # estimate - inf <= K would pass by default
+        # estimate - inf <= K would pass; noise-check fails a half-width
+        # that is not finite (TestNoiseCheck::test_overflowing_half_width_fails)
         p = sk.make_random_phase_cosine([1e80], [1.3])
-        rep = sk.estimate_mean_square(p, 20, 50.0, 0.01, seed=0)
-        assert math.isfinite(rep.estimate) and rep.half_width == math.inf
-        assert rep.passed is False
+        est, hw = sk.estimate_mean_square(p, 20, 50.0, 0.01, seed=0)
+        assert math.isfinite(est) and hw == math.inf
+        assert est - hw <= p.declared_mean_square
 
 
 class TestWlln:
     def test_cosine_whole_periods_concentrate_exactly(self):
         p = sk.make_random_phase_cosine([1.0], [1.0])
         times = [2.0 * math.pi * k for k in (1, 2, 4, 8)]
-        rep = sk.check_wlln(p, times, 0.01, 50, 2.0 * math.pi / 200, seed=9)
-        assert np.all(rep.fractions == 0.0)
+        fractions = sk.check_wlln(p, times, 0.01, 50, 2.0 * math.pi / 200, seed=9)
+        assert np.all(fractions == 0.0)
 
     def test_filtered_unit_intensity_fraction(self):
         # analytic variance of the time average is 2K^2/T = 0.005 here, so
         # the delta = 0.1 band is ~1.4 sigma: the violation fraction sits
         # near 0.15 (it cannot be pushed below 0.05 at this horizon)
         p = sk.make_filtered_white_noise(1.0, 1.0, 1)
-        rep = sk.check_wlln(p, [100.0], 0.1, 500, 0.05, seed=123)
-        assert 0.05 <= rep.fractions[0] <= 0.3
+        fractions = sk.check_wlln(p, [100.0], 0.1, 500, 0.05, seed=123)
+        assert 0.05 <= fractions[0] <= 0.3
 
     def test_fractions_nonincreasing_in_time(self):
         p = sk.make_filtered_white_noise(1.0, 1.0, 1)
-        rep = sk.check_wlln(p, [25.0, 50.0, 100.0], 0.1, 300, 0.05, seed=17)
-        f = rep.fractions
+        f = sk.check_wlln(p, [25.0, 50.0, 100.0], 0.1, 300, 0.05, seed=17)
         assert f[1] <= f[0] + 0.05 and f[2] <= f[1] + 0.05
 
     def test_non_finite_average_is_a_violation(self, tmp_path):
@@ -285,8 +288,8 @@ class TestWlln:
         # t = 50 are inf and one is NaN (0 * inf at the check cell); the NaN
         # one lies in no delta band either
         p = sk.make_filtered_white_noise(1e308, 1.0)
-        rep = sk.check_wlln(p, [50.0], 0.1, 20, 0.01, seed=0)
-        assert rep.fractions.tolist() == [1.0]
+        fractions = sk.check_wlln(p, [50.0], 0.1, 20, 0.01, seed=0)
+        assert fractions.tolist() == [1.0]
         # and the non-finite L1 maximum of the same paths fails its check
         out = tmp_path / "out"
         cfg = {"noise": {"kind": "filtered-white-noise", "intensity": 1e308,
@@ -373,14 +376,19 @@ class TestChannelMajorSampling:
                 assert ratios[i] == np.max(ref)
                 assert sk.check_l1_bound(path, k, t_min) == np.max(ref)
 
-    @pytest.mark.parametrize("config,digest", [
-        (small_config, "71aa566e8568645056002bd1384b4965d1af091a02c5985d3bb2c492da50b692"),
-        (example2_filtered_config, "ba53957bb8614df72afb4593dced4cda402514a0f901f1600e847796059105b3"),
-    ], ids=["readme", "filtered"])
-    def test_report_bytes_are_pinned(self, tmp_path, config, digest):
+    @pytest.mark.parametrize("config,changes,digest", [
+        (small_config, {}, "71aa566e8568645056002bd1384b4965d1af091a02c5985d3bb2c492da50b692"),
+        (example2_filtered_config, {}, "ba53957bb8614df72afb4593dced4cda402514a0f901f1600e847796059105b3"),
+        # descending check times: the report lists them ascending, and the
+        # WLLN verdict reads the fraction at t = 20 (0.05), not at t = 10 (0.35)
+        (example2_filtered_config, {"check_times": [20.0, 10.0], "k_bound": 0.3},
+         "7c806ba94e18971f41709650b1a97350379681425abb06abdb99c22119034ecc"),
+    ], ids=["readme", "filtered", "filtered-descending-times"])
+    def test_report_bytes_are_pinned(self, tmp_path, config, changes, digest):
         out = tmp_path / "out"
         cfg = config(out)
         cfg["noise_check"].update(n_paths=20, horizon=20.0, check_times=[10.0, 20.0])
+        cfg["noise_check"].update(changes)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         assert main(["--config", str(path), "noise-check"]) == 0
@@ -481,8 +489,8 @@ class TestOnePass:
         """check_noise against one freshly sampled path per statistic."""
         p = sk.make_filtered_white_noise(0.5, 1.0, 2)
         horizon, h, seed, k = 20.0, 0.01, 3, 0.3
-        moment, wlln, max_ratio = check_noise(p, n, horizon, h, seed, times,
-                                              0.1, k, t_min=1.5)
+        est, hw, fractions, max_ratio = check_noise(p, n, horizon, h, seed, times,
+                                                    0.1, k, t_min=1.5)
         per_path, ratios = [], []
         viol = np.zeros((len(times), n), dtype=bool)
         for i in range(n):
@@ -496,15 +504,14 @@ class TestOnePass:
                 c = q.cell_index(t)
                 avg = (cum[c] + (t - c * h) * sq[c]) / t
                 viol[j, i] = abs(avg - p.declared_mean_square) >= 0.1
-        assert moment.estimate == np.mean(per_path)
-        assert moment.half_width == (CONFIDENCE_Z * np.std(per_path, ddof=1)
-                                     / math.sqrt(n))
-        assert np.array_equal(wlln.fractions, viol.mean(axis=1))
+        assert est == np.mean(per_path)
+        assert hw == CONFIDENCE_Z * np.std(per_path, ddof=1) / math.sqrt(n)
+        assert np.array_equal(fractions, viol.mean(axis=1))
         assert max_ratio == max(ratios)
 
     def test_zero_bound_skips_l1(self):
-        _, _, max_ratio = check_noise(sk.zero_process(1), 3, 2.0, 0.1, 0,
-                                      [2.0], 0.1, 0.0)
+        max_ratio = check_noise(sk.zero_process(1), 3, 2.0, 0.1, 0,
+                                [2.0], 0.1, 0.0)[-1]
         assert max_ratio == 0.0
 
     def test_memory_is_flat_in_the_path_count(self):
