@@ -5,7 +5,8 @@ Subpackages follow the pipeline: ``noise`` builds and samples disturbance
 processes, ``systems`` holds the models and structural checks, ``integrate``
 runs pathwise RK4 with settling detection, ``certify`` verifies Lyapunov
 certificates and evaluates settling bounds and decay envelopes, and
-``montecarlo`` aggregates batches of paths.  The ``settlekit`` CLI drives
+``montecarlo`` aggregates batches of paths, and ``parallel`` splits a
+study's paths across forked worker processes.  The ``settlekit`` CLI drives
 everything from a JSON config, and ``reproduce_figure`` runs it on the
 built-in demonstration configs.
 """

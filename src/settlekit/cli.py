@@ -9,11 +9,13 @@ partial output files: the whole config is validated and all objects are
 constructed before anything is written.
 
 ``COMMANDS`` maps each config command to its handler and the top-level
-config blocks it needs.  A handler ``cmd_*(cfg)`` computes everything and
-returns the tuple ``(outputs, ok, line)``: the files it writes (name ->
-data, in write order; a dict for a ``.json`` name, a CSV ``(header,
-columns)`` pair otherwise), whether its checks passed, and its one-line
-summary.  ``main`` then writes the outputs in one step with
+config blocks it needs.  A handler ``cmd_*(cfg, jobs)`` computes everything,
+``noise-check`` and ``settle`` with their paths split across up to ``jobs``
+processes (``--jobs``, by default the usable CPUs; the single-path commands
+ignore it), and returns the tuple ``(outputs, ok, line)``: the files it
+writes (name -> data, in write order; a dict for a ``.json`` name, a CSV
+``(header, columns)`` pair otherwise), whether its checks passed, and its
+one-line summary.  ``main`` then writes the outputs in one step with
 ``fileio.write_outputs``, prints the line and exits 0 or 1, so a command
 that stops before that step leaves no files.  ``reproduce_figure`` writes
 its CSV through the same function.
@@ -45,6 +47,7 @@ from .montecarlo import McConfig, estimate_settling
 from .noise import (check_noise, grid_points, make_filtered_white_noise,
                     make_random_phase_cosine, path_seed, sample_path,
                     zero_process)
+from .parallel import usable_cpus
 from .systems import get_model, stabilizing_controller
 
 # The data behind the three demonstration plots; every field not given
@@ -297,7 +300,7 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
     return ExperimentConfig(raw, seed_override, out_override)
 
 
-def cmd_noise_check(cfg: ExperimentConfig):
+def cmd_noise_check(cfg: ExperimentConfig, jobs: int):
     """The moment, WLLN and L1 checks of the noise, decided here from the
     numbers ``check_noise`` measured: the moment estimate's lower 95%
     limit against K, the WLLN violation fraction at the last check time
@@ -307,7 +310,7 @@ def cmd_noise_check(cfg: ExperimentConfig):
     k = cfg.nc_k_bound or cfg.process.declared_mean_square
     est, hw, fractions, max_ratio = check_noise(
         cfg.process, cfg.nc_paths, cfg.nc_horizon, cfg.mc.h_noise,
-        cfg.mc.master_seed, cfg.nc_times, cfg.nc_delta, k, cfg.nc_t_min)
+        cfg.mc.master_seed, cfg.nc_times, cfg.nc_delta, k, cfg.nc_t_min, jobs)
     # an estimate or half-width that overflowed decides nothing: it fails
     passed = {"moment": math.isfinite(est) and math.isfinite(hw) and est - hw <= k,
               "wlln": bool(fractions[-1] <= defaults.WLLN_FRACTION_THRESHOLD),
@@ -325,7 +328,7 @@ def cmd_noise_check(cfg: ExperimentConfig):
             f"noise-check: {verdicts}")
 
 
-def cmd_certify(cfg: ExperimentConfig):
+def cmd_certify(cfg: ExperimentConfig, jobs: int):
     cert = cfg.certificate
     sampled = dict(box_radius=defaults.CERTIFY_BOX_RADIUS, n=defaults.CERTIFY_SAMPLES,
                    tol=defaults.SAMPLED_INEQUALITY_TOL, seed=cfg.mc.master_seed)
@@ -366,7 +369,7 @@ def _trajectory_csv(traj) -> tuple:
     return ["t"] + [f"x_{i + 1}" for i in range(traj.n)], [traj.times(), *traj.states.T]
 
 
-def cmd_simulate(cfg: ExperimentConfig):
+def cmd_simulate(cfg: ExperimentConfig, jobs: int):
     traj = run_single_path(cfg)[1]
     outputs = {"trajectory.csv": _trajectory_csv(traj), "trajectory.json": {
         "settled": traj.settled, "settle_time": traj.settle_time, "seed": traj.seed,
@@ -377,13 +380,13 @@ def cmd_simulate(cfg: ExperimentConfig):
         f" settle_time={fmt(traj.settle_time)}" if traj.settled else ""))
 
 
-def cmd_settle(cfg: ExperimentConfig):
+def cmd_settle(cfg: ExperimentConfig, jobs: int):
     if cfg.certificate is not None and cfg.mc.n_paths < defaults.MIN_PATHS_FOR_BOUND:
         raise ConfigError(
             f"field mc.n_paths: bound checks need at least "
             f"{defaults.MIN_PATHS_FOR_BOUND} paths, got {cfg.mc.n_paths}")
     stats = estimate_settling(cfg.model, cfg.process, cfg.x0, cfg.mc,
-                              cert=cfg.certificate)
+                              cert=cfg.certificate, jobs=jobs)
     ok = stats.settled_fraction >= cfg.settled_threshold and (
         cfg.certificate is None or bool(stats.bound_satisfied))
     outputs = {"settle_stats.json": stats.to_dict(), "settle_paths.csv": (
@@ -438,8 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="override the master seed")
     shared.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="accepted for compatibility, must be >= 1; "
-                             "changes neither the work nor the results")
+                        help="worker processes for the paths of noise-check "
+                             "and settle, >= 1 (default: the usable CPUs); "
+                             "the results do not depend on it")
     parser = argparse.ArgumentParser(
         prog="settlekit", parents=[shared],
         description="Simulate randomly forced nonlinear systems and check "
@@ -457,7 +461,7 @@ def main(argv=None) -> int:
     config_path = getattr(args, "config", None)
     out_dir = getattr(args, "out", None)
     seed = getattr(args, "seed", None)
-    jobs = getattr(args, "jobs", 1)
+    jobs = getattr(args, "jobs", usable_cpus())
     try:
         # checked for every command, though reproduce uses neither value
         if jobs < 1:
@@ -475,7 +479,7 @@ def main(argv=None) -> int:
         for block in needs:
             if block not in cfg.raw:
                 raise ConfigError(f"missing required field: {block}")
-        outputs, ok, line = handler(cfg)
+        outputs, ok, line = handler(cfg, jobs)
         write_outputs(cfg.out_dir, outputs)
         print(line)
         return 0 if ok else 1

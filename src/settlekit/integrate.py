@@ -176,6 +176,15 @@ class BatchResult(NamedTuple):
         return np.where(self.last_out < self.n_out.size - 1,
                         t0 + (self.last_out + 1) * h, np.nan)
 
+    @classmethod
+    def join(cls, parts) -> "BatchResult":
+        """The results of batches of consecutive rows as one batch's: the
+        rows' arrays joined in order and the counts per node summed; no
+        states are kept."""
+        last_out, blow_step, absorb_step, n_out, _ = zip(*parts)
+        return cls(np.concatenate(last_out), np.concatenate(blow_step),
+                   np.concatenate(absorb_step), sum(n_out), None)
+
 
 # the loop finds inf and NaN itself, so numpy's warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")

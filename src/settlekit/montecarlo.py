@@ -1,19 +1,24 @@
 """Monte Carlo settling studies over many noise realizations.
 
 Each path's randomness is derived only from (master_seed, path_index), so
-a path's result does not depend on the other paths of the batch.  All paths
-are integrated in one call of ``integrate.integrate_batch``, the same kernel
-that ``integrate_path`` runs as a batch of one, so a path gives the same
-states in a batch and on its own.  The kernel pulls the paths' noise from
-one ``noise.BatchSampler``, a block of grid points at a time, as it reaches
-each block: every path is sampled once, no further than one block past the
-last step at which a path is live, and the paths' blocks are never held
-whole.  Each study reads the kernel's ``BatchResult`` by field, against its
-own per-node radius: settling reads ``settle_times`` for the settling ball,
-stability in probability reads ``last_out`` for the level gamma(|x0|), and
-envelope coverage reads ``last_out`` and ``n_out`` for the decay envelope,
-with each path's L1 start index read from the blocks as they pass, by the
-channel sum and ``noise.l1_ratios`` that the noise checks use.
+a path's result does not depend on the other paths of the batch.  A batch
+of paths is integrated in one call of ``integrate.integrate_batch``, the
+same kernel that ``integrate_path`` runs as a batch of one, so a path gives
+the same states in a batch and on its own.  ``estimate_settling`` splits
+its paths into contiguous slices across up to ``jobs`` processes
+(``parallel.fan_out``), one batch each, and joins the batches' results in
+path order, so its numbers do not depend on ``jobs``; the other studies
+integrate all their paths in one batch.  The kernel pulls a batch's noise
+from one ``noise.BatchSampler``, a block of grid points at a time, as it
+reaches each block: every path is sampled once, no further than one block
+past the last step at which a path is live, and the paths' blocks are never
+held whole.  Each study reads the kernel's ``BatchResult`` by field,
+against its own per-node radius: settling reads ``settle_times`` for the
+settling ball, stability in probability reads ``last_out`` for the level
+gamma(|x0|), and envelope coverage reads ``last_out`` and ``n_out`` for the
+decay envelope, with each path's L1 start index read from the blocks as
+they pass, by the channel sum and ``noise.l1_ratios`` that the noise checks
+use.
 
 Censoring: paths that have not settled by the horizon are excluded from the
 settle-time mean and reported separately; blown-up paths are censored and
@@ -31,9 +36,11 @@ import numpy as np
 
 from . import defaults
 from .certify import Certificate, Envelope, PowerLaw, settling_bound_at
-from .integrate import (IntegratorConfig, check_run, integrate_batch,
-                        steps_per_cell)
+from .errors import EvaluatorError
+from .integrate import (BatchResult, IntegratorConfig, check_run,
+                        integrate_batch, steps_per_cell)
 from .noise import BatchSampler, NoiseProcess, grid_points, l1_ratios, path_seed
+from .parallel import fan_out
 from .systems import SystemModel
 
 
@@ -113,10 +120,11 @@ class _BatchRun:
         self.seeds = np.array([path_seed(cfg.master_seed, i)
                                for i in range(cfg.n_paths)], dtype=np.uint64)
 
-    def blocks(self):
-        """The paths' noise over the grid, (b, k, l) blocks of _BLOCK points."""
+    def blocks(self, rows=slice(None)):
+        """The noise of the paths ``rows`` over the grid, (b, k, l) blocks of
+        _BLOCK points."""
         return BatchSampler(self.process, self.t0, self.cfg.h_noise,
-                            self.seeds).blocks(self.n_points, _BLOCK)
+                            self.seeds[rows]).blocks(self.n_points, _BLOCK)
 
     def sweep(self, radius=None, blocks=None):
         """Integrate the paths in one batch against the per-node ball
@@ -127,10 +135,22 @@ class _BatchRun:
             self.t0, self.n_steps, self.m, self.cfg.integrator, radius)
 
 
+def _first_step(e: Exception) -> float:
+    """Where a slice's exception stops a serial sweep: an EvaluatorError at
+    its step's time, any other exception before every step."""
+    return e.t if isinstance(e, EvaluatorError) else -math.inf
+
+
 def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
                       cfg: McConfig, cert: Optional[Certificate] = None,
-                      t0: float = 0.0) -> SettlingStats:
+                      t0: float = 0.0, jobs: int = 1) -> SettlingStats:
     """Integrate n_paths independent paths and summarize settling times.
+
+    The paths are swept in up to ``jobs`` processes, one contiguous slice
+    each, and the slices' results joined in path order, which gives every
+    number the bits of one sweep.  A NaN from the model raises the
+    ``EvaluatorError`` a single sweep would: the one at the earliest step,
+    in the lowest slice on a tie.
 
     With a certificate, evaluates the expected-settling-time bound at V(x0)
     and sets ``bound_satisfied`` one-sidedly (mean - half_width <= bound);
@@ -141,7 +161,8 @@ def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
             f"bound checks need n_paths >= {defaults.MIN_PATHS_FOR_BOUND}")
     run = _BatchRun(model, process, x0, cfg, t0)
     n = cfg.n_paths
-    res = run.sweep()
+    res = BatchResult.join(fan_out(lambda rows: run.sweep(blocks=run.blocks(rows)),
+                                   n, jobs, order=_first_step))
     blown = res.blow_step >= 0
     settle_times = res.settle_times(t0, cfg.integrator.h)
     settled = ~np.isnan(settle_times)

@@ -47,7 +47,10 @@ The noise checks return what they measured, as plain numbers:
 the violation fractions in ascending order of the check times, and
 ``check_noise`` all of them with the largest L1 ratio from one sampling
 pass.  None of them decides a verdict; the CLI's ``noise-check`` compares
-each with its bound.
+each with its bound.  ``check_noise`` splits its paths into contiguous
+slices across up to ``jobs`` processes (``parallel.fan_out``); each slice
+gives its per-path statistics and the joined arrays are pooled as one
+process would pool them, so no number depends on ``jobs``.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from typing import Optional
 import numpy as np
 
 from .defaults import CONFIDENCE_Z, L1_T_MIN
+from .parallel import fan_out
 
 KIND_COSINE = "random-phase-cosine"
 KIND_FILTERED = "filtered-white-noise"
@@ -323,29 +327,30 @@ _STATS_PATHS = 4
 _STATS_BLOCK = 1024
 
 
-def _path_statistics(process: NoiseProcess, n_paths: int, horizon: float,
+def _path_statistics(process: NoiseProcess, paths: range, horizon: float,
                      h_noise: float, seed: int, t_grid=(),
                      l1_bound: float = 0.0, t_min: float = 0.0,
                      t0: float = 0.0):
-    """Sample each path i once, from path_seed(seed, i), over
+    """Sample each path i of ``paths`` once, from path_seed(seed, i), over
     [t0, max(horizon, t_grid)] and reduce it to per-path statistics.
 
-    Returns (means, averages, ratios): the mean of |xi|^2 over the left
-    endpoints of [t0, horizon); the running time average of |xi|^2 at each
-    time in ``t_grid``, shape (len(t_grid), n_paths); and, when
-    ``l1_bound`` > 0, ``check_l1_bound`` of the [t0, horizon] prefix
-    (else 0), read from the squares already summed.  A longer path extends
-    a shorter one exactly, so each statistic has the bits it has on a path
-    sampled to its own horizon.  The paths are drawn _STATS_PATHS seeds to a
-    ``BatchSampler``, and each statistic is a reduction along the batch's
-    rows, which gives every row the bits of its path on its own.  A
-    statistic that overflows is left inf or NaN, without a warning: the
-    checks fail on it.
+    Returns (means, averages, ratios), in the order of ``paths``: the mean
+    of |xi|^2 over the left endpoints of [t0, horizon); the running time
+    average of |xi|^2 at each time in ``t_grid``, shape (len(t_grid),
+    len(paths)); and, when ``l1_bound`` > 0, ``check_l1_bound`` of the
+    [t0, horizon] prefix (else 0), read from the squares already summed.
+    A longer path extends a shorter one exactly, so each statistic has the
+    bits it has on a path sampled to its own horizon.  The paths are drawn
+    _STATS_PATHS seeds to a ``BatchSampler``, and each statistic is a
+    reduction along the batch's rows, which gives every row the bits of its
+    path on its own.  A statistic that overflows is left inf or NaN, without
+    a warning: the checks fail on it.
     """
     n_cells = grid_points(process, t0, horizon, h_noise) - 1
     n_points = grid_points(process, t0, max([horizon, *t_grid]), h_noise)
     cells = [_cell(t, t0, h_noise, n_points) for t in t_grid]
-    seeds = [path_seed(seed, i) for i in range(n_paths)]
+    seeds = [path_seed(seed, i) for i in paths]
+    n_paths = len(seeds)
     means = np.empty(n_paths)
     averages = np.empty((len(t_grid), n_paths))
     ratios = np.zeros(n_paths)
@@ -406,7 +411,7 @@ def estimate_mean_square(process: NoiseProcess, n_paths: int, horizon: float,
     hold); the 95% half-width is the central-limit interval over per-path
     averages.  Either is inf or NaN, without a warning, if it overflows.
     """
-    return _moment_report(_path_statistics(process, n_paths, horizon,
+    return _moment_report(_path_statistics(process, range(n_paths), horizon,
                                            h_noise, seed)[0])
 
 
@@ -420,17 +425,22 @@ def check_wlln(process: NoiseProcess, t_grid, delta: float, n_paths: int,
     under zero-order hold); a partial final cell is included pro rata.
     """
     t_grid = _check_times(t_grid, delta)
-    averages = _path_statistics(process, n_paths, t_grid[-1], h_noise, seed,
-                                t_grid)[1]
+    averages = _path_statistics(process, range(n_paths), t_grid[-1], h_noise,
+                                seed, t_grid)[1]
     return _wlln_report(process, averages, delta)
 
 
 def check_noise(process: NoiseProcess, n_paths: int, horizon: float,
                 h_noise: float, seed: int, t_grid, delta: float,
-                k_bound: float, t_min: float = L1_T_MIN):
+                k_bound: float, t_min: float = L1_T_MIN, jobs: int = 1):
     """The moment, WLLN and L1 statistics from one sampling pass, each path
     sampled once; the same numbers as ``estimate_mean_square``,
     ``check_wlln`` and the maximum of ``check_l1_bound`` over the paths.
+
+    The paths are reduced in up to ``jobs`` processes, one contiguous slice
+    each (``parallel.fan_out``), and the per-path statistics joined in path
+    order before they are pooled, so every number has the bits of one
+    process; the first failing slice's exception, in path order, is raised.
 
     ``k_bound`` is the bound K on the mean square that scales the L1
     budget; with K = 0 there is no L1 budget and the ratio is reported as 0.
@@ -438,8 +448,10 @@ def check_noise(process: NoiseProcess, n_paths: int, horizon: float,
     in ascending order of the check times.
     """
     t_grid = _check_times(t_grid, delta)
-    means, averages, ratios = _path_statistics(
-        process, n_paths, horizon, h_noise, seed, t_grid, k_bound, t_min)
+    parts = fan_out(lambda rows: _path_statistics(
+        process, range(n_paths)[rows], horizon, h_noise, seed, t_grid,
+        k_bound, t_min), n_paths, jobs)
+    means, averages, ratios = (np.concatenate(p, axis=-1) for p in zip(*parts))
     return (*_moment_report(means), _wlln_report(process, averages, delta),
             float(np.max(ratios)))
 

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import settlekit as sk
-from settlekit import defaults, noise
+from settlekit import defaults, noise, parallel
 from settlekit.cli import load_config, main
 from settlekit.fileio import write_json
 from test_imports import readme_config
@@ -466,20 +466,27 @@ class TestNoiseCheck:
         assert report["moment"]["k_bound"] == pytest.approx(0.09)
 
     def test_each_path_is_sampled_once(self, tmp_path, monkeypatch):
-        drawn, samplers = [], []
+        # the 12 paths split across 3 worker processes; each sampler, in
+        # whichever process, appends its seeds as one line of a file
+        log = tmp_path / "seeds.txt"
         init = noise.BatchSampler.__init__
 
         def counted(self, process, t0, h_noise, seeds):
-            drawn.extend(int(s) for s in seeds)
-            samplers.append(self)
+            with open(log, "a") as fh:
+                fh.write(" ".join(str(int(s)) for s in seeds) + "\n")
             init(self, process, t0, h_noise, seeds)
 
         monkeypatch.setattr(noise.BatchSampler, "__init__", counted)
+        monkeypatch.setattr(parallel, "MIN_PATHS_PER_WORKER", 4)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
         cfg = base_config(tmp_path / "out")
         cfg["noise_check"] = {"n_paths": 12, "horizon": 10.0,
                               "check_times": [4.0, 15.0]}
-        main(["--config", write_config(tmp_path, cfg), "noise-check"])
-        assert drawn == [sk.path_seed(31415, i) for i in range(12)]
+        main(["--config", write_config(tmp_path, cfg), "--jobs", "3",
+              "noise-check"])
+        samplers = log.read_text().splitlines()
+        drawn = [int(s) for line in samplers for s in line.split()]
+        assert sorted(drawn) == sorted(sk.path_seed(31415, i) for i in range(12))
         assert len(samplers) < len(drawn)       # paths are drawn in batches
 
     @pytest.mark.parametrize("check_times", [[3.0, 12.5], [7.5, 30.0]],

@@ -366,8 +366,8 @@ class TestChannelMajorSampling:
         t0, horizon, h, seed, k, t_min = 0.5, 6.0, 0.01, 9, 0.2, 1.5
         n_cells = _n_cells(t0, horizon, h)
         for n in (3, 19):           # one partial batch; four full, one partial
-            means, _, ratios = _path_statistics(process, n, horizon, h, seed,
-                                                (horizon,), k, t_min, t0)
+            means, _, ratios = _path_statistics(process, range(n), horizon, h,
+                                                seed, (horizon,), k, t_min, t0)
             for i in range(n):
                 path = sk.sample_path(process, t0, horizon, h, sk.path_seed(seed, i))
                 sq = np.sum(np.ascontiguousarray(path.values) ** 2, axis=1)
