@@ -19,9 +19,8 @@ from .errors import (ConfigError, ConstantConditionError, EvaluatorError,
                      QuadratureError, RateIntegralError)
 from .integrate import (IntegratorConfig, Trajectory, check_integral_form,
                         integrate_path, uniqueness_probe)
-from .montecarlo import (CoverageReport, McConfig, SettlingStats,
-                         envelope_coverage, estimate_settling,
-                         estimate_stability_probability)
+from .montecarlo import (McConfig, SettlingStats, envelope_coverage,
+                         estimate_settling, estimate_stability_probability)
 from .noise import (NoisePath, NoiseProcess, check_l1_bound, check_wlln,
                     estimate_mean_square, make_filtered_white_noise,
                     make_random_phase_cosine, path_seed, sample_path,

@@ -381,22 +381,37 @@ def cmd_simulate(cfg: ExperimentConfig, jobs: int):
 
 
 def cmd_settle(cfg: ExperimentConfig, jobs: int):
-    if cfg.certificate is not None and cfg.mc.n_paths < defaults.MIN_PATHS_FOR_BOUND:
+    """Settle's two verdicts, decided here from the numbers
+    ``estimate_settling`` measured: the settled fraction against
+    ``settle.settled_fraction_threshold`` and, with a certificate, the
+    settle times against the expected-settling-time bound at V(x0), as
+    ``certify`` evaluates it.  The bound check is one-sided (mean -
+    half_width <= bound), as the certificate bounds the expectation from
+    above; a bound that is not finite, or a mean that was not measured,
+    fails it.  It needs at least ``MIN_PATHS_FOR_BOUND`` paths.
+    """
+    cert = cfg.certificate
+    if cert is not None and cfg.mc.n_paths < defaults.MIN_PATHS_FOR_BOUND:
         raise ConfigError(
             f"field mc.n_paths: bound checks need at least "
             f"{defaults.MIN_PATHS_FOR_BOUND} paths, got {cfg.mc.n_paths}")
-    stats = estimate_settling(cfg.model, cfg.process, cfg.x0, cfg.mc,
-                              cert=cfg.certificate, jobs=jobs)
-    ok = stats.settled_fraction >= cfg.settled_threshold and (
-        cfg.certificate is None or bool(stats.bound_satisfied))
-    outputs = {"settle_stats.json": stats.to_dict(), "settle_paths.csv": (
+    stats = estimate_settling(cfg.model, cfg.process, cfg.x0, cfg.mc, jobs=jobs)
+    bound = bound_ok = None
+    if cert is not None:
+        bound = settling_bound_at(cert, cfg.x0)
+        bound_ok = (stats.mean is not None and math.isfinite(bound)
+                    and stats.mean - stats.half_width <= bound)
+    ok = stats.settled_fraction >= cfg.settled_threshold and bound_ok is not False
+    report = dict(stats.to_dict(), bound_from_certificate=bound,
+                  bound_satisfied=bound_ok)
+    outputs = {"settle_stats.json": report, "settle_paths.csv": (
         ["path_index", "seed", "settled", "settle_time"],
         [np.arange(stats.n_paths), stats.seeds, stats.settled_mask,
          stats.settle_times])}
     return outputs, ok, (
         f"settle: fraction={stats.settled_fraction:.4f} "
         f"mean={stats.mean if stats.mean is None else fmt(stats.mean)} "
-        f"bound={stats.bound_from_certificate if stats.bound_from_certificate is None else fmt(stats.bound_from_certificate)}")
+        f"bound={bound if bound is None else fmt(bound)}")
 
 
 # each config command's handler and the top-level config blocks it needs

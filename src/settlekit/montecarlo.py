@@ -20,26 +20,26 @@ decay envelope, with each path's L1 start index read from the blocks as
 they pass, by the channel sum and ``noise.l1_ratios`` that the noise checks
 use.
 
-Censoring: paths that have not settled by the horizon are excluded from the
-settle-time mean and reported separately; blown-up paths are censored and
-flagged.  The settling-bound check is one-sided (mean - half_width <= bound)
-because the certificate bounds the expectation from above.
+The studies return what they measured and decide no verdict: the CLI's
+``settle`` compares the settled fraction with its threshold and the settle
+times' interval with the certificate's bound.  Censoring: paths that have
+not settled by the horizon are excluded from the settle-time mean and
+reported separately; blown-up paths are censored and flagged.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import defaults
-from .certify import Certificate, Envelope, PowerLaw, settling_bound_at
-from .errors import EvaluatorError
+from .certify import Certificate, Envelope, PowerLaw
 from .integrate import (BatchResult, IntegratorConfig, check_run,
                         integrate_batch, steps_per_cell)
-from .noise import BatchSampler, NoiseProcess, grid_points, l1_ratios, path_seed
+from .noise import (BatchSampler, NoiseProcess, grid_points, l1_ratios,
+                    mean_half_width, path_seed)
 from .parallel import fan_out
 from .systems import SystemModel
 
@@ -68,8 +68,6 @@ class SettlingStats:
     half_width: Optional[float]
     min_time: Optional[float]
     max_time: Optional[float]
-    bound_from_certificate: Optional[float]
-    bound_satisfied: Optional[bool]
     settle_times: np.ndarray     # per path, NaN when censored
     settled_mask: np.ndarray
     blown_mask: np.ndarray
@@ -84,18 +82,7 @@ class SettlingStats:
                 "n_censored": self.n_censored, "n_blowups": self.n_blowups,
                 "settled_fraction": self.settled_fraction,
                 "mean": self.mean, "half_width": self.half_width,
-                "min": self.min_time, "max": self.max_time,
-                "bound_from_certificate": self.bound_from_certificate,
-                "bound_satisfied": self.bound_satisfied}
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    times: np.ndarray
-    per_time_fraction: np.ndarray
-    overall_fraction: float
-    overall_fraction_from_l1_time: float
-    extinction_time: float
+                "min": self.min_time, "max": self.max_time}
 
 
 # Grid points drawn per noise block: with m steps per cell a block lasts 64 m
@@ -135,34 +122,24 @@ class _BatchRun:
             self.t0, self.n_steps, self.m, self.cfg.integrator, radius)
 
 
-def _first_step(e: Exception) -> float:
-    """Where a slice's exception stops a serial sweep: an EvaluatorError at
-    its step's time, any other exception before every step."""
-    return e.t if isinstance(e, EvaluatorError) else -math.inf
-
-
 def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
-                      cfg: McConfig, cert: Optional[Certificate] = None,
-                      t0: float = 0.0, jobs: int = 1) -> SettlingStats:
+                      cfg: McConfig, t0: float = 0.0, jobs: int = 1) -> SettlingStats:
     """Integrate n_paths independent paths and summarize settling times.
 
     The paths are swept in up to ``jobs`` processes, one contiguous slice
     each, and the slices' results joined in path order, which gives every
-    number the bits of one sweep.  A NaN from the model raises the
-    ``EvaluatorError`` a single sweep would: the one at the earliest step,
-    in the lowest slice on a tie.
+    number the bits of one sweep.  A NaN from the model raises the error a
+    single sweep would: the one at the earliest step, in the lowest slice
+    on a tie (``parallel.fan_out``).
 
-    With a certificate, evaluates the expected-settling-time bound at V(x0)
-    and sets ``bound_satisfied`` one-sidedly (mean - half_width <= bound);
-    a bound that is not finite is not satisfied.
+    The mean and half-width are ``noise.mean_half_width`` of the settled
+    paths' times, and the time itself with half-width 0 when those times
+    are all equal; with fewer than 2 settled paths both are None.
     """
-    if cert is not None and cfg.n_paths < defaults.MIN_PATHS_FOR_BOUND:
-        raise ValueError(
-            f"bound checks need n_paths >= {defaults.MIN_PATHS_FOR_BOUND}")
     run = _BatchRun(model, process, x0, cfg, t0)
     n = cfg.n_paths
     res = BatchResult.join(fan_out(lambda rows: run.sweep(blocks=run.blocks(rows)),
-                                   n, jobs, order=_first_step))
+                                   n, jobs))
     blown = res.blow_step >= 0
     settle_times = res.settle_times(t0, cfg.integrator.h)
     settled = ~np.isnan(settle_times)
@@ -174,21 +151,12 @@ def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
         tmin = float(times.min())
         tmax = float(times.max())
     if n_settled >= 2:
-        if tmin == tmax:   # degenerate sample (e.g. zero noise): no spread
-            mean, hw = tmin, 0.0
-        else:
-            mean = float(times.mean())
-            hw = float(defaults.CONFIDENCE_Z * times.std(ddof=1) / math.sqrt(n_settled))
-    bound = bound_ok = None
-    if cert is not None:
-        bound = settling_bound_at(cert, run.x0)
-        bound_ok = bool(mean is not None and math.isfinite(bound)
-                        and mean - hw <= bound)
+        # a degenerate sample (e.g. zero noise) has no spread
+        mean, hw = (tmin, 0.0) if tmin == tmax else mean_half_width(times)
     return SettlingStats(
         n_paths=n, n_settled=n_settled, n_censored=n - n_settled,
         n_blowups=int(blown.sum()), mean=mean, half_width=hw,
-        min_time=tmin, max_time=tmax, bound_from_certificate=bound,
-        bound_satisfied=bound_ok, settle_times=settle_times,
+        min_time=tmin, max_time=tmax, settle_times=settle_times,
         settled_mask=settled, blown_mask=blown, seeds=run.seeds)
 
 
@@ -205,11 +173,12 @@ def estimate_stability_probability(model: SystemModel, process: NoiseProcess,
 
 def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
                       cert: Certificate, cfg: McConfig,
-                      t0: float = 0.0) -> CoverageReport:
-    """Per-time and whole-path fractions of trajectories under the decay
-    envelope.
+                      t0: float = 0.0) -> tuple:
+    """Fractions of trajectories under the decay envelope: (per-time
+    fractions on the integration grid, whole-path fraction, whole-path
+    fraction from each path's L1 start).
 
-    The whole-path fraction is reported twice: from t0, and from the first
+    The whole-path fraction is given twice: from t0, and from the first
     noise-grid time at which the path's accumulated-|xi| ratio drops below 1
     (the envelope argument only applies from such a time on).
     """
@@ -248,9 +217,6 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
         next(l1)
     start_idx = np.where(first >= 0, first, run.n_points - 1)
 
-    return CoverageReport(
-        times=grid, per_time_fraction=(cfg.n_paths - res.n_out) / cfg.n_paths,
-        overall_fraction=int(np.sum(res.last_out < 0)) / cfg.n_paths,
-        overall_fraction_from_l1_time=(
-            int(np.sum(res.last_out < start_idx * run.m)) / cfg.n_paths),
-        extinction_time=env.t_ext)
+    return ((cfg.n_paths - res.n_out) / cfg.n_paths,
+            int(np.sum(res.last_out < 0)) / cfg.n_paths,
+            int(np.sum(res.last_out < start_idx * run.m)) / cfg.n_paths)

@@ -385,14 +385,16 @@ def _check_times(t_grid, delta: float) -> np.ndarray:
     return t_grid
 
 
-def _moment_report(means: np.ndarray):
-    """(estimate, 95% half-width) of the mean of the per-path means."""
-    n_paths = len(means)
+def mean_half_width(values: np.ndarray):
+    """(mean, 95% central-limit half-width) of a sample of one value per
+    path, such as the per-path means of |xi|^2 or the settle times; either
+    is inf or NaN, without a warning, if it overflows."""
+    n_paths = len(values)
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
     with np.errstate(over="ignore", invalid="ignore"):
-        return (float(np.mean(means)),
-                float(CONFIDENCE_Z * np.std(means, ddof=1) / math.sqrt(n_paths)))
+        return (float(np.mean(values)),
+                float(CONFIDENCE_Z * np.std(values, ddof=1) / math.sqrt(n_paths)))
 
 
 def _wlln_report(process: NoiseProcess, averages: np.ndarray,
@@ -411,8 +413,8 @@ def estimate_mean_square(process: NoiseProcess, n_paths: int, horizon: float,
     hold); the 95% half-width is the central-limit interval over per-path
     averages.  Either is inf or NaN, without a warning, if it overflows.
     """
-    return _moment_report(_path_statistics(process, range(n_paths), horizon,
-                                           h_noise, seed)[0])
+    return mean_half_width(_path_statistics(process, range(n_paths), horizon,
+                                            h_noise, seed)[0])
 
 
 def check_wlln(process: NoiseProcess, t_grid, delta: float, n_paths: int,
@@ -452,7 +454,7 @@ def check_noise(process: NoiseProcess, n_paths: int, horizon: float,
         process, range(n_paths)[rows], horizon, h_noise, seed, t_grid,
         k_bound, t_min), n_paths, jobs)
     means, averages, ratios = (np.concatenate(p, axis=-1) for p in zip(*parts))
-    return (*_moment_report(means), _wlln_report(process, averages, delta),
+    return (*mean_half_width(means), _wlln_report(process, averages, delta),
             float(np.max(ratios)))
 
 

@@ -7,14 +7,18 @@ the parts joined in slice order have the bits of one serial pass.
 ``os.fork`` child, which sends back its result, or its exception, pickled
 through a pipe.  No child outlives the call: each is reaped before it
 returns, and killed first if the caller fails.  A slice whose fork fails
-runs in the caller.  ``worker_count`` is the rule for how many processes a
-call uses.
+runs in the caller.  If slices fail, the call raises what one serial pass
+would meet first: an ``EvaluatorError`` at the earliest step time, any other
+exception before every step, the lowest slice on a tie.  ``worker_count``
+is the rule for how many processes a call uses.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+
+from .errors import EvaluatorError
 
 # Fewest paths a worker is given.  A worker pays a fork, the copy-on-write
 # faults it causes and, in a settle sweep, the whole per-step numpy overhead
@@ -68,13 +72,18 @@ def _fork(fn, part):
     return pid, os.fdopen(r, "rb")
 
 
-def fan_out(fn, n_paths: int, jobs: int, order=lambda e: 0) -> list:
+def _step_time(e: Exception) -> float:
+    """Where an exception stops a serial pass: an EvaluatorError at its
+    step's time, any other exception before every step."""
+    return e.t if isinstance(e, EvaluatorError) else -float("inf")
+
+
+def fan_out(fn, n_paths: int, jobs: int) -> list:
     """[fn(slice(a, b)) for the contiguous slices of range(n_paths)], one
     slice per ``worker_count(jobs, n_paths)`` process, in slice order.
 
     If a slice raises, the exception object is re-raised once every slice
-    has ended: the least by ``order(exception)``, the first in path order
-    on a tie.
+    has ended: the one a serial pass meets first (see the module note).
     """
     n = worker_count(jobs, n_paths)
     cuts = [n_paths * k // n for k in range(n + 1)]
@@ -104,5 +113,5 @@ def fan_out(fn, n_paths: int, jobs: int, order=lambda e: 0) -> list:
             os.waitpid(pid, 0)
     errors = [value for ok, value in outcomes if not ok]
     if errors:
-        raise min(errors, key=order)
+        raise min(errors, key=_step_time)
     return [value for _, value in outcomes]

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 import settlekit as sk
 from settlekit import defaults, noise, parallel
-from settlekit.cli import load_config, main
-from settlekit.fileio import write_json
+from settlekit.certify import LYAPUNOV_FUNCTIONS, Certificate, PowerLaw
+from settlekit.cli import cmd_settle, load_config, main
+from settlekit.fileio import write_json, write_outputs
 from test_imports import readme_config
 
 TWO_23 = 2.0 ** (2.0 / 3.0)
@@ -873,15 +874,61 @@ class TestSettle:
         assert a == b
         assert a != c
 
-    def test_jobs_do_not_change_bytes(self, tmp_path):
+    def test_jobs_do_not_change_bytes(self, tmp_path, monkeypatch):
+        # split even 30 paths across 4 processes, whatever the host
+        monkeypatch.setattr(parallel, "MIN_PATHS_PER_WORKER", 2)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         cfg = base_config(out_a, n_paths=30)
         path = write_config(tmp_path, cfg)
         assert main(["--config", path, "settle", "--jobs", "1"]) == 0
+        assert not forks
         assert main(["--config", path, "settle", "--out", str(out_b),
                      "--jobs", "4"]) == 0
+        assert forks
         for name in ("settle_stats.json", "settle_paths.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_bound_requires_enough_paths(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = base_config(out, n_paths=10)
+        cfg["certificate"] = {"gamma": 2.0 / 3.0, "c1": TWO_23, "c2": TWO_23,
+                              "K": 0.09, "alpha1": {"a": 0.5, "b": 2},
+                              "alpha2": {"a": 0.5, "b": 2},
+                              "V": "half-square-norm"}
+        assert main(["--config", write_config(tmp_path, cfg), "settle"]) == 2
+        err = capsys.readouterr().err
+        assert "mc.n_paths" in err and "100" in err
+        assert not out.exists()
+
+    def test_non_finite_bound_is_not_satisfied(self, tmp_path):
+        # V(x0) = 1e308 |x0|^2 / 2 overflows at x0 = (2, 2): every path
+        # settles, and the infinite bound still fails, without a numpy
+        # warning, and is written as null
+        cfg = base_config(tmp_path / "out", n_paths=100, horizon=10.0)
+        cfg.update(x0=[2.0, 2.0], noise={"kind": "zero", "dimension": 2,
+                                         "h_noise": 0.01})
+        cfg = load_config(write_config(tmp_path, cfg))
+        v_norm, grad_norm = LYAPUNOV_FUNCTIONS["half-square-norm"]
+        cfg.certificate = Certificate(
+            state_dim=2, V=lambda x: 1e308 * v_norm(x), gradV=grad_norm,
+            gamma=2.0 / 3.0, c1=TWO_23, c2=TWO_23, noise_bound=0.0,
+            alpha1=PowerLaw(0.5, 2), alpha2=PowerLaw(0.5, 2))
+        outputs, ok, line = cmd_settle(cfg, 1)
+        write_outputs(cfg.out_dir, outputs)
+        stats = json.loads((tmp_path / "out" / "settle_stats.json").read_text())
+        assert stats["n_settled"] == 100
+        assert stats["bound_satisfied"] is False
+        assert stats["bound_from_certificate"] is None
+        assert not ok and line.endswith("bound=inf")
 
 
 class TestReproduce:

@@ -154,27 +154,6 @@ class TestEstimateSettling:
             assert np.array_equal(getattr(prefix, name),
                                   getattr(full, name)[:5], equal_nan=True)
 
-    def test_bound_requires_enough_paths(self):
-        with pytest.raises(ValueError):
-            sk.estimate_settling(sk.make_example1(),
-                                 sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0]),
-                                 np.array([1.0, 1.0]), mc_config(n_paths=10),
-                                 cert=ex1_cert())
-
-    def test_non_finite_bound_is_not_satisfied(self):
-        # V(x0) = 1e308 |x0|^2 / 2 overflows at x0 = 2: every path settles,
-        # and the infinite bound still fails, without a numpy warning
-        cert = Certificate(state_dim=1, V=lambda x: 1e308 * V_NORM(x),
-                           gradV=GRAD_NORM, gamma=2.0 / 3.0, c1=TWO_23, c2=TWO_23,
-                           noise_bound=0.0, alpha1=PowerLaw(0.5, 2),
-                           alpha2=PowerLaw(0.5, 2))
-        stats = sk.estimate_settling(sqrt_model(), sk.zero_process(1),
-                                     np.array([2.0]), mc_config(n_paths=100),
-                                     cert=cert)
-        assert stats.n_settled == 100
-        assert stats.bound_from_certificate == np.inf
-        assert stats.bound_satisfied is False
-
     def test_blowups_flagged_and_censored(self):
         model = sk.get_model("unstable-cubic")
         cfg = sk.McConfig(n_paths=3, master_seed=1,
@@ -226,11 +205,11 @@ class TestStabilityProbability:
 class TestEnvelopeCoverage:
     def test_zero_noise_full_coverage(self):
         cert = ex1_cert(k=0.0)
-        cov = sk.envelope_coverage(sk.make_example1(), sk.zero_process(2),
-                                   np.array([1.0, 1.0]), cert,
-                                   mc_config(n_paths=4, horizon=6.0, h=2e-3))
-        assert cov.overall_fraction == 1.0
-        assert np.all(cov.per_time_fraction == 1.0)
+        per_time, overall, _ = sk.envelope_coverage(
+            sk.make_example1(), sk.zero_process(2), np.array([1.0, 1.0]), cert,
+            mc_config(n_paths=4, horizon=6.0, h=2e-3))
+        assert overall == 1.0
+        assert np.all(per_time == 1.0)
 
     def test_each_path_is_sampled_once(self, monkeypatch):
         drawn = []
@@ -242,11 +221,11 @@ class TestEnvelopeCoverage:
 
         monkeypatch.setattr(noise.BatchSampler, "__init__", counted)
         proc = sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0])
-        cov = sk.envelope_coverage(sk.make_example1(), proc, np.array([1.0, 1.0]),
-                                   ex1_cert(), mc_config(n_paths=7, horizon=2.0,
-                                                         h=2e-3))
+        _, overall, from_l1 = sk.envelope_coverage(
+            sk.make_example1(), proc, np.array([1.0, 1.0]), ex1_cert(),
+            mc_config(n_paths=7, horizon=2.0, h=2e-3))
         assert drawn == [sk.path_seed(1, i) for i in range(7)]
-        assert cov.overall_fraction_from_l1_time >= cov.overall_fraction
+        assert from_l1 >= overall
 
     @pytest.mark.parametrize("l", [8, 9])
     def test_l1_start_reads_the_noise_checks_magnitudes(self, monkeypatch, l):
@@ -278,15 +257,15 @@ class TestEnvelopeCoverage:
         model = sk.make_example1()
         proc = sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0])
         cfg = mc_config(n_paths=20, horizon=6.0, seed=9, h=2e-3)
-        covs = []
+        overall = []
         for a1 in (0.5, 0.25):   # smaller coefficient -> larger envelope
             cert = Certificate(state_dim=2, V=V_NORM, gradV=GRAD_NORM,
                                gamma=2.0 / 3.0, c1=TWO_23, c2=TWO_23,
                                noise_bound=0.09, alpha1=PowerLaw(a1, 2),
                                alpha2=PowerLaw(0.5, 2))
-            covs.append(sk.envelope_coverage(model, proc, np.array([1.0, 1.0]),
-                                             cert, cfg))
-        assert covs[1].overall_fraction >= covs[0].overall_fraction
+            overall.append(sk.envelope_coverage(
+                model, proc, np.array([1.0, 1.0]), cert, cfg)[1])
+        assert overall[1] >= overall[0]
 
 
 class TestPinnedResults:
@@ -299,19 +278,19 @@ class TestPinnedResults:
                 np.array([1.0, 1.0]))
 
     def test_envelope_coverage(self):
-        cov = sk.envelope_coverage(*self.strong_noise(), ex1_cert(),
-                                   mc_config(n_paths=40, horizon=4.0, h=2e-3))
-        assert hashlib.sha256(cov.per_time_fraction.tobytes()).hexdigest() == \
+        per_time, overall, from_l1 = sk.envelope_coverage(
+            *self.strong_noise(), ex1_cert(),
+            mc_config(n_paths=40, horizon=4.0, h=2e-3))
+        assert hashlib.sha256(per_time.tobytes()).hexdigest() == \
             "3238db73106a9867ace1a4b46cb0e017051687f18d6c9e6a092da4a256b43efe"
-        assert cov.overall_fraction == 0.575
-        assert cov.overall_fraction_from_l1_time == 0.85
+        assert overall == 0.575
+        assert from_l1 == 0.85
 
     @staticmethod
-    def assert_report(cov, fractions, extinction, digests):
-        assert (cov.overall_fraction, cov.overall_fraction_from_l1_time) == fractions
-        assert cov.extinction_time == extinction
-        assert [hashlib.sha256(a.tobytes()).hexdigest()
-                for a in (cov.times, cov.per_time_fraction)] == digests
+    def assert_report(cov, fractions, digest):
+        per_time, *whole_path = cov
+        assert tuple(whole_path) == fractions
+        assert hashlib.sha256(per_time.tobytes()).hexdigest() == digest
 
     def test_envelope_coverage_l1_start_after_the_last_absorption(self):
         # paths 2 and 7 leave the envelope and are absorbed; no grid time up
@@ -331,10 +310,9 @@ class TestPinnedResults:
             mags = np.sqrt(np.sum(path.values ** 2, axis=1))
             assert not np.any(sk.noise.l1_ratios(mags, 0.01, 0.0, 0.3)[0] <= 1.0)
         self.assert_report(
-            sk.envelope_coverage(model, proc, x0, cert, cfg),
-            (0.625, 0.875), 6.098107116160141,
-            ["cf9271de5cac40aaf16c25adb16bdfd21f1960e885655e61b0b7f3e1c8fad23f",
-             "d53350154a5d7587cf012f4a991b730200ccc12f32eae20e155ced3b313a2268"])
+            sk.envelope_coverage(model, proc, x0, cert, cfg), (0.625, 0.875),
+            "d53350154a5d7587cf012f4a991b730200ccc12f32eae20e155ced3b313a2268")
+        assert sk.Envelope(cert, np.linalg.norm(x0)).t_ext == 6.098107116160141
 
     def test_envelope_coverage_reads_blown_rows_to_their_last_exit(self):
         # every row blows up at node 126, in the first noise block, and its
@@ -350,9 +328,9 @@ class TestPinnedResults:
         cov = sk.envelope_coverage(sk.get_model("unstable-cubic"), proc,
                                    np.array([2.0]), ex1_cert(0.12, 1), cfg)
         self.assert_report(
-            cov, (0.0, 0.25), 7.751494504520428,
-            ["8a897666aee384b4aedc56a912986750875fa1e560e7a842f4fd2d6dfc1df02c",
-             "8fd3bf15a6e49f0c6def056ef9ac5adfc92a5aedc21a0acbec1169bb8d03527c"])
+            cov, (0.0, 0.25),
+            "8fd3bf15a6e49f0c6def056ef9ac5adfc92a5aedc21a0acbec1169bb8d03527c")
+        assert sk.Envelope(ex1_cert(0.12, 1), 2.0).t_ext == 7.751494504520428
 
     @pytest.mark.parametrize("a, fraction", [(0.9, 0.0), (1.0, 0.95), (1.2, 1.0)])
     def test_stability_probability(self, a, fraction):
@@ -365,12 +343,12 @@ class TestPinnedResults:
                           integrator=sk.IntegratorConfig(h=1e-3, horizon=1.0,
                                                          absorb_at_origin=False),
                           h_noise=0.01)
-        cov = sk.envelope_coverage(sk.get_model("unstable-cubic"),
-                                   sk.zero_process(1), np.array([2.0]),
-                                   ex1_cert(dim=1), cfg)
-        assert hashlib.sha256(cov.per_time_fraction.tobytes()).hexdigest() == \
+        per_time, overall, from_l1 = sk.envelope_coverage(
+            sk.get_model("unstable-cubic"), sk.zero_process(1), np.array([2.0]),
+            ex1_cert(dim=1), cfg)
+        assert hashlib.sha256(per_time.tobytes()).hexdigest() == \
             "f1f767bcef9abd9978a09acda2bf15e3c7538101c7d5d01383e3255a6bf7c0de"
-        assert cov.overall_fraction == cov.overall_fraction_from_l1_time == 0.0
+        assert overall == from_l1 == 0.0
 
 
 class TestFigures:

@@ -79,14 +79,24 @@ class TestFanOut:
 
     def test_least_failure_by_order_wins_ties_to_the_lowest_slice(
             self, three_workers):
-        def fn(rows):
-            raise sk.EvaluatorError(f"slice from {rows.start}", x=rows.start,
-                                    t=0.0 if rows.start == 0 else 1.0)
+        # slices start at paths 0, 3 and 6; each raises at the step time given
+        def failing(times, plain=()):
+            def fn(rows):
+                if rows.start in plain:
+                    raise ValueError(f"plain from {rows.start}")
+                raise sk.EvaluatorError(f"slice from {rows.start}", x=rows.start,
+                                        t=times[rows.start])
+            return fn
 
-        with pytest.raises(sk.EvaluatorError, match="slice from 0"):
-            parallel.fan_out(fn, 10, 3, order=lambda e: e.t)
+        # a later slice that fails at an earlier step time wins
+        with pytest.raises(sk.EvaluatorError, match="slice from 6"):
+            parallel.fan_out(failing({0: 2.0, 3: 1.0, 6: 0.5}), 10, 3)
+        # a tie goes to the lowest slice
         with pytest.raises(sk.EvaluatorError, match="slice from 3"):
-            parallel.fan_out(fn, 10, 3, order=lambda e: -e.t)
+            parallel.fan_out(failing({0: 2.0, 3: 0.5, 6: 0.5}), 10, 3)
+        # any other exception stops a serial pass before every step
+        with pytest.raises(ValueError, match="plain from 6"):
+            parallel.fan_out(failing({0: 0.0, 3: 0.0}, plain=(6,)), 10, 3)
 
     def test_worker_without_a_result_raises(self, three_workers):
         def fn(rows):
