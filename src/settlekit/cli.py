@@ -136,12 +136,13 @@ class _Block:
             return None
         return _number(value, f"{self.name}.{key}", kind, above)
 
-    def n_paths(self, default: int) -> int:
-        """The block's path count: at least 2, and below the largest index
-        an array can have, the bound the noise grids keep too."""
-        n = self.number("n_paths", default, int, above=1)
+    def count(self, key: str, default: int, above: int) -> int:
+        """An integer count (of paths, of noise channels): above ``above``,
+        and below the largest index an array can have, the bound the noise
+        grids keep too."""
+        n = self.number(key, default, int, above=above)
         if not n < np.iinfo(np.intp).max:
-            raise ConfigError(f"field {self.name}.n_paths must be < "
+            raise ConfigError(f"field {self.name}.{key} must be < "
                               f"{np.iinfo(np.intp).max}, got {_shown(n)}")
         return n
 
@@ -181,10 +182,10 @@ class ExperimentConfig:
         master_seed = mc.number("master_seed", 0, int, above=-1)
         if seed_override is not None:
             master_seed = _number(seed_override, "mc.master_seed", int, above=-1)
-        n_paths = mc.n_paths(100)
-        # h | h_noise via McConfig; x0, the noise dimension and the horizon
-        # grid via the integrator's own check; the noise on the run's grid
-        # via the noise grid rule, as noise-check's grid below
+        n_paths = mc.count("n_paths", 100, above=1)
+        # when the config has a run: x0, the noise dimension, h | h_noise
+        # and the horizon grid via the integrator's own check, and the noise
+        # on the run's grid via the noise grid rule, as noise-check's below
         try:
             self.mc = McConfig(n_paths=n_paths, master_seed=master_seed,
                                integrator=integrator, h_noise=h_noise)
@@ -200,7 +201,7 @@ class ExperimentConfig:
                             if "certificate" in raw else None)
 
         nc = _Block(raw, "noise_check")
-        self.nc_paths = nc.n_paths(defaults.NOISE_CHECK_PATHS)
+        self.nc_paths = nc.count("n_paths", defaults.NOISE_CHECK_PATHS, above=1)
         self.nc_horizon = nc.number("horizon", defaults.NOISE_CHECK_HORIZON, above=0)
         self.nc_delta = nc.number("delta", defaults.WLLN_DELTA, above=0)
         times = nc.get("check_times", [self.nc_horizon])
@@ -236,9 +237,9 @@ class ExperimentConfig:
         elif kind == "filtered-white-noise":
             make, args = make_filtered_white_noise, (
                 noise.number("intensity", above=0), noise.number("tau_f", above=0),
-                noise.number("dimension", 1, int))
+                noise.count("dimension", 1, above=0))
         elif kind == "zero":
-            make, args = zero_process, (noise.number("dimension", 1, int),)
+            make, args = zero_process, (noise.count("dimension", 1, above=0),)
         else:
             raise ConfigError(f"field noise.kind: unknown kind {kind!r}")
         try:

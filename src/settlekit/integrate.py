@@ -1,10 +1,11 @@
 """Pathwise fixed-step RK4 integration with settling detection.
 
-One kernel, ``integrate_batch``, integrates every path: a Monte Carlo sweep
-is a batch of b rows and ``integrate_path`` is a batch of one that keeps its
-states, so both entry points share the validation (``check_run``), the
-absorption clamp, the blow-up and NaN policy and one last-exit rule: the
-last node at which a row lies outside a ball whose radius is given per node.
+One kernel, ``integrate_batch``, integrates every path from t = 0: a Monte
+Carlo sweep is a batch of b rows and ``integrate_path`` is a batch of one
+that keeps its states, so both entry points share the validation
+(``check_run``), the absorption clamp, the blow-up and NaN policy and one
+last-exit rule: the last node at which a row lies outside a ball whose
+radius is given per node.
 The kernel returns a ``BatchResult``, whose ``settle_times`` is the one
 conversion from that last exit to a settling time, the first grid time after
 which the row stays in the ball (NaN when the row is censored or blows up).
@@ -72,9 +73,9 @@ def chatter_floor(h: float) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One integrated sample path with settling metadata."""
+    """One integrated sample path with settling metadata; node i is at
+    time i h."""
 
-    t0: float
     h: float
     states: np.ndarray            # (n_points, n)
     seed: int
@@ -91,7 +92,7 @@ class Trajectory:
         return self.blowup_time is not None
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.h * np.arange(self.states.shape[0])
+        return self.h * np.arange(self.states.shape[0])
 
     @property
     def n(self) -> int:
@@ -127,13 +128,13 @@ def steps_per_cell(h: float, h_noise: float) -> int:
 
 
 def check_run(model: SystemModel, x0, dimension: int, h_noise: float,
-              cfg: IntegratorConfig, t0: float = 0.0):
+              cfg: IntegratorConfig):
     """Validate one run's inputs; return (x0 as floats, m, n_steps).
 
     x0 must have the model's shape, the noise dimension must be the model's
-    l, h must divide h_noise (m steps per noise cell) and horizon - t0 must
+    l, h must divide h_noise (m steps per noise cell) and the horizon must
     be a positive integer multiple n_steps of h whose n_steps + 1 nodes a
-    numpy array can index.
+    numpy array can index.  This is the one check of the run grid.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.n,):
@@ -141,14 +142,14 @@ def check_run(model: SystemModel, x0, dimension: int, h_noise: float,
     if dimension != model.l:
         raise ValueError(f"noise dimension {dimension} != model l={model.l}")
     m = steps_per_cell(cfg.h, h_noise)
-    span = cfg.horizon - t0
-    if not span / cfg.h < np.iinfo(np.intp).max:      # also inf
-        raise ValueError(f"horizon - t0 = {span:g} is {span / cfg.h:g} steps of "
-                         f"h={cfg.h:g}, more than an array can index")
-    n_steps = int(round(span / cfg.h))
-    if span <= 0 or abs(n_steps * cfg.h - span) > 1e-9 * max(1.0, abs(cfg.horizon)):
-        raise ValueError(f"horizon - t0 = {span:g} must be a positive integer "
-                         f"multiple of h={cfg.h:g}")
+    horizon, h = cfg.horizon, cfg.h
+    if not horizon / h < np.iinfo(np.intp).max:      # also inf
+        raise ValueError(f"horizon = {horizon:g} is {horizon / h:g} steps of "
+                         f"h={h:g}, more than an array can index")
+    n_steps = int(round(horizon / h))
+    if horizon <= 0 or abs(n_steps * h - horizon) > 1e-9 * max(1.0, horizon):
+        raise ValueError(f"horizon = {horizon:g} must be a positive integer "
+                         f"multiple of h={h:g}")
     return x0, m, n_steps
 
 
@@ -169,12 +170,12 @@ class BatchResult(NamedTuple):
     n_out: np.ndarray
     states: Optional[np.ndarray]
 
-    def settle_times(self, t0: float, h: float) -> np.ndarray:
+    def settle_times(self, h: float) -> np.ndarray:
         """Per-row time from which the row stays inside the ball: the node
         after its last exit, NaN when it is still outside at the last node
         (censored or blown up)."""
         return np.where(self.last_out < self.n_out.size - 1,
-                        t0 + (self.last_out + 1) * h, np.nan)
+                        (self.last_out + 1) * h, np.nan)
 
     @classmethod
     def join(cls, parts) -> "BatchResult":
@@ -189,11 +190,12 @@ class BatchResult(NamedTuple):
 # the loop finds inf and NaN itself, so numpy's warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
 def integrate_batch(model: SystemModel, x0: np.ndarray, blocks: Iterable,
-                    t0: float, n_steps: int, m: int, cfg: IntegratorConfig,
+                    n_steps: int, m: int, cfg: IntegratorConfig,
                     radius: Optional[np.ndarray] = None,
                     keep_states: bool = False) -> BatchResult:
-    """Integrate b paths from x0 under held noise values read from
-    ``blocks``, arrays (b, k, l) of the consecutive noise cells 0, 1, ...
+    """Integrate b paths from x0 at t = 0 over n_steps steps of h, m to a
+    noise cell, under held noise values read from ``blocks``, arrays
+    (b, k, l) of the consecutive noise cells 0, 1, ...
 
     The first block is taken up front and each further one when the step
     loop reaches its first cell, so no block past the last live step is
@@ -230,7 +232,7 @@ def integrate_batch(model: SystemModel, x0: np.ndarray, blocks: Iterable,
     for j in range(n_steps):
         if not rows.size:
             break
-        t = t0 + j * h
+        t = j * h
         if j % m == 0 or xi.shape[0] != rows.size:
             c = j // m - start
             if c == block.shape[1]:
@@ -284,7 +286,8 @@ def _next_block(blocks, cell: int, b: Optional[int] = None) -> np.ndarray:
 
 def integrate_path(model: SystemModel, path: NoisePath, x0,
                    cfg: IntegratorConfig) -> Trajectory:
-    """Integrate xdot = f + g xi along one realized noise path.
+    """Integrate xdot = f + g xi from t = 0 along one realized noise path,
+    which must start at 0 and cover the horizon (else ValueError).
 
     A batch of one through ``integrate_batch``: the state is clamped to
     exactly 0 once it enters the absorption ball (and then stays 0);
@@ -292,23 +295,26 @@ def integrate_path(model: SystemModel, path: NoisePath, x0,
     exceeds the blow-up threshold.  NaN from an evaluator at a finite state
     raises EvaluatorError.
     """
-    x0, m, n_steps = check_run(model, x0, path.dimension, path.h, cfg, path.t0)
+    x0, m, n_steps = check_run(model, x0, path.dimension, path.h, cfg)
+    if path.t0 != 0.0:
+        raise ValueError(f"noise path starts at t0={path.t0:g}; a run starts at 0")
     if path.t_end < cfg.horizon - 1e-9:
         raise ValueError("noise path does not cover the horizon")
-    res = integrate_batch(model, x0, [path.values[None]], path.t0, n_steps, m,
-                          cfg, keep_states=True)
-    settle = float(res.settle_times(path.t0, cfg.h)[0])
+    res = integrate_batch(model, x0, [path.values[None]], n_steps, m, cfg,
+                          keep_states=True)
+    settle = float(res.settle_times(cfg.h)[0])
     blow, absorb = int(res.blow_step[0]), int(res.absorb_step[0])
     return Trajectory(
-        t0=path.t0, h=cfg.h, states=res.states[:blow if blow >= 0 else None, 0],
+        h=cfg.h, states=res.states[:blow if blow >= 0 else None, 0],
         seed=path.seed, settle_time=None if np.isnan(settle) else settle,
-        blowup_time=path.t0 + (blow - 1) * cfg.h + cfg.h if blow >= 0 else None,
+        # (blow - 1) h + h, not blow h: the bits of the kernel's t + h
+        blowup_time=(blow - 1) * cfg.h + cfg.h if blow >= 0 else None,
         absorb_index=absorb if absorb >= 0 else None)
 
 
 def check_integral_form(traj: Trajectory, model: SystemModel, path: NoisePath,
                         tol: float) -> ConditionReport:
-    """Reconstruct x(t) = x(t0) + int f + int g xi from the stored states and
+    """Reconstruct x(t) = x(0) + int f + int g xi from the stored states and
     compare at every grid point (up to absorption, which intentionally clamps
     the state off the integral identity).
 

@@ -1,5 +1,6 @@
 """Monte Carlo settling studies over many noise realizations.
 
+Every run starts at t = 0, and its noise grid with it.
 Each path's randomness is derived only from (master_seed, path_index), so
 a path's result does not depend on the other paths of the batch.  A batch
 of paths is integrated in one call of ``integrate.integrate_batch``, the
@@ -36,8 +37,7 @@ import numpy as np
 
 from . import defaults
 from .certify import Certificate, Envelope, PowerLaw
-from .integrate import (BatchResult, IntegratorConfig, check_run,
-                        integrate_batch, steps_per_cell)
+from .integrate import BatchResult, IntegratorConfig, check_run, integrate_batch
 from .noise import (BatchSampler, NoiseProcess, grid_points, l1_ratios,
                     mean_half_width, path_seed)
 from .parallel import fan_out
@@ -54,8 +54,6 @@ class McConfig:
     def __post_init__(self):
         if self.n_paths < 2:
             raise ValueError("n_paths must be >= 2")
-        # h | h_noise, so h_noise > 0 as h > 0
-        steps_per_cell(self.integrator.h, self.h_noise)
 
 
 @dataclass(frozen=True)
@@ -93,24 +91,24 @@ _BLOCK = 64
 
 class _BatchRun:
     """Integrates the n_paths paths with ``integrate_batch``, drawing their
-    noise from one ``BatchSampler`` as the kernel reaches it."""
+    noise from one ``BatchSampler`` as the kernel reaches it.  The run is
+    checked (``check_run``, h | h_noise among it) before any work."""
 
     def __init__(self, model: SystemModel, process: NoiseProcess, x0,
-                 cfg: McConfig, t0: float = 0.0):
+                 cfg: McConfig):
         self.model = model
         self.process = process
         self.cfg = cfg
-        self.t0 = t0
         self.x0, self.m, self.n_steps = check_run(
-            model, x0, process.dimension, cfg.h_noise, cfg.integrator, t0)
-        self.n_points = grid_points(process, t0, cfg.integrator.horizon, cfg.h_noise)
+            model, x0, process.dimension, cfg.h_noise, cfg.integrator)
+        self.n_points = grid_points(process, 0.0, cfg.integrator.horizon, cfg.h_noise)
         self.seeds = np.array([path_seed(cfg.master_seed, i)
                                for i in range(cfg.n_paths)], dtype=np.uint64)
 
     def blocks(self, rows=slice(None)):
         """The noise of the paths ``rows`` over the grid, (b, k, l) blocks of
         _BLOCK points."""
-        return BatchSampler(self.process, self.t0, self.cfg.h_noise,
+        return BatchSampler(self.process, 0.0, self.cfg.h_noise,
                             self.seeds[rows]).blocks(self.n_points, _BLOCK)
 
     def sweep(self, radius=None, blocks=None):
@@ -119,11 +117,11 @@ class _BatchRun:
         ``blocks()`` by default).  Returns the kernel's ``BatchResult``."""
         return integrate_batch(
             self.model, self.x0, self.blocks() if blocks is None else blocks,
-            self.t0, self.n_steps, self.m, self.cfg.integrator, radius)
+            self.n_steps, self.m, self.cfg.integrator, radius)
 
 
 def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
-                      cfg: McConfig, t0: float = 0.0, jobs: int = 1) -> SettlingStats:
+                      cfg: McConfig, jobs: int = 1) -> SettlingStats:
     """Integrate n_paths independent paths and summarize settling times.
 
     The paths are swept in up to ``jobs`` processes, one contiguous slice
@@ -136,12 +134,12 @@ def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
     paths' times, and the time itself with half-width 0 when those times
     are all equal; with fewer than 2 settled paths both are None.
     """
-    run = _BatchRun(model, process, x0, cfg, t0)
+    run = _BatchRun(model, process, x0, cfg)
     n = cfg.n_paths
     res = BatchResult.join(fan_out(lambda rows: run.sweep(blocks=run.blocks(rows)),
                                    n, jobs))
     blown = res.blow_step >= 0
-    settle_times = res.settle_times(t0, cfg.integrator.h)
+    settle_times = res.settle_times(cfg.integrator.h)
     settled = ~np.isnan(settle_times)
 
     n_settled = int(settled.sum())
@@ -161,33 +159,30 @@ def estimate_settling(model: SystemModel, process: NoiseProcess, x0,
 
 
 def estimate_stability_probability(model: SystemModel, process: NoiseProcess,
-                                   x0, gamma_fn: PowerLaw, cfg: McConfig,
-                                   t0: float = 0.0) -> float:
-    """Fraction of paths whose whole trajectory stays inside the ball of
-    radius gamma_fn(|x0|)."""
-    run = _BatchRun(model, process, x0, cfg, t0)
+                                   x0, gamma_fn: PowerLaw, cfg: McConfig) -> float:
+    """Fraction of paths whose whole trajectory from t = 0 stays inside the
+    ball of radius gamma_fn(|x0|)."""
+    run = _BatchRun(model, process, x0, cfg)
     level = float(gamma_fn(float(np.linalg.norm(run.x0))))
     res = run.sweep(np.full(run.n_steps + 1, level))
     return int(np.sum(res.last_out < 0)) / cfg.n_paths
 
 
 def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
-                      cert: Certificate, cfg: McConfig,
-                      t0: float = 0.0) -> tuple:
+                      cert: Certificate, cfg: McConfig) -> tuple:
     """Fractions of trajectories under the decay envelope: (per-time
     fractions on the integration grid, whole-path fraction, whole-path
     fraction from each path's L1 start).
 
-    The whole-path fraction is given twice: from t0, and from the first
+    The whole-path fraction is given twice: from t = 0, and from the first
     noise-grid time at which the path's accumulated-|xi| ratio drops below 1
     (the envelope argument only applies from such a time on).
     """
-    run = _BatchRun(model, process, x0, cfg, t0)
-    icfg = cfg.integrator
+    run = _BatchRun(model, process, x0, cfg)
     x0_norm = float(np.linalg.norm(run.x0))
     env = Envelope(cert, x0_norm)
-    grid = t0 + icfg.h * np.arange(run.n_steps + 1)
-    env_vals = np.array([env.value(tj - t0) for tj in grid])
+    grid = cfg.integrator.h * np.arange(run.n_steps + 1)
+    env_vals = np.array([env.value(tj) for tj in grid])
     slack = 1e-12 * max(1.0, x0_norm)
     k_bound = max(cert.noise_bound, 1e-300)
     first = np.full(cfg.n_paths, -1)        # each path's first L1-good index
@@ -199,7 +194,7 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
         total = 0.0                         # per path, sum of |xi| read
         for block in run.blocks():
             ratios, total = l1_ratios(np.sqrt(np.sum(block ** 2, axis=-1)),
-                                      cfg.h_noise, t0, k_bound, read, total)
+                                      cfg.h_noise, 0.0, k_bound, read, total)
             good = ratios <= 1.0
             new = (first < 0) & good.any(1)
             first[new] = read + good[new].argmax(1)

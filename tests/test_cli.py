@@ -104,6 +104,27 @@ class TestConfigErrors:
         cfg["integrator"]["h"] = 0.003
         assert main(["--config", write_config(tmp_path, cfg), "simulate"]) == 2
 
+    def test_noise_alone_has_no_step_to_divide(self, tmp_path):
+        # h | h_noise is a rule of a run's grid; noise-check samples no run
+        out = tmp_path / "out"
+        cfg = {"noise": {"kind": "zero", "h_noise": 0.0015},
+               "noise_check": {"n_paths": 4, "horizon": 3.0}, "out_dir": str(out)}
+        assert main(["--config", write_config(tmp_path, cfg), "noise-check"]) == 0
+        assert (out / "noise_check.json").is_file()
+
+    @pytest.mark.parametrize("noise_block", [
+        {"kind": "filtered-white-noise", "intensity": 0.5, "tau_f": 1.0},
+        {"kind": "zero"}], ids=["filtered", "zero"])
+    def test_noise_dimension_follows_the_count_rule(self, tmp_path, capsys,
+                                                    noise_block):
+        out = tmp_path / "out"
+        cfg = {"noise": dict(noise_block, dimension=10 ** 400), "out_dir": str(out)}
+        assert main(["--config", write_config(tmp_path, cfg), "noise-check"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: field noise.dimension")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "settle"])
     def test_horizon_must_be_multiple_of_step(self, tmp_path, capsys, command):
         out = tmp_path / "out"
@@ -354,8 +375,8 @@ class TestConfigErrors:
         assert runs[0][0] == 0
 
     @pytest.mark.parametrize("command,field,value,named", [
-        ("certify", "integrator.horizon", 1e306, "horizon - t0 = 1e+306"),
-        ("simulate", "integrator.horizon", 1e300, "horizon - t0 = 1e+300"),
+        ("certify", "integrator.horizon", 1e306, "horizon = 1e+306"),
+        ("simulate", "integrator.horizon", 1e300, "horizon = 1e+300"),
         ("simulate", "integrator.h", 1e-300, "h=1e-300"),
         ("noise-check", "noise_check.horizon", 1e300,
          "field noise_check.horizon = 1e+300"),

@@ -38,6 +38,12 @@ def readme_config() -> dict:
     return json.loads(section.split("```json", 1)[1].split("```", 1)[0])
 
 
+def readme_library_use() -> str:
+    """The python block of README's "Library use" section."""
+    section = README.read_text().split("## Library use", 1)[1]
+    return section.split("```python", 1)[1].split("```", 1)[0]
+
+
 def scipy_modules_after(body: str, cwd) -> list:
     """Names of the scipy modules loaded after running ``body`` in a fresh
     interpreter that has imported settlekit and settlekit.cli."""
@@ -70,6 +76,16 @@ def example2_filtered_config(out_dir) -> dict:
                     "tau_f": 1.0, "dimension": 1, "h_noise": 0.01}
     cfg["integrator"]["horizon"] = 10.0
     return cfg
+
+
+def test_readme_library_use_runs(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", readme_library_use()],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].startswith("4.7247")
 
 
 def test_import_and_load_config(tmp_path):

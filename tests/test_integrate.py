@@ -110,6 +110,13 @@ class TestIntegratePath:
             sk.integrate_path(m, zero_path(1.0), np.array([1.0]),
                               sk.IntegratorConfig(h=1e-3, horizon=2.0))
 
+    def test_path_must_start_at_zero(self):
+        m = scalar_model(lambda x, t: -x)
+        path = sk.sample_path(sk.zero_process(1), 0.3, 2.0, 0.01, 1)
+        with pytest.raises(ValueError, match="starts at t0=0.3"):
+            sk.integrate_path(m, path, np.array([1.0]),
+                              sk.IntegratorConfig(h=1e-3, horizon=2.0))
+
     def test_evaluator_nan_raises(self):
         m = scalar_model(lambda x, t: np.where(np.abs(x - 0.3) < 0.05, np.nan, -x))
         cfg = sk.IntegratorConfig(h=1e-3, horizon=1.0, absorb_at_origin=False)
@@ -133,7 +140,7 @@ class TestIntegrateBatch:
         values = np.array(self.XI)[:, None, None] * np.ones((3, 301, 1))
         radius = np.linspace(0.5, 2.0, 3001)
         last_out, blow, absorb, n_out, states = integrate_batch(
-            m, np.array([1.0]), [values], 0.0, 3000, 10, cfg, radius,
+            m, np.array([1.0]), [values], 3000, 10, cfg, radius,
             keep_states=True)
         assert blow[0] > 0 and blow[1] == blow[2] == -1
         assert absorb[1] > 0 and absorb[0] == absorb[2] == -1
@@ -155,9 +162,9 @@ class TestIntegrateBatch:
     def test_record_settle_times_match_single_paths(self):
         m, cfg = self.model(), sk.IntegratorConfig(h=1e-3, horizon=3.0)
         values = np.array(self.XI)[:, None, None] * np.ones((3, 301, 1))
-        res = integrate_batch(m, np.array([1.0]), [values], 0.0, 3000, 10, cfg)
+        res = integrate_batch(m, np.array([1.0]), [values], 3000, 10, cfg)
         assert res.last_out is res[0] and res.states is None
-        times = res.settle_times(0.0, cfg.h)
+        times = res.settle_times(cfg.h)
         for r, xi in enumerate(self.XI):
             path = sk.NoisePath(t0=0.0, h=0.01, values=np.full((301, 1), xi),
                                 seed=0)
@@ -172,7 +179,7 @@ class TestIntegrateBatch:
         m = scalar_model(lambda x, t: -sk.signed_power(x, 0.5))
         cfg = sk.IntegratorConfig(h=1e-3, horizon=4.0)
         last_out, _, absorb, n_out, _ = integrate_batch(
-            m, np.array([1.0]), [np.zeros((2, 401, 1))], 0.0, 4000, 10, cfg)
+            m, np.array([1.0]), [np.zeros((2, 401, 1))], 4000, 10, cfg)
         assert 0 < absorb[0] == absorb[1] < 4000
         assert np.all(last_out < absorb[0])
         assert n_out[0] == 2 and not n_out[absorb[0]:].any()
@@ -189,7 +196,7 @@ class TestIntegrateBatch:
         m = scalar_model(lambda x, t: np.zeros_like(x))
         cfg = sk.IntegratorConfig(h=1e-3, horizon=4.0)
         with pytest.raises(ValueError, match=match):
-            integrate_batch(m, np.array([1.0]), blocks, 0.0, 4000, 10, cfg)
+            integrate_batch(m, np.array([1.0]), blocks, 4000, 10, cfg)
 
 
 def detect_settling(traj, eps_settle):
@@ -197,11 +204,11 @@ def detect_settling(traj, eps_settle):
     the ball of radius eps_settle; None if the last state is outside."""
     outside = np.linalg.norm(traj.states, axis=1) > eps_settle
     if not outside.any():
-        return float(traj.t0)
+        return 0.0
     last_out = int(np.flatnonzero(outside)[-1])
     if last_out == len(outside) - 1:
         return None
-    return float(traj.t0 + (last_out + 1) * traj.h)
+    return float((last_out + 1) * traj.h)
 
 
 class TestDetectSettling:
@@ -218,23 +225,23 @@ class TestDetectSettling:
                                   eps_settle=0.5)
         m = scalar_model(lambda x, t: np.zeros_like(x))
         return integrate_batch(m, np.array([x0]), [np.zeros((1, n_steps + 1, 1))],
-                               0.0, n_steps, 1, cfg, radius)
+                               n_steps, 1, cfg, radius)
 
     def test_all_zero(self):
         for x0, radius in ((0.0, [1e-4] * 5), (1.0, [2.0] * 5)):
             res = self.held(radius, x0)
             assert res.last_out[0] == -1
-            assert res.settle_times(0.0, self.H)[0] == 0.0
+            assert res.settle_times(self.H)[0] == 0.0
 
     def test_reentry_counts_from_final_entry(self):
         res = self.held([.5, .5, .5, 2, 2, .5, .5, 2, 2, 2, 2])
         assert res.last_out[0] == 6
-        assert res.settle_times(0.0, self.H)[0] == 7 * self.H
+        assert res.settle_times(self.H)[0] == 7 * self.H
 
     def test_censored(self):
         res = self.held([2.0, 2.0, 0.5])
         assert res.last_out[0] == 2
-        assert np.isnan(res.settle_times(0.0, self.H)[0])
+        assert np.isnan(res.settle_times(self.H)[0])
         m = scalar_model(lambda x, t: np.zeros_like(x))
         traj = sk.integrate_path(m, zero_path(1.0), np.array([1.0]),
                                  sk.IntegratorConfig(h=1e-3, horizon=1.0))
@@ -246,12 +253,12 @@ class TestDetectSettling:
         # stored norms lie outside the ball eps
         rng = np.random.default_rng(8)
         norms = np.abs(rng.normal(scale=np.linspace(1.0, 0.0, 60) ** 2))
-        stored = Trajectory(t0=0.0, h=self.H, states=norms[:, None], seed=0,
+        stored = Trajectory(h=self.H, states=norms[:, None], seed=0,
                             settle_time=None)
         times = []
         for eps in (eps_small, eps_big):
             with np.errstate(divide="ignore"):
-                t = self.held(eps / norms).settle_times(0.0, self.H)[0]
+                t = self.held(eps / norms).settle_times(self.H)[0]
             oracle = detect_settling(stored, eps)
             assert t == oracle if oracle is not None else np.isnan(t)
             times.append(t)
@@ -271,15 +278,15 @@ class TestDetectSettling:
             assert traj.settle_time == detect_settling(traj, cfg.eps_settle)
             k = traj.settle_time / traj.h
             assert abs(k - round(k)) < 1e-9
-            assert traj.settle_time >= traj.t0
+            assert traj.settle_time >= 0.0
 
     def test_blown_trajectory_rejected(self):
         batch = TestIntegrateBatch()
         cfg = sk.IntegratorConfig(h=1e-3, horizon=3.0)
         values = np.array(batch.XI)[:, None, None] * np.ones((3, 301, 1))
-        res = integrate_batch(batch.model(), np.array([1.0]), [values], 0.0,
+        res = integrate_batch(batch.model(), np.array([1.0]), [values],
                               3000, 10, cfg)
-        assert res.blow_step[0] > 0 and np.isnan(res.settle_times(0.0, 1e-3)[0])
+        assert res.blow_step[0] > 0 and np.isnan(res.settle_times(1e-3)[0])
         m = sk.get_model("unstable-cubic")
         cfg = sk.IntegratorConfig(h=1e-3, horizon=1.0, absorb_at_origin=False)
         traj = sk.integrate_path(m, zero_path(1.0), np.array([2.0]), cfg)
