@@ -334,13 +334,13 @@ class Envelope:
         object.__setattr__(self, "theta0", th0)
         object.__setattr__(self, "t_ext", th0 / self.cert.decay_rate)
 
-    def value(self, t_minus_t0: float) -> float:
-        """Envelope alpha1^-1(theta^-1(theta(alpha2(|x0|)) - rate * dt)) at
-        dt = t_minus_t0; exactly 0 from the extinction time on, nonincreasing
-        in dt."""
-        if not t_minus_t0 >= 0:
-            raise ValueError(f"t_minus_t0 must be nonnegative, got {t_minus_t0:g}")
-        y = self.theta0 - self.cert.decay_rate * t_minus_t0
+    def value(self, t: float) -> float:
+        """Envelope alpha1^-1(theta^-1(theta(alpha2(|x0|)) - rate * t)) at
+        the time t since the start at 0; exactly 0 from the extinction time
+        on, nonincreasing in t."""
+        if not t >= 0:
+            raise ValueError(f"t must be nonnegative, got {t:g}")
+        y = self.theta0 - self.cert.decay_rate * t
         if y <= 0.0:
             return 0.0
         return float(self.cert.alpha1.inverse(theta_inverse(self.cert, y)))

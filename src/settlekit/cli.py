@@ -193,7 +193,7 @@ class ExperimentConfig:
                     and self.process is not None):
                 check_run(self.model, self.x0, self.process.dimension,
                           h_noise, integrator)
-                grid_points(self.process, 0.0, integrator.horizon, h_noise)
+                grid_points(self.process, integrator.horizon, h_noise)
         except ValueError as e:
             raise ConfigError(str(e))
 
@@ -216,7 +216,7 @@ class ExperimentConfig:
                               f"exceed noise_check.horizon = {self.nc_horizon:g}")
         span = max(self.nc_horizon, *self.nc_times)    # noise-check's grid
         try:
-            grid_points(self.process or zero_process(), 0.0, span, h_noise)
+            grid_points(self.process or zero_process(), span, h_noise)
         except ValueError as e:
             field = "horizon" if span == self.nc_horizon else "check_times"
             raise ConfigError(f"field noise_check.{field} = {span:g}: {e}")

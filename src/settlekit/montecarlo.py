@@ -101,14 +101,14 @@ class _BatchRun:
         self.cfg = cfg
         self.x0, self.m, self.n_steps = check_run(
             model, x0, process.dimension, cfg.h_noise, cfg.integrator)
-        self.n_points = grid_points(process, 0.0, cfg.integrator.horizon, cfg.h_noise)
+        self.n_points = grid_points(process, cfg.integrator.horizon, cfg.h_noise)
         self.seeds = np.array([path_seed(cfg.master_seed, i)
                                for i in range(cfg.n_paths)], dtype=np.uint64)
 
     def blocks(self, rows=slice(None)):
         """The noise of the paths ``rows`` over the grid, (b, k, l) blocks of
         _BLOCK points."""
-        return BatchSampler(self.process, 0.0, self.cfg.h_noise,
+        return BatchSampler(self.process, self.cfg.h_noise,
                             self.seeds[rows]).blocks(self.n_points, _BLOCK)
 
     def sweep(self, radius=None, blocks=None):
@@ -194,7 +194,7 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
         total = 0.0                         # per path, sum of |xi| read
         for block in run.blocks():
             ratios, total = l1_ratios(np.sqrt(np.sum(block ** 2, axis=-1)),
-                                      cfg.h_noise, 0.0, k_bound, read, total)
+                                      cfg.h_noise, k_bound, read, total)
             good = ratios <= 1.0
             new = (first < 0) & good.any(1)
             first[new] = read + good[new].argmax(1)

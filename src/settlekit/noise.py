@@ -31,11 +31,12 @@ reaches them and stops when no path is live, and the noise checks draw
 their paths a batch of seeds at a time; ``sample_path`` is a batch of one
 drawn in one block.
 
-``grid_points`` is the one rule for whether a process can be sampled on a
-grid t0, t0+h, ... covering a horizon: it gives the grid's point count and
-raises ValueError for an empty grid, a grid no array can index and a
-random-phase cosine whose phase overflows on it.  ``sample_path``, the
-noise checks, the Monte Carlo sweep and the CLI's config check all call it.
+Every noise grid starts at 0, as every run does: the grid is 0, h, 2h, ...
+``grid_points`` is the one rule for whether a process can be sampled on the
+grid covering a horizon: it gives the grid's point count and raises
+ValueError for an empty grid, a grid no array can index and a random-phase
+cosine whose phase overflows on it.  ``sample_path``, the noise checks, the
+Monte Carlo sweep and the CLI's config check all call it.
 
 Every statistic of |xi| reads it one way: |xi|^2 is
 ``np.sum(values ** 2, axis=-1)`` over a time-major view, which adds the
@@ -91,9 +92,9 @@ class NoiseProcess:
 
 @dataclass(frozen=True)
 class NoisePath:
-    """One realized path on a uniform grid, zero-order-hold in between."""
+    """One realized path on the uniform grid 0, h, 2h, ...,
+    zero-order-hold in between."""
 
-    t0: float
     h: float
     # (n_points, l), read-only; sample_path gives a sampler block's view of
     # channel-major memory, so each channel values[:, j] is contiguous
@@ -107,20 +108,16 @@ class NoisePath:
     def dimension(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def t_end(self) -> float:
-        return self.t0 + self.h * (self.values.shape[0] - 1)
-
     def cell_index(self, t: float) -> int:
         """Index of the grid point governing time t (largest grid point <= t)."""
-        return _cell(t, self.t0, self.h, self.values.shape[0])
+        return _cell(t, self.h, self.values.shape[0])
 
     def value_at(self, t: float) -> np.ndarray:
         """Zero-order-hold evaluation: the value at the largest grid point <= t."""
         return self.values[self.cell_index(t)]
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.h * np.arange(self.values.shape[0])
+        return self.h * np.arange(self.values.shape[0])
 
 
 def make_random_phase_cosine(amplitudes, omegas) -> NoiseProcess:
@@ -179,16 +176,15 @@ def path_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _n_cells(t0: float, horizon: float, h_noise: float) -> int:
-    """Number of noise cells of the grid t0, t0+h, ... covering horizon: at
-    least one, since horizon > t0, and 1e-12 cells of float jitter do not
+def _n_cells(horizon: float, h_noise: float) -> int:
+    """Number of noise cells of the grid 0, h, ... covering horizon: at
+    least one, since horizon > 0, and 1e-12 cells of float jitter do not
     open another."""
-    return max(1, int(math.ceil((horizon - t0) / h_noise - 1e-12)))
+    return max(1, int(math.ceil(horizon / h_noise - 1e-12)))
 
 
-def grid_points(process: NoiseProcess, t0: float, horizon: float,
-                h_noise: float) -> int:
-    """Number of points of the noise grid t0, t0+h, ... covering horizon.
+def grid_points(process: NoiseProcess, horizon: float, h_noise: float) -> int:
+    """Number of points of the noise grid 0, h, ... covering horizon.
 
     Raises ValueError if the grid is empty, if no array can index its
     cells, or if a random-phase cosine's phase omega t overflows on it,
@@ -197,15 +193,15 @@ def grid_points(process: NoiseProcess, t0: float, horizon: float,
     them; checked up front, the same grid fails the same way however far it
     is sampled.
     """
-    if horizon <= t0:
-        raise ValueError("horizon must exceed t0")
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
     if h_noise <= 0:
         raise ValueError("h_noise must be positive")
-    if not (horizon - t0) / h_noise < np.iinfo(np.intp).max:     # also inf
-        raise ValueError(f"horizon - t0 = {horizon - t0:g} over h_noise="
-                         f"{h_noise:g} is more cells than an array can index")
-    n = _n_cells(t0, horizon, h_noise)
-    t_end = t0 + h_noise * n
+    if not horizon / h_noise < np.iinfo(np.intp).max:     # also inf
+        raise ValueError(f"horizon = {horizon:g} over h_noise={h_noise:g} is "
+                         "more cells than an array can index")
+    n = _n_cells(horizon, h_noise)
+    t_end = h_noise * n
     for w in process.omegas or ():      # a cosine's phases
         if not math.isfinite(w * t_end):
             raise ValueError(f"noise omega {w:g} times the noise grid's last "
@@ -213,11 +209,11 @@ def grid_points(process: NoiseProcess, t0: float, horizon: float,
     return n + 1
 
 
-def _cell(t: float, t0: float, h: float, n_points: int) -> int:
-    """Index of the point of the grid t0, t0+h, ... (n_points points) that
+def _cell(t: float, h: float, n_points: int) -> int:
+    """Index of the point of the grid 0, h, ... (n_points points) that
     governs time t: the largest grid point <= t.  A relative guard of 1e-9
     cells absorbs float jitter in grid-aligned arguments."""
-    return min(max(int(math.floor((t - t0) / h + 1e-9)), 0), n_points - 1)
+    return min(max(int(math.floor(t / h + 1e-9)), 0), n_points - 1)
 
 
 def _ar1(x: np.ndarray, eta: np.ndarray, phi: float, out: np.ndarray) -> np.ndarray:
@@ -239,7 +235,7 @@ def _ar1(x: np.ndarray, eta: np.ndarray, phi: float, out: np.ndarray) -> np.ndar
 
 
 class BatchSampler:
-    """The paths of a batch of seeds on the grid t0, t0+h, ..., drawn a
+    """The paths of a batch of seeds on the grid 0, h, 2h, ..., drawn a
     block of grid points at a time.
 
     Each path has its own Generator, seeded as ``sample_path`` seeds it, and
@@ -252,9 +248,9 @@ class BatchSampler:
     runs over the long axis, and handed out as its time-major (b, k, l) view.
     """
 
-    def __init__(self, process: NoiseProcess, t0: float, h_noise: float, seeds):
+    def __init__(self, process: NoiseProcess, h_noise: float, seeds):
         self.process = process
-        self.t0, self.h = float(t0), float(h_noise)
+        self.h = float(h_noise)
         self.rngs = [np.random.default_rng(int(s)) for s in seeds]
         self.next = 0                       # first grid point of the next block
         l = process.dimension
@@ -278,7 +274,7 @@ class BatchSampler:
         if self.process.kind == KIND_ZERO:
             values = np.zeros((b, l, k))
         elif self.process.kind == KIND_COSINE:
-            t = self.t0 + self.h * np.arange(p0, p0 + k)
+            t = self.h * np.arange(p0, p0 + k)
             amps = np.asarray(self.process.amplitudes)[:, None]
             oms = np.asarray(self.process.omegas)[:, None]
             values = -(amps * np.cos(oms * t + self.phases))
@@ -305,16 +301,23 @@ class BatchSampler:
 
 def sample_path(process: NoiseProcess, t0: float, horizon: float,
                 h_noise: float, seed: int) -> NoisePath:
-    """Sample one path of ``process`` on the grid t0, t0+h, ... covering horizon.
+    """Sample one path of ``process`` on the grid 0, h, ... covering horizon.
 
     A ``BatchSampler`` of one seed drawn in one block.  Pure function of
     (process, grid, seed): identical arguments give bit-identical values,
     and a longer horizon extends the path exactly (the shorter path is a
     prefix of the longer one).  ``values`` is the sampler's time-major view.
+
+    Every noise grid starts at 0, so ``t0`` must be 0 (else ValueError).  It
+    is kept only so that ``seed`` stays the fifth positional argument, where
+    the benchmark's call counter reads it.
     """
-    n_points = grid_points(process, t0, horizon, h_noise)
-    values = BatchSampler(process, t0, h_noise, [seed]).draw(n_points)[0]
-    return NoisePath(t0=float(t0), h=float(h_noise), values=values, seed=int(seed))
+    if t0 != 0.0:
+        raise ValueError(f"noise path starts at t0={t0:g}; every noise grid "
+                         "starts at 0")
+    n_points = grid_points(process, horizon, h_noise)
+    values = BatchSampler(process, h_noise, [seed]).draw(n_points)[0]
+    return NoisePath(h=float(h_noise), values=values, seed=int(seed))
 
 
 # The noise checks draw their paths _STATS_PATHS seeds to a sampler, in
@@ -329,16 +332,15 @@ _STATS_BLOCK = 1024
 
 def _path_statistics(process: NoiseProcess, paths: range, horizon: float,
                      h_noise: float, seed: int, t_grid=(),
-                     l1_bound: float = 0.0, t_min: float = 0.0,
-                     t0: float = 0.0):
+                     l1_bound: float = 0.0, t_min: float = 0.0):
     """Sample each path i of ``paths`` once, from path_seed(seed, i), over
-    [t0, max(horizon, t_grid)] and reduce it to per-path statistics.
+    [0, max(horizon, t_grid)] and reduce it to per-path statistics.
 
     Returns (means, averages, ratios), in the order of ``paths``: the mean
-    of |xi|^2 over the left endpoints of [t0, horizon); the running time
+    of |xi|^2 over the left endpoints of [0, horizon); the running time
     average of |xi|^2 at each time in ``t_grid``, shape (len(t_grid),
     len(paths)); and, when ``l1_bound`` > 0, ``check_l1_bound`` of the
-    [t0, horizon] prefix (else 0), read from the squares already summed.
+    [0, horizon] prefix (else 0), read from the squares already summed.
     A longer path extends a shorter one exactly, so each statistic has the
     bits it has on a path sampled to its own horizon.  The paths are drawn
     _STATS_PATHS seeds to a ``BatchSampler``, and each statistic is a
@@ -346,9 +348,9 @@ def _path_statistics(process: NoiseProcess, paths: range, horizon: float,
     path on its own.  A statistic that overflows is left inf or NaN, without
     a warning: the checks fail on it.
     """
-    n_cells = grid_points(process, t0, horizon, h_noise) - 1
-    n_points = grid_points(process, t0, max([horizon, *t_grid]), h_noise)
-    cells = [_cell(t, t0, h_noise, n_points) for t in t_grid]
+    n_cells = grid_points(process, horizon, h_noise) - 1
+    n_points = grid_points(process, max([horizon, *t_grid]), h_noise)
+    cells = [_cell(t, h_noise, n_points) for t in t_grid]
     seeds = [path_seed(seed, i) for i in paths]
     n_paths = len(seeds)
     means = np.empty(n_paths)
@@ -359,7 +361,7 @@ def _path_statistics(process: NoiseProcess, paths: range, horizon: float,
     for i in range(0, n_paths, _STATS_PATHS):
         rows = slice(i, i + _STATS_PATHS)
         sq, cum = buffers[:, :n_paths - i]
-        blocks = BatchSampler(process, t0, h_noise, seeds[rows]).blocks(
+        blocks = BatchSampler(process, h_noise, seeds[rows]).blocks(
             n_points, _STATS_BLOCK)
         with np.errstate(over="ignore", invalid="ignore"):
             np.concatenate([np.sum(b ** 2, axis=-1) for b in blocks], axis=1, out=sq)
@@ -367,11 +369,11 @@ def _path_statistics(process: NoiseProcess, paths: range, horizon: float,
             # running integral: left-rectangle sum, partial final cell pro rata
             np.cumsum(sq[:, :-1], axis=1, out=cum[:, 1:])
             for j, (t, k) in enumerate(zip(t_grid, cells)):
-                averages[j, rows] = (cum[:, k] * h_noise + (t - (t0 + k * h_noise))
-                                     * sq[:, k]) / (t - t0)
+                averages[j, rows] = (cum[:, k] * h_noise + (t - k * h_noise)
+                                     * sq[:, k]) / t
             if l1_bound > 0:
                 mags = np.sqrt(sq[:, :n_cells + 1], out=sq[:, :n_cells + 1])
-                ratios[rows] = _l1_max(mags, h_noise, t0, l1_bound, t_min)
+                ratios[rows] = _l1_max(mags, h_noise, l1_bound, t_min)
     return means, averages, ratios
 
 
@@ -458,10 +460,10 @@ def check_noise(process: NoiseProcess, n_paths: int, horizon: float,
             float(np.max(ratios)))
 
 
-def l1_ratios(mags: np.ndarray, h: float, t0: float, k_bound: float,
-              start: int = 0, total=0.0):
-    """integral_{t0}^{t} |xi| ds / (2 sqrt(K) (t - t0)) at the grid times
-    t = t0 + (start + i) h of held magnitudes |xi| mags[..., i], NaN at t0,
+def l1_ratios(mags: np.ndarray, h: float, k_bound: float, start: int = 0,
+              total=0.0):
+    """integral_0^t |xi| ds / (2 sqrt(K) t) at the grid times
+    t = (start + i) h of held magnitudes |xi| mags[..., i], NaN at 0,
     given the sum ``total`` of the magnitudes before grid index ``start``.
 
     Returns (ratios, the sum through the last magnitude).  A path passed in
@@ -473,15 +475,15 @@ def l1_ratios(mags: np.ndarray, h: float, t0: float, k_bound: float,
     cum[..., 0] = total
     cum[..., 1:] = mags
     np.cumsum(cum, axis=-1, out=cum)
-    t = t0 + h * np.arange(start, start + mags.shape[-1])
+    t = h * np.arange(start, start + mags.shape[-1])
     with np.errstate(divide="ignore", invalid="ignore"):
         cum[..., :-1] *= h
-        cum[..., :-1] /= 2.0 * math.sqrt(k_bound) * (t - t0)
+        cum[..., :-1] /= 2.0 * math.sqrt(k_bound) * t
     return cum[..., :-1], cum[..., -1].copy()
 
 
 def check_l1_bound(path: NoisePath, k_bound: float, t_min: float) -> float:
-    """Max over grid times t >= t_min of integral |xi| ds / (2 sqrt(K) (t - t0)).
+    """Max over grid times t >= t_min of integral_0^t |xi| ds / (2 sqrt(K) t).
 
     A value <= 1 certifies the path stays within the accumulated-magnitude
     budget that the decay envelope argument relies on.  No grid time at or
@@ -490,14 +492,14 @@ def check_l1_bound(path: NoisePath, k_bound: float, t_min: float) -> float:
     if k_bound <= 0:
         raise ValueError("k_bound must be positive")
     return float(_l1_max(np.sqrt(np.sum(path.values ** 2, axis=-1)), path.h,
-                         path.t0, k_bound, t_min))
+                         k_bound, t_min))
 
 
-def _l1_max(mags: np.ndarray, h: float, t0: float, k_bound: float, t_min: float):
+def _l1_max(mags: np.ndarray, h: float, k_bound: float, t_min: float):
     """The largest L1 ratio (``l1_ratios``) of each row of held magnitudes
-    mags[..., i] at the grid times t0 + i h at or after t_min; 0 where there
+    mags[..., i] at the grid times i h at or after t_min; 0 where there
     is none (the ratios are >= 0)."""
-    if t_min <= t0:
-        raise ValueError("t_min must exceed the path start time")
-    late = t0 + h * np.arange(mags.shape[-1]) >= t_min - 1e-12
-    return np.max(l1_ratios(mags, h, t0, k_bound)[0], -1, initial=0.0, where=late)
+    if t_min <= 0:
+        raise ValueError("t_min must be positive")
+    late = h * np.arange(mags.shape[-1]) >= t_min - 1e-12
+    return np.max(l1_ratios(mags, h, k_bound)[0], -1, initial=0.0, where=late)

@@ -285,7 +285,7 @@ class TestDecayEnvelope:
         cert = quad_cert(gamma=0.5, c1=2.0, c2=0.25, k=1.0)
         with pytest.raises(ValueError, match="x0_norm"):
             Envelope(cert, -1.0)
-        with pytest.raises(ValueError, match="t_minus_t0"):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
             Envelope(cert, 1.5).value(-0.1)
 
 

@@ -493,10 +493,10 @@ class TestNoiseCheck:
         log = tmp_path / "seeds.txt"
         init = noise.BatchSampler.__init__
 
-        def counted(self, process, t0, h_noise, seeds):
+        def counted(self, process, h_noise, seeds):
             with open(log, "a") as fh:
                 fh.write(" ".join(str(int(s)) for s in seeds) + "\n")
-            init(self, process, t0, h_noise, seeds)
+            init(self, process, h_noise, seeds)
 
         monkeypatch.setattr(noise.BatchSampler, "__init__", counted)
         monkeypatch.setattr(parallel, "MIN_PATHS_PER_WORKER", 4)
@@ -750,6 +750,19 @@ class TestSimulate:
         cfg["noise"]["h_noise"] = h_noise
         assert main(["--config", write_config(tmp_path, cfg), command]) == 0
         assert (out / output).exists()
+
+    def test_path_holding_every_cell_read_runs(self, tmp_path, capsys):
+        # 50 steps of 1e5, 10 to a cell, read cells 0..4; the noise grid's
+        # 5 cells end 1e-7 short of the horizon, inside its 1e-12-cell jitter
+        out = tmp_path / "out"
+        cfg = {"model": "example2-closed", "x0": [3.0],
+               "noise": {"kind": "zero", "dimension": 1, "h_noise": 1e6},
+               "integrator": {"h": 1e5, "horizon": 5000000.0000001,
+                              "eps_settle": 1e9},
+               "out_dir": str(out)}
+        assert main(["--config", write_config(tmp_path, cfg), "simulate"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert (out / "trajectory.csv").exists()
 
     def test_example1_run_settles(self, tmp_path):
         out = tmp_path / "out"

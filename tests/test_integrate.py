@@ -110,12 +110,28 @@ class TestIntegratePath:
             sk.integrate_path(m, zero_path(1.0), np.array([1.0]),
                               sk.IntegratorConfig(h=1e-3, horizon=2.0))
 
+    def test_path_covers_the_run_when_it_holds_every_cell_read(self):
+        # 2000 steps of 1e-3, 10 to a cell, read cells 0..199: the 201-point
+        # path's last point is never read, and 199 points miss cell 199
+        m = sk.SystemModel(n=1, l=1, f=lambda x, t: -x,
+                           g=lambda x, t: np.ones(x.shape + (1,)), name="ou")
+        cfg = sk.IntegratorConfig(h=1e-3, horizon=2.0, eps_settle=0.5)
+        proc = sk.make_random_phase_cosine([1.0], [3.0])
+        full = sk.sample_path(proc, 0.0, 2.0, 0.01, 5)
+        assert full.values.shape[0] == 201
+        ref = sk.integrate_path(m, full, np.array([1.0]), cfg)
+        short = sk.NoisePath(h=0.01, values=full.values[:200], seed=5)
+        traj = sk.integrate_path(m, short, np.array([1.0]), cfg)
+        assert np.array_equal(traj.states, ref.states)
+        assert traj.settle_time == ref.settle_time is not None
+        shorter = sk.NoisePath(h=0.01, values=full.values[:199], seed=5)
+        with pytest.raises(ValueError, match="199 points.*cells 0..199"):
+            sk.integrate_path(m, shorter, np.array([1.0]), cfg)
+
     def test_path_must_start_at_zero(self):
-        m = scalar_model(lambda x, t: -x)
-        path = sk.sample_path(sk.zero_process(1), 0.3, 2.0, 0.01, 1)
+        # every noise grid starts at 0, so no NoisePath starts elsewhere
         with pytest.raises(ValueError, match="starts at t0=0.3"):
-            sk.integrate_path(m, path, np.array([1.0]),
-                              sk.IntegratorConfig(h=1e-3, horizon=2.0))
+            sk.sample_path(sk.zero_process(1), 0.3, 2.0, 0.01, 1)
 
     def test_evaluator_nan_raises(self):
         m = scalar_model(lambda x, t: np.where(np.abs(x - 0.3) < 0.05, np.nan, -x))
@@ -153,7 +169,7 @@ class TestIntegrateBatch:
         assert np.array_equal(last_out, last)
         assert last_out[0] == 3000 and 0 <= last_out[1] < last_out[2] < 3000
         for r, xi in enumerate(self.XI):
-            path = sk.NoisePath(t0=0.0, h=0.01, values=np.full((301, 1), xi),
+            path = sk.NoisePath(h=0.01, values=np.full((301, 1), xi),
                                 seed=0)
             traj = sk.integrate_path(m, path, np.array([1.0]), cfg)
             assert traj.blowup == (blow[r] > 0)
@@ -166,7 +182,7 @@ class TestIntegrateBatch:
         assert res.last_out is res[0] and res.states is None
         times = res.settle_times(cfg.h)
         for r, xi in enumerate(self.XI):
-            path = sk.NoisePath(t0=0.0, h=0.01, values=np.full((301, 1), xi),
+            path = sk.NoisePath(h=0.01, values=np.full((301, 1), xi),
                                 seed=0)
             traj = sk.integrate_path(m, path, np.array([1.0]), cfg)
             single = np.nan if traj.settle_time is None else traj.settle_time

@@ -215,9 +215,9 @@ class TestEnvelopeCoverage:
         drawn = []
         init = noise.BatchSampler.__init__
 
-        def counted(self, process, t0, h_noise, seeds):
+        def counted(self, process, h_noise, seeds):
             drawn.extend(int(s) for s in seeds)
-            init(self, process, t0, h_noise, seeds)
+            init(self, process, h_noise, seeds)
 
         monkeypatch.setattr(noise.BatchSampler, "__init__", counted)
         proc = sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0])
@@ -308,7 +308,7 @@ class TestPinnedResults:
         for i in (2, 7):
             path = sk.sample_path(proc, 0.0, 6.0, 0.01, sk.path_seed(2, i))
             mags = np.sqrt(np.sum(path.values ** 2, axis=1))
-            assert not np.any(sk.noise.l1_ratios(mags, 0.01, 0.0, 0.3)[0] <= 1.0)
+            assert not np.any(sk.noise.l1_ratios(mags, 0.01, 0.3)[0] <= 1.0)
         self.assert_report(
             sk.envelope_coverage(model, proc, x0, cert, cfg), (0.625, 0.875),
             "d53350154a5d7587cf012f4a991b730200ccc12f32eae20e155ced3b313a2268")
@@ -323,7 +323,7 @@ class TestPinnedResults:
                           integrator=sk.IntegratorConfig(
                               h=1e-3, horizon=1.005, absorb_at_origin=False))
         path = sk.sample_path(proc, 0.0, 1.005, 0.01, sk.path_seed(2, 7))
-        good = sk.noise.l1_ratios(np.abs(path.values[:, 0]), 0.01, 0.0, 0.12)[0] <= 1
+        good = sk.noise.l1_ratios(np.abs(path.values[:, 0]), 0.01, 0.12)[0] <= 1
         assert good.argmax() == 95
         cov = sk.envelope_coverage(sk.get_model("unstable-cubic"), proc,
                                    np.array([2.0]), ex1_cert(0.12, 1), cfg)
@@ -363,7 +363,8 @@ class TestFigures:
         rows2 = np.loadtxt(f2, delimiter=",", skiprows=1)
         assert rows2[0, 1] == 3.0
         f3 = sk.reproduce_figure("fig3", tmp_path)[0]
-        head = open(f3).readline().strip()
+        with open(f3) as fh:
+            head = fh.readline().strip()
         assert head == "t,u,xi_1"
         rows3 = np.loadtxt(f3, delimiter=",", skiprows=1)
         assert rows3[-1, 1] == 0.0   # control vanishes once settled

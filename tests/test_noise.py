@@ -159,7 +159,7 @@ class TestSamplePath:
     def test_grid_covers_horizon(self):
         p = sk.zero_process(1)
         path = sk.sample_path(p, 0.0, 1.0, 0.3, seed=0)
-        assert path.t_end >= 1.0
+        assert path.times()[-1] >= 1.0
 
     def test_preconditions(self):
         p = sk.zero_process(1)
@@ -181,8 +181,8 @@ class TestSamplePath:
     ], ids=["cosine", "filtered", "zero"])
     def test_longer_horizon_extends_path_exactly(self, process):
         for seed in range(5):
-            short = sk.sample_path(process, 0.3, 50.0, 0.01, seed)
-            long = sk.sample_path(process, 0.3, 80.0, 0.01, seed)
+            short = sk.sample_path(process, 0.0, 50.0, 0.01, seed)
+            long = sk.sample_path(process, 0.0, 80.0, 0.01, seed)
             n = short.values.shape[0]
             assert long.values.shape[0] > n
             assert np.array_equal(long.values[:n], short.values)
@@ -192,36 +192,38 @@ class TestSamplePath:
 class TestGridPoints:
     """``grid_points`` is the one rule for a sampled grid's size."""
 
-    @pytest.mark.parametrize("t0,horizon,h_noise", [
+    # each grid starts at 0 and spans end - start: 0..7.05 for 0.25..7.3,
+    # and one cell of about 1e-13 for 0.3..0.3 + 1e-13
+    @pytest.mark.parametrize("start,end,h_noise", [
         (0.0, 1.0, 0.1), (0.0, 1.0, 0.3), (0.25, 7.3, 0.01), (0.0, 5.0, 1e20),
         (0.0, 5.0, 1e300), (0.3, 0.3 + 1e-13, 0.01), (0.0, 20.0, 2e-3)])
     @pytest.mark.parametrize("process", [
         sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0]),
         sk.zero_process(1)], ids=["cosine", "zero"])
-    def test_counts_the_cells_and_one(self, process, t0, horizon, h_noise):
+    def test_counts_the_cells_and_one(self, process, start, end, h_noise):
         # an h_noise of 1e20 or 1e300 past a horizon of 5 is one cell
-        n = noise.grid_points(process, t0, horizon, h_noise)
-        assert n == _n_cells(t0, horizon, h_noise) + 1
-        assert sk.sample_path(process, t0, horizon, h_noise, 3).values.shape[0] == n
+        horizon = end - start
+        n = noise.grid_points(process, horizon, h_noise)
+        assert n == _n_cells(horizon, h_noise) + 1
+        assert sk.sample_path(process, 0.0, horizon, h_noise, 3).values.shape[0] == n
 
-    @pytest.mark.parametrize("t0,horizon,h_noise,process,message", [
-        (1.0, 1.0, 0.1, sk.zero_process(1), "horizon must exceed t0"),
-        (0.0, -1.0, 0.1, sk.zero_process(1), "horizon must exceed t0"),
-        (0.0, 1.0, 0.0, sk.zero_process(1), "h_noise must be positive"),
-        (0.0, 1.0, -0.1, sk.zero_process(1), "h_noise must be positive"),
-        (0.0, 1e300, 0.01, sk.zero_process(1), "more cells than an array can index"),
-        (0.0, 1e300, 1e-300, sk.zero_process(1), "more cells than an array can index"),
-        (0.0, 1e5, 1e-14, sk.zero_process(1), "more cells than an array can index"),
-        (0.0, 5.0, 0.01, sk.make_random_phase_cosine([0.3, 0.3], [1.0, 4e307]),
+    @pytest.mark.parametrize("horizon,h_noise,process,message", [
+        (0.0, 0.1, sk.zero_process(1), "horizon must be positive"),
+        (-1.0, 0.1, sk.zero_process(1), "horizon must be positive"),
+        (1.0, 0.0, sk.zero_process(1), "h_noise must be positive"),
+        (1.0, -0.1, sk.zero_process(1), "h_noise must be positive"),
+        (1e300, 0.01, sk.zero_process(1), "more cells than an array can index"),
+        (1e300, 1e-300, sk.zero_process(1), "more cells than an array can index"),
+        (1e5, 1e-14, sk.zero_process(1), "more cells than an array can index"),
+        (5.0, 0.01, sk.make_random_phase_cosine([0.3, 0.3], [1.0, 4e307]),
          "noise omega 4e\\+307 times the noise grid's last time 5 overflows"),
     ], ids=["empty", "backwards", "h-0", "h-negative", "unindexable",
             "unindexable-inf", "unindexable-finite", "phase-overflow"])
-    def test_unsampleable_grid_raises(self, t0, horizon, h_noise, process,
-                                      message):
+    def test_unsampleable_grid_raises(self, horizon, h_noise, process, message):
         with pytest.raises(ValueError, match=message):
-            noise.grid_points(process, t0, horizon, h_noise)
+            noise.grid_points(process, horizon, h_noise)
         with pytest.raises(ValueError, match=message):
-            sk.sample_path(process, t0, horizon, h_noise, 0)
+            sk.sample_path(process, 0.0, horizon, h_noise, 0)
 
     def test_noise_checks_reach_the_rule(self):
         overflows = sk.make_random_phase_cosine([0.3], [1e307])
@@ -313,11 +315,11 @@ class TestWlln:
             sk.check_wlln(p, [0.0], 0.1, 10, 0.1, seed=0)
 
 
-def row_major_values(process, t0, horizon, h_noise, seed):
+def row_major_values(process, horizon, h_noise, seed):
     """sample_path's values computed as an (n_points, l) block, with the
     channels on the inner axis."""
-    n = _n_cells(t0, horizon, h_noise)
-    t = t0 + h_noise * np.arange(n + 1)
+    n = _n_cells(horizon, h_noise)
+    t = h_noise * np.arange(n + 1)
     l = process.dimension
     rng = np.random.default_rng(int(seed))
     if process.kind == "zero":
@@ -353,8 +355,8 @@ class TestChannelMajorSampling:
             "filtered-3", "zero-2"])
     def test_values_keep_the_row_major_bits(self, process):
         for seed in (0, 5, 2 ** 40 + 3):
-            path = sk.sample_path(process, 0.25, 7.3, 0.01, seed)
-            expected = row_major_values(process, 0.25, 7.3, 0.01, seed)
+            path = sk.sample_path(process, 0.0, 7.05, 0.01, seed)
+            expected = row_major_values(process, 7.05, 0.01, seed)
             assert path.values.shape == expected.shape
             assert not path.values.flags.writeable
             assert np.array_equal(path.values.view(np.uint64),
@@ -363,15 +365,15 @@ class TestChannelMajorSampling:
     @pytest.mark.parametrize("l", range(1, 8))
     def test_channel_sums_keep_the_row_major_bits(self, l):
         process = cosine(l)
-        t0, horizon, h, seed, k, t_min = 0.5, 6.0, 0.01, 9, 0.2, 1.5
-        n_cells = _n_cells(t0, horizon, h)
+        horizon, h, seed, k, t_min = 5.5, 0.01, 9, 0.2, 1.5
+        n_cells = _n_cells(horizon, h)
         for n in (3, 19):           # one partial batch; four full, one partial
             means, _, ratios = _path_statistics(process, range(n), horizon, h,
-                                                seed, (horizon,), k, t_min, t0)
+                                                seed, (horizon,), k, t_min)
             for i in range(n):
-                path = sk.sample_path(process, t0, horizon, h, sk.path_seed(seed, i))
+                path = sk.sample_path(process, 0.0, horizon, h, sk.path_seed(seed, i))
                 sq = np.sum(np.ascontiguousarray(path.values) ** 2, axis=1)
-                ref = l1_ratios(np.sqrt(sq), h, t0, k)[0][path.times() >= t_min - 1e-12]
+                ref = l1_ratios(np.sqrt(sq), h, k)[0][path.times() >= t_min - 1e-12]
                 assert means[i].view(np.uint64) == np.mean(sq[:n_cells]).view(np.uint64)
                 assert ratios[i] == np.max(ref)
                 assert sk.check_l1_bound(path, k, t_min) == np.max(ref)
@@ -409,15 +411,15 @@ class TestBatchSampler:
     ], ids=["cosine-1", "cosine-2", "cosine-3", "filtered-1", "filtered-3",
             "zero-2"])
     def test_uneven_blocks_join_into_single_paths(self, process, b):
-        t0, horizon, h = 0.25, 7.3, 0.01
+        horizon, h = 7.05, 0.01
         seeds = [sk.path_seed(4, i) for i in range(b)]
         sizes = [1, 7, 64]
-        sizes.append(_n_cells(t0, horizon, h) + 1 - sum(sizes))
-        sampler = noise.BatchSampler(process, t0, h, seeds)
+        sizes.append(_n_cells(horizon, h) + 1 - sum(sizes))
+        sampler = noise.BatchSampler(process, h, seeds)
         joined = np.concatenate([sampler.draw(k) for k in sizes], axis=1)
         assert joined.shape == (b, 706, process.dimension)
         for row, seed in zip(joined, seeds):
-            expected = sk.sample_path(process, t0, horizon, h, seed).values
+            expected = sk.sample_path(process, 0.0, horizon, h, seed).values
             assert np.array_equal(row.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("process", [
@@ -425,7 +427,7 @@ class TestBatchSampler:
     ], ids=["cosine-9", "filtered-3", "zero-2"])
     def test_blocks_are_time_major_views_of_channel_major_memory(self, process):
         # channel-major memory keeps every broadcast on the long axis
-        block = noise.BatchSampler(process, 0.0, 0.01, [1, 2, 3]).draw(5)
+        block = noise.BatchSampler(process, 0.01, [1, 2, 3]).draw(5)
         assert block.shape == (3, 5, process.dimension)
         assert block.transpose(0, 2, 1).flags.c_contiguous
 
@@ -434,7 +436,7 @@ class TestBatchSampler:
                                intensity=1e308, tau_f=1e-308,
                                declared_mean_square=math.inf)
         with pytest.raises(ValueError, match="non-finite"):
-            noise.BatchSampler(huge, 0.0, 0.01, [1, 2]).draw(4)
+            noise.BatchSampler(huge, 0.01, [1, 2]).draw(4)
 
 
 class TestL1Bound:
@@ -447,7 +449,7 @@ class TestL1Bound:
         k_bound = 1.0
         h = 0.015625
         values = np.full((129, 1), 2.0 * math.sqrt(k_bound))
-        path = sk.NoisePath(t0=0.0, h=h, values=values, seed=0)
+        path = sk.NoisePath(h=h, values=values, seed=0)
         assert sk.check_l1_bound(path, k_bound, 0.5) == 1.0
 
     def test_cosine_ratio_approaches_limit(self):
@@ -469,13 +471,13 @@ class TestL1Bound:
 
     def test_batch_ratios_match_per_path_loop(self):
         p = sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0])
-        paths = [sk.sample_path(p, 0.5, 10.0, 0.01, seed) for seed in range(4)]
+        paths = [sk.sample_path(p, 0.0, 9.5, 0.01, seed) for seed in range(4)]
         mags = np.sqrt(np.sum(np.stack([q.values for q in paths]) ** 2, axis=-1))
-        batch = l1_ratios(mags, 0.01, 0.5, 0.09)[0]
+        batch = l1_ratios(mags, 0.01, 0.09)[0]
         for row, q in zip(batch, paths):
             mags = np.sqrt(np.sum(q.values ** 2, axis=1))
             cum = np.concatenate([[0.0], np.cumsum(mags[:-1]) * q.h])
-            ref = cum[1:] / (2.0 * math.sqrt(0.09) * (q.times()[1:] - q.t0))
+            ref = cum[1:] / (2.0 * math.sqrt(0.09) * q.times()[1:])
             assert np.isnan(row[0]) and np.array_equal(row[1:], ref)
 
 

@@ -204,7 +204,7 @@ class TestSettleFailure:
 
     def test_earliest_step_wins(self, three_workers):
         seeds = [sk.path_seed(6, i) for i in range(12)]
-        phases = noise.BatchSampler(self.PROCESS, 0.0, 0.01, seeds).phases
+        phases = noise.BatchSampler(self.PROCESS, 0.01, seeds).phases
         c = -np.cos(phases[:, 0, 0])
         assert int(np.argmax(c)) == 8
         assert 0.25 < c[:4].max() < c[4:8].max() < c[8:].max()
