@@ -18,7 +18,13 @@ force at the step's start.  Within each step the vector field is smooth and
 classical RK4 applies at full order.  The kernel reads the held values from
 an iterable of blocks of consecutive noise cells, taking the next block when
 the step loop reaches it: a sweep's blocks are drawn as it advances, and
-``integrate_path`` gives its whole sampled path as one block.
+``integrate_path`` gives its whole sampled path as one block.  A model with a
+``hold`` map has it applied once to each block as the kernel takes it, so a
+per-cell factor of the noise is formed once per cell and row, not in each
+RK4 stage of each of the cell's m steps; ``rk4_step`` then evaluates the
+model's ``field_fn`` on the held values.  ``rk4_step`` sums its stages in
+buffers it allocates itself, in the written order of the classical sums,
+and never writes into the state, the noise or an evaluator's result.
 
 Near the origin the cube-root gains make explicit schemes chatter with
 amplitude about (h/2)^(3/2); once a row enters the absorption ball it is
@@ -32,7 +38,7 @@ and blown-up rows leave the active set and are not integrated further.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -103,13 +109,30 @@ def rk4_step(model: SystemModel, x: np.ndarray, t: float, h: float,
              xi: np.ndarray) -> np.ndarray:
     """One classical RK4 step with the noise value held across the step.
 
-    Broadcasts over leading batch axes of x / xi.
+    ``xi`` is the held value as the kernel reads it: the model's ``hold`` of
+    the noise value when the model has that map (evaluated by ``field_fn``),
+    else the noise value itself (evaluated by ``field``).  Broadcasts over
+    leading batch axes of x / xi.  The stage states x + (h/2) k1,
+    x + (h/2) k2, x + h k3 and the update x + (h/6)(k1 + 2 k2 + 2 k3 + k4)
+    are formed with the same operations in the same order as written, in
+    four arrays allocated here.
     """
-    k1 = model.field(x, t, xi)
-    k2 = model.field(x + (0.5 * h) * k1, t + 0.5 * h, xi)
-    k3 = model.field(x + (0.5 * h) * k2, t + 0.5 * h, xi)
-    k4 = model.field(x + h * k3, t + h, xi)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    field = model.field if model.hold is None else model.field_fn
+    half = 0.5 * h
+    k1 = field(x, t, xi)
+    s1 = np.multiply(half, k1)
+    k2 = field(np.add(x, s1, out=s1), t + half, xi)
+    s2 = np.multiply(half, k2)
+    k3 = field(np.add(x, s2, out=s2), t + half, xi)
+    s3 = np.multiply(h, k3)
+    k4 = field(np.add(x, s3, out=s3), t + h, xi)
+    # s1 is free once k2 is summed, whatever the evaluator returned
+    acc = np.multiply(2.0, k2)
+    np.add(k1, acc, out=acc)
+    np.add(acc, np.multiply(2.0, k3, out=s1), out=acc)
+    np.add(acc, k4, out=acc)
+    np.multiply(h / 6.0, acc, out=acc)
+    return np.add(x, acc, out=acc)
 
 
 def steps_per_cell(h: float, h_noise: float) -> int:
@@ -133,8 +156,8 @@ def check_run(model: SystemModel, x0, dimension: int, h_noise: float,
 
     x0 must have the model's shape, the noise dimension must be the model's
     l, h must divide h_noise (m steps per noise cell) and the horizon must
-    be a positive integer multiple n_steps of h whose n_steps + 1 nodes a
-    numpy array can index.  This is the one check of the run grid.
+    be a positive integer multiple n_steps >= 1 of h whose n_steps + 1 nodes
+    a numpy array can index.  This is the one check of the run grid.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.n,):
@@ -150,6 +173,9 @@ def check_run(model: SystemModel, x0, dimension: int, h_noise: float,
     if horizon <= 0 or abs(n_steps * h - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(f"horizon = {horizon:g} must be a positive integer "
                          f"multiple of h={h:g}")
+    if n_steps < 1:         # within the tolerance of 0 steps
+        raise ValueError(f"integrator.horizon = {horizon:g} is less than one "
+                         f"step of h={h:g}; a run takes at least one step")
     return x0, m, n_steps
 
 
@@ -210,7 +236,7 @@ def integrate_batch(model: SystemModel, x0: np.ndarray, blocks: Iterable,
     if radius is None:
         radius = np.broadcast_to(cfg.eps_settle, n_steps + 1)
     blocks = iter(blocks)
-    block = _next_block(blocks, 0)
+    block = _next_block(blocks, model.hold, 0)
     b, start = block.shape[0], 0            # start: the block's first cell
     h, eps_absorb = cfg.h, cfg.eps_absorb
     x = np.tile(x0, (b, 1))
@@ -236,7 +262,8 @@ def integrate_batch(model: SystemModel, x0: np.ndarray, blocks: Iterable,
         if j % m == 0 or xi.shape[0] != rows.size:
             c = j // m - start
             if c == block.shape[1]:
-                start, c, block = start + c, 0, _next_block(blocks, start + c, b)
+                start, c = start + c, 0
+                block = _next_block(blocks, model.hold, start, b)
             xi = block[rows, c]
         x_next = rk4_step(model, x, t, h, xi)
         nrm = np.sqrt(np.add.reduce(x_next * x_next, 1))
@@ -272,16 +299,18 @@ def integrate_batch(model: SystemModel, x0: np.ndarray, blocks: Iterable,
     return BatchResult(last_out, blow_step, absorb_step, n_out, states)
 
 
-def _next_block(blocks, cell: int, b: Optional[int] = None) -> np.ndarray:
+def _next_block(blocks, hold: Optional[Callable], cell: int,
+                b: Optional[int] = None) -> np.ndarray:
     """The next block of ``blocks``, the one holding noise cell ``cell``
-    first; raise ValueError if the source has ended or the block is not a
-    3-D array with the batch's b rows (any b for the first block)."""
+    first, mapped by ``hold`` when given; raise ValueError if the source has
+    ended or the block is not a 3-D array with the batch's b rows (any b for
+    the first block)."""
     block = next(blocks, None)
     if np.ndim(block) != 3 or b not in (None, block.shape[0]):
         got = "the blocks ended" if block is None else f"got {np.shape(block)}"
         raise ValueError(f"noise cell {cell} needs a (b, k, l) block with the "
                          f"batch's b rows; {got}")
-    return block
+    return block if hold is None else hold(block)
 
 
 def integrate_path(model: SystemModel, path: NoisePath, x0,

@@ -108,14 +108,6 @@ class NoisePath:
     def dimension(self) -> int:
         return self.values.shape[1]
 
-    def cell_index(self, t: float) -> int:
-        """Index of the grid point governing time t (largest grid point <= t)."""
-        return _cell(t, self.h, self.values.shape[0])
-
-    def value_at(self, t: float) -> np.ndarray:
-        """Zero-order-hold evaluation: the value at the largest grid point <= t."""
-        return self.values[self.cell_index(t)]
-
     def times(self) -> np.ndarray:
         return self.h * np.arange(self.values.shape[0])
 

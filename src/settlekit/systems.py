@@ -6,6 +6,15 @@ Evaluators are pure functions that broadcast over leading batch axes:
 ("example1", "example2-open", "example2-closed", "unstable-cubic") for the
 CLI and config files.
 
+A model may give ``field_fn``, f + g xi in one call.  A model whose field
+has a factor that depends on the noise value alone also gives ``hold``, the
+map from raw noise values to what ``field_fn`` reads in that place (for
+example2-closed, xi/2 - 1).  The held noise value is constant over a noise
+cell, so the integrator applies ``hold`` once to each block of noise cells
+as it takes the block and calls ``field_fn`` on the held values;
+``SystemModel.field(x, t, xi)`` applies ``hold`` itself, so for every other
+caller it is f + g xi of the raw value.
+
 Structural checks are sampling-based: they can falsify a condition or build
 confidence, not prove it.  Each reduces its sampled margins to one
 ``ConditionReport`` per condition and returns them as a plain value:
@@ -46,8 +55,11 @@ class SystemModel:
     g: Callable
     name: str = ""
     field_fn: Optional[Callable] = None   # f + g@xi in one call, used by field()
+    hold: Optional[Callable] = None       # raw noise values -> what field_fn reads
 
     def __post_init__(self):
+        if self.hold is not None and self.field_fn is None:
+            raise ValueError("a hold map needs the field_fn that reads it")
         x0 = np.zeros(self.n)
         xb = np.zeros((3, self.n))
         fv, gv = self.f(x0, 0.0), self.g(x0, 0.0)
@@ -64,7 +76,7 @@ class SystemModel:
     def field(self, x, t, xi):
         """Total right-hand side f(x,t) + g(x,t) xi for a held noise value."""
         if self.field_fn is not None:
-            return self.field_fn(x, t, xi)
+            return self.field_fn(x, t, xi if self.hold is None else self.hold(xi))
         return self.f(x, t) + np.einsum("...ij,...j->...i", self.g(x, t), xi)
 
 
@@ -159,16 +171,27 @@ def make_example2_closed() -> SystemModel:
     exactly, so the field is (1+z^2)(arctan z)^(1/3)(xi/2 - 1).  Evaluating
     that product instead of the cancelling sum keeps the field within a few
     ulp of the exact value (the sum loses most of its digits near xi = 2).
-    ``f`` and ``g`` still give the drift, controller and gain term by term.
+    The factor xi/2 - 1 is the model's ``hold``, so ``field_fn`` reads it
+    already formed.  ``f`` and ``g`` still give the drift, controller and
+    gain term by term.
     """
     base = make_example2(control=stabilizing_controller, name="example2-closed")
 
-    def field_fn(x, t, xi):
-        z = x[..., 0]
-        out = (1.0 + z * z) * np.cbrt(np.arctan(z)) * (0.5 * xi[..., 0] - 1.0)
-        return out[..., None]
+    def hold(xi):
+        return 0.5 * xi - 1.0
 
-    return replace(base, field_fn=field_fn)
+    def field_fn(x, t, w):
+        # ((1 + z^2) cbrt(arctan z)) w on the (..., 1) state itself; each
+        # commuted product or sum has the bits of the written order
+        out = x * x
+        out += 1.0
+        a = np.arctan(x)
+        np.cbrt(a, out=a)
+        out *= a
+        out *= w
+        return out
+
+    return replace(base, field_fn=field_fn, hold=hold)
 
 
 def make_unstable_cubic() -> SystemModel:

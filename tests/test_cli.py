@@ -134,6 +134,19 @@ class TestConfigErrors:
         assert "multiple of h" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "settle"])
+    def test_horizon_below_one_step_is_a_config_error(self, tmp_path, capsys,
+                                                      command):
+        # 1e-12 is within the multiple-of-h tolerance of 0 steps of 0.002
+        out = tmp_path / "out"
+        cfg = base_config(out, n_paths=4)
+        cfg["integrator"]["horizon"] = 1e-12
+        assert main(["--config", write_config(tmp_path, cfg), command]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: integrator.horizon = 1e-12 is less than one "
+            "step of h=0.002; a run takes at least one step\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "settle", "reproduce"])
     def test_jobs_must_be_positive(self, tmp_path, capsys, command):
         out = tmp_path / "out"

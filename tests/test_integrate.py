@@ -1,13 +1,14 @@
 """Tests for the pathwise integrator, settling detection, and consistency."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import settlekit as sk
-from settlekit.integrate import (Trajectory, chatter_floor, integrate_batch,
-                                 steps_per_cell)
+from settlekit.integrate import (BatchResult, Trajectory, chatter_floor,
+                                 integrate_batch, rk4_step, steps_per_cell)
 
 
 def scalar_model(f, name="scalar"):
@@ -139,6 +140,13 @@ class TestIntegratePath:
         with pytest.raises(sk.EvaluatorError):
             sk.integrate_path(m, zero_path(1.0), np.array([0.3]), cfg)
 
+    def test_horizon_below_one_step_is_rejected(self):
+        # 1e-12 lies within the multiple-of-h tolerance of 0 steps
+        m = scalar_model(lambda x, t: -x)
+        cfg = sk.IntegratorConfig(h=1e-3, horizon=1e-12)
+        with pytest.raises(ValueError, match="less than one step of h=0.001"):
+            sk.integrate_path(m, zero_path(1.0), np.array([1.0]), cfg)
+
 
 class TestIntegrateBatch:
     # x' = (x^3 + sqrt(x)) xi from 1: xi = +1 blows up, xi = -1 reaches the
@@ -213,6 +221,121 @@ class TestIntegrateBatch:
         cfg = sk.IntegratorConfig(h=1e-3, horizon=4.0)
         with pytest.raises(ValueError, match=match):
             integrate_batch(m, np.array([1.0]), blocks, 4000, 10, cfg)
+
+
+def parent_closed_field(x, t, xi):
+    """example2-closed's field with its noise factor formed in every call,
+    as before the model had a hold map."""
+    z = x[..., 0]
+    out = (1.0 + z * z) * np.cbrt(np.arctan(z)) * (0.5 * xi[..., 0] - 1.0)
+    return out[..., None]
+
+
+def nan_from(field_fn, t_nan):
+    """``field_fn`` returning NaN for the rows within 0.2 of the origin from
+    t_nan on."""
+    def nan_field(x, t, xi):
+        out = field_fn(x, t, xi)
+        return np.where(np.abs(x) < 0.2, np.nan, out) if t >= t_nan else out
+    return nan_field
+
+
+class TestHeldNoise:
+    """example2-closed's hold map against the field it replaced."""
+
+    X0 = np.array([1.0])
+    CFG = sk.IntegratorConfig(h=1e-3, horizon=1.5)
+
+    def noise(self):
+        # 1000 rows over 150 cells, in blocks of 64, 64 and 22 cells; row 7
+        # blows up in its first step, most rows are absorbed and a few are
+        # still outside the ball at the horizon
+        noise = 1.5 * np.random.default_rng(31).standard_normal((1000, 150, 1))
+        noise[7] = 1e6
+        return noise
+
+    def run(self, model, noise):
+        blocks = [noise[:, i:i + 64] for i in range(0, 150, 64)]
+        return integrate_batch(model, self.X0, blocks, 1500, 10, self.CFG,
+                               keep_states=True)
+
+    def test_held_factor_keeps_every_bit(self):
+        held = sk.get_model("example2-closed")
+        unheld = replace(held, field_fn=parent_closed_field, hold=None)
+        noise = self.noise()
+        raw = noise.copy()
+        a, b = self.run(held, noise), self.run(unheld, noise)
+        assert np.array_equal(noise.view(np.uint64), raw.view(np.uint64))
+        assert a.blow_step[7] == 1 and np.count_nonzero(a.blow_step > 0) == 1
+        assert 900 < np.count_nonzero(a.absorb_step > 0) < 999
+        assert np.count_nonzero(a.last_out == 1500) > 1
+        for name in BatchResult._fields:
+            va, vb = getattr(a, name), getattr(b, name)
+            assert va.dtype == vb.dtype, name
+            assert np.array_equal(va.view(np.uint64), vb.view(np.uint64)), name
+
+    def test_held_factor_raises_the_same_evaluator_error(self):
+        held = sk.get_model("example2-closed")
+        unheld = replace(held, field_fn=parent_closed_field, hold=None)
+        errors = []
+        for model in (held, unheld):
+            model = replace(model, field_fn=nan_from(model.field_fn, 0.4))
+            with pytest.raises(sk.EvaluatorError) as info:
+                self.run(model, self.noise())
+            errors.append(info.value)
+        a, b = errors
+        assert str(a) == str(b) and a.t == b.t >= 0.4
+        assert np.array_equal(a.x.view(np.uint64), b.x.view(np.uint64))
+
+    def test_field_applies_the_hold_map_itself(self):
+        held = sk.get_model("example2-closed")
+        z = np.linspace(-3.0, 3.0, 61)[:, None]
+        xi = np.linspace(-4.0, 4.0, 61)[:, None]
+        assert np.array_equal(held.field(z, 0.0, xi).view(np.uint64),
+                              parent_closed_field(z, 0.0, xi).view(np.uint64))
+
+    def test_hold_map_needs_a_field_fn(self):
+        m = sk.get_model("example2-open")
+        with pytest.raises(ValueError, match="hold map needs the field_fn"):
+            replace(m, hold=lambda xi: xi)
+
+
+# one persistent array that an evaluator hands out on every call
+_FIELD = np.array([[0.25], [-0.5], [3.0]])
+
+
+class TestRk4Step:
+    def model(self, field_fn):
+        return sk.SystemModel(n=1, l=1, f=lambda x, t: np.zeros_like(x),
+                              g=lambda x, t: np.zeros(x.shape + (1,)),
+                              field_fn=field_fn, name="fixed")
+
+    @staticmethod
+    def written(x, h, k1, k2, k3, k4):
+        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def test_leaves_state_noise_and_evaluator_results_alone(self):
+        field = _FIELD.copy()
+        x = np.array([[1.0], [-2.0], [0.5]])
+        xi = np.array([[0.3], [0.1], [-0.7]])
+        old = [a.copy() for a in (x, xi)]
+        out = rk4_step(self.model(lambda x, t, xi: _FIELD), x, 0.0, 0.1, xi)
+        for now, before in zip((_FIELD, x, xi), (field, *old)):
+            assert np.array_equal(now.view(np.uint64), before.view(np.uint64))
+        assert not any(np.shares_memory(out, a) for a in (_FIELD, x, xi))
+        expect = self.written(x, 0.1, field, field, field, field)
+        assert np.array_equal(out.view(np.uint64), expect.view(np.uint64))
+
+    def test_an_evaluator_may_return_its_argument(self):
+        # each stage's result is the stage buffer itself, x' = x
+        x = np.array([[1.0], [-2.0], [0.5]])
+        xi = np.zeros((3, 1))
+        out = rk4_step(self.model(lambda x, t, xi: x), x, 0.0, 0.1, xi)
+        k2 = x + 0.05 * x
+        k3 = x + 0.05 * k2
+        k4 = x + 0.1 * k3
+        expect = self.written(x, 0.1, x, k2, k3, k4)
+        assert np.array_equal(out.view(np.uint64), expect.view(np.uint64))
 
 
 def detect_settling(traj, eps_settle):

@@ -12,8 +12,8 @@ import settlekit as sk
 from settlekit import noise
 from settlekit.cli import main
 from settlekit.defaults import CONFIDENCE_Z
-from settlekit.noise import (_n_cells, _path_statistics, ar1_step_coefficients,
-                             check_noise, l1_ratios)
+from settlekit.noise import (_cell, _n_cells, _path_statistics,
+                             ar1_step_coefficients, check_noise, l1_ratios)
 from test_imports import example2_filtered_config, small_config
 
 
@@ -151,10 +151,11 @@ class TestSamplePath:
     def test_zero_order_hold_between_grid_points(self):
         p = sk.make_random_phase_cosine([1.0], [1.0])
         path = sk.sample_path(p, 0.0, 1.0, 0.1, seed=3)
+        n = path.values.shape[0]
         for k in (0, 3, 7):
             mid = 0.1 * k + 0.04
-            assert np.array_equal(path.value_at(mid), path.values[k])
-        assert np.array_equal(path.value_at(0.1 * 4), path.values[4])
+            assert np.array_equal(path.values[_cell(mid, path.h, n)], path.values[k])
+        assert np.array_equal(path.values[_cell(0.1 * 4, path.h, n)], path.values[4])
 
     def test_grid_covers_horizon(self):
         p = sk.zero_process(1)
@@ -503,7 +504,7 @@ class TestOnePass:
             sq = np.sum(q.values ** 2, axis=1)
             cum = np.concatenate([[0.0], np.cumsum(sq[:-1]) * h])
             for j, t in enumerate(times):
-                c = q.cell_index(t)
+                c = _cell(t, h, q.values.shape[0])
                 avg = (cum[c] + (t - c * h) * sq[c]) / t
                 viol[j, i] = abs(avg - p.declared_mean_square) >= 0.1
         assert est == np.mean(per_path)
