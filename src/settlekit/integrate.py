@@ -18,13 +18,13 @@ force at the step's start.  Within each step the vector field is smooth and
 classical RK4 applies at full order.  The kernel reads the held values from
 an iterable of blocks of consecutive noise cells, taking the next block when
 the step loop reaches it: a sweep's blocks are drawn as it advances, and
-``integrate_path`` gives its whole sampled path as one block.  A model with a
-``hold`` map has it applied once to each block as the kernel takes it, so a
-per-cell factor of the noise is formed once per cell and row, not in each
-RK4 stage of each of the cell's m steps; ``rk4_step`` then evaluates the
-model's ``field_fn`` on the held values.  ``rk4_step`` sums its stages in
-buffers it allocates itself, in the written order of the classical sums,
-and never writes into the state, the noise or an evaluator's result.
+``integrate_path`` gives its whole sampled path as one block.
+``integrate_batch`` alone reads a model's ``hold`` map: it applies it once
+to each block as it takes the block, so a per-cell factor of the noise is
+formed once per cell and row, not in each RK4 stage of each of the cell's m
+steps, and it then hands ``rk4_step`` the model's ``field_fn``, which reads
+the held values (``field`` for a model without ``hold``).  ``rk4_step`` is
+the classical formula over whatever evaluator it is given.
 
 Near the origin the cube-root gains make explicit schemes chatter with
 amplitude about (h/2)^(3/2); once a row enters the absorption ball it is
@@ -57,18 +57,19 @@ class IntegratorConfig:
     absorb_at_origin: bool = True
 
     def __post_init__(self):
-        if self.h <= 0:
+        # each test is written so that NaN fails it
+        if not self.h > 0:
             raise ValueError("step h must be positive")
-        if self.eps_settle <= 0:
+        if not self.eps_settle > 0:
             raise ValueError("eps_settle must be positive")
         floor = chatter_floor(self.h)
         if self.eps_absorb is None:
             object.__setattr__(self, "eps_absorb", floor)
-        elif self.eps_absorb < floor:
+        elif not self.eps_absorb >= floor:
             raise ValueError(
                 f"eps_absorb={self.eps_absorb:g} sits below the chatter floor "
                 f"{floor:g} for h={self.h:g}; absorption would never trigger")
-        if self.eps_absorb >= self.eps_settle:
+        if not self.eps_absorb < self.eps_settle:
             raise ValueError("eps_absorb must be smaller than eps_settle")
 
 
@@ -105,34 +106,18 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def rk4_step(model: SystemModel, x: np.ndarray, t: float, h: float,
+def rk4_step(field: Callable, x: np.ndarray, t: float, h: float,
              xi: np.ndarray) -> np.ndarray:
-    """One classical RK4 step with the noise value held across the step.
+    """One classical RK4 step of the evaluator ``field(x, t, xi)`` with the
+    value ``xi`` held across the step.
 
-    ``xi`` is the held value as the kernel reads it: the model's ``hold`` of
-    the noise value when the model has that map (evaluated by ``field_fn``),
-    else the noise value itself (evaluated by ``field``).  Broadcasts over
-    leading batch axes of x / xi.  The stage states x + (h/2) k1,
-    x + (h/2) k2, x + h k3 and the update x + (h/6)(k1 + 2 k2 + 2 k3 + k4)
-    are formed with the same operations in the same order as written, in
-    four arrays allocated here.
+    Broadcasts over leading batch axes of x / xi.
     """
-    field = model.field if model.hold is None else model.field_fn
-    half = 0.5 * h
     k1 = field(x, t, xi)
-    s1 = np.multiply(half, k1)
-    k2 = field(np.add(x, s1, out=s1), t + half, xi)
-    s2 = np.multiply(half, k2)
-    k3 = field(np.add(x, s2, out=s2), t + half, xi)
-    s3 = np.multiply(h, k3)
-    k4 = field(np.add(x, s3, out=s3), t + h, xi)
-    # s1 is free once k2 is summed, whatever the evaluator returned
-    acc = np.multiply(2.0, k2)
-    np.add(k1, acc, out=acc)
-    np.add(acc, np.multiply(2.0, k3, out=s1), out=acc)
-    np.add(acc, k4, out=acc)
-    np.multiply(h / 6.0, acc, out=acc)
-    return np.add(x, acc, out=acc)
+    k2 = field(x + (0.5 * h) * k1, t + 0.5 * h, xi)
+    k3 = field(x + (0.5 * h) * k2, t + 0.5 * h, xi)
+    k4 = field(x + h * k3, t + h, xi)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def steps_per_cell(h: float, h_noise: float) -> int:
@@ -237,6 +222,8 @@ def integrate_batch(model: SystemModel, x0: np.ndarray, blocks: Iterable,
         radius = np.broadcast_to(cfg.eps_settle, n_steps + 1)
     blocks = iter(blocks)
     block = _next_block(blocks, model.hold, 0)
+    # the held blocks are read by field_fn; field would apply hold again
+    field = model.field if model.hold is None else model.field_fn
     b, start = block.shape[0], 0            # start: the block's first cell
     h, eps_absorb = cfg.h, cfg.eps_absorb
     x = np.tile(x0, (b, 1))
@@ -265,7 +252,7 @@ def integrate_batch(model: SystemModel, x0: np.ndarray, blocks: Iterable,
                 start, c = start + c, 0
                 block = _next_block(blocks, model.hold, start, b)
             xi = block[rows, c]
-        x_next = rk4_step(model, x, t, h, xi)
+        x_next = rk4_step(field, x, t, h, xi)
         nrm = np.sqrt(np.add.reduce(x_next * x_next, 1))
         gone = None
         # |x| bounds every component; NaN or inf anywhere fails the test

@@ -44,6 +44,17 @@ class TestConfig:
     def test_chatter_floor(self):
         assert chatter_floor(1e-3) == pytest.approx((5e-4) ** 1.5)
 
+    @pytest.mark.parametrize("name, match", [
+        ("h", "step h must be positive"),
+        ("eps_settle", "eps_settle must be positive"),
+        ("eps_absorb", "eps_absorb=nan sits below the chatter floor"),
+    ])
+    def test_nan_is_rejected(self, name, match):
+        # a NaN settle radius would settle every path at t = 0, a NaN
+        # absorption radius would turn absorption off
+        with pytest.raises(ValueError, match=match):
+            sk.IntegratorConfig(**{"h": 1e-3, "horizon": 1.0, name: math.nan})
+
 
 class TestIntegratePath:
     def test_zero_initial_state_settles_at_t0(self):
@@ -300,16 +311,56 @@ class TestHeldNoise:
             replace(m, hold=lambda xi: xi)
 
 
+class TestEvaluatorRouting:
+    """The evaluator the kernel steps: a model with a hold map has it
+    applied once per block taken and its field_fn called directly; any
+    other model goes through SystemModel.field in each RK4 stage."""
+
+    @pytest.fixture
+    def field_calls(self, monkeypatch):
+        calls = []
+        field = sk.SystemModel.field
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return field(self, *args, **kwargs)
+
+        monkeypatch.setattr(sk.SystemModel, "field", counted)
+        return calls
+
+    def test_hold_is_applied_once_per_block_and_field_is_not_called(
+            self, field_calls):
+        base = sk.get_model("example2-closed")
+        shapes = []
+
+        def hold(xi):
+            shapes.append(xi.shape)
+            return base.hold(xi)
+
+        # xi = 2 zeroes the field, so both rows stay at 1 to the horizon and
+        # read cells 0..99; the fourth block is never taken
+        blocks = [np.full((2, k, 1), 2.0) for k in (30, 30, 40, 5)]
+        res = integrate_batch(replace(base, hold=hold), np.array([1.0]),
+                              blocks, 1000, 10,
+                              sk.IntegratorConfig(h=1e-3, horizon=1.0))
+        assert np.all(res.last_out == 1000)
+        assert shapes == [(2, 30, 1), (2, 30, 1), (2, 40, 1)]
+        assert field_calls == []
+
+    def test_a_model_without_hold_calls_field_in_each_stage(self, field_calls):
+        cfg = sk.IntegratorConfig(h=1e-3, horizon=0.1)
+        traj = sk.integrate_path(sk.make_example1(), zero_path(0.1, dim=2),
+                                 np.array([1.0, 1.0]), cfg)
+        assert traj.absorb_index is None and not traj.blowup
+        assert len(traj.states) == 101
+        assert len(field_calls) == 4 * 100
+
+
 # one persistent array that an evaluator hands out on every call
 _FIELD = np.array([[0.25], [-0.5], [3.0]])
 
 
 class TestRk4Step:
-    def model(self, field_fn):
-        return sk.SystemModel(n=1, l=1, f=lambda x, t: np.zeros_like(x),
-                              g=lambda x, t: np.zeros(x.shape + (1,)),
-                              field_fn=field_fn, name="fixed")
-
     @staticmethod
     def written(x, h, k1, k2, k3, k4):
         return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
@@ -319,7 +370,7 @@ class TestRk4Step:
         x = np.array([[1.0], [-2.0], [0.5]])
         xi = np.array([[0.3], [0.1], [-0.7]])
         old = [a.copy() for a in (x, xi)]
-        out = rk4_step(self.model(lambda x, t, xi: _FIELD), x, 0.0, 0.1, xi)
+        out = rk4_step(lambda x, t, xi: _FIELD, x, 0.0, 0.1, xi)
         for now, before in zip((_FIELD, x, xi), (field, *old)):
             assert np.array_equal(now.view(np.uint64), before.view(np.uint64))
         assert not any(np.shares_memory(out, a) for a in (_FIELD, x, xi))
@@ -327,10 +378,10 @@ class TestRk4Step:
         assert np.array_equal(out.view(np.uint64), expect.view(np.uint64))
 
     def test_an_evaluator_may_return_its_argument(self):
-        # each stage's result is the stage buffer itself, x' = x
+        # each stage's result is the stage state it was given, x' = x
         x = np.array([[1.0], [-2.0], [0.5]])
         xi = np.zeros((3, 1))
-        out = rk4_step(self.model(lambda x, t, xi: x), x, 0.0, 0.1, xi)
+        out = rk4_step(lambda x, t, xi: x, x, 0.0, 0.1, xi)
         k2 = x + 0.05 * x
         k3 = x + 0.05 * k2
         k4 = x + 0.1 * k3
