@@ -16,7 +16,7 @@ from .certify import (Certificate, Envelope, PowerLaw, fit_constants,
                       verify_sandwich)
 from .cli import reproduce_figure
 from .errors import (ConfigError, ConstantConditionError, EvaluatorError,
-                     QuadratureError, RateIntegralError)
+                     RateIntegralError)
 from .integrate import (IntegratorConfig, Trajectory, check_integral_form,
                         integrate_path, uniqueness_probe)
 from .montecarlo import (McConfig, SettlingStats, envelope_coverage,

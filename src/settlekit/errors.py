@@ -18,10 +18,6 @@ class EvaluatorError(RuntimeError):
         self.t = t
 
 
-class QuadratureError(RuntimeError):
-    """Numerical quadrature produced an inconsistent (non-monotone) sequence."""
-
-
 class RateIntegralError(ValueError):
     """The rate function's integral 1/r diverges at 0 (refinement did not
     converge), or the level lies below the quadrature's range."""

@@ -58,10 +58,11 @@ class IntegratorConfig:
 
     def __post_init__(self):
         # each test is written so that NaN fails it
-        if not self.h > 0:
-            raise ValueError("step h must be positive")
-        if not self.eps_settle > 0:
-            raise ValueError("eps_settle must be positive")
+        for name, value in (("step h", self.h), ("eps_settle", self.eps_settle)):
+            if not value > 0:
+                raise ValueError(f"{name} must be positive")
+            if not value < np.inf:
+                raise ValueError(f"{name} must be finite")
         floor = chatter_floor(self.h)
         if self.eps_absorb is None:
             object.__setattr__(self, "eps_absorb", floor)
@@ -127,12 +128,12 @@ def steps_per_cell(h: float, h_noise: float) -> int:
     if np.isinf(m):
         raise ValueError(f"noise grid step h_noise={h_noise:g} is inf steps of "
                          f"h={h:g}, more than an array can index")
-    m_int = int(round(m))
-    if m_int < 1 or abs(m - m_int) > 1e-9 * max(1.0, m):
+    m_int = np.rint(m)      # NaN stays NaN and fails the test below
+    if not (m_int >= 1 and abs(m - m_int) <= 1e-9 * max(1.0, m)):
         raise ValueError(
             f"integrator step h={h:g} must be an integer divisor of the "
             f"noise grid step h_noise={h_noise:g}")
-    return m_int
+    return int(m_int)
 
 
 def check_run(model: SystemModel, x0, dimension: int, h_noise: float,
@@ -151,13 +152,15 @@ def check_run(model: SystemModel, x0, dimension: int, h_noise: float,
         raise ValueError(f"noise dimension {dimension} != model l={model.l}")
     m = steps_per_cell(cfg.h, h_noise)
     horizon, h = cfg.horizon, cfg.h
+    multiple = f"horizon = {horizon:g} must be a positive integer multiple of h={h:g}"
+    if not horizon > 0:         # also NaN and -inf
+        raise ValueError(multiple)
     if not horizon / h < np.iinfo(np.intp).max:      # also inf
         raise ValueError(f"horizon = {horizon:g} is {horizon / h:g} steps of "
                          f"h={h:g}, more than an array can index")
     n_steps = int(round(horizon / h))
-    if horizon <= 0 or abs(n_steps * h - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError(f"horizon = {horizon:g} must be a positive integer "
-                         f"multiple of h={h:g}")
+    if abs(n_steps * h - horizon) > 1e-9 * max(1.0, horizon):
+        raise ValueError(multiple)
     if n_steps < 1:         # within the tolerance of 0 steps
         raise ValueError(f"integrator.horizon = {horizon:g} is less than one "
                          f"step of h={h:g}; a run takes at least one step")

@@ -185,9 +185,10 @@ def grid_points(process: NoiseProcess, horizon: float, h_noise: float) -> int:
     them; checked up front, the same grid fails the same way however far it
     is sampled.
     """
-    if horizon <= 0:
+    # each test is written so that NaN fails it
+    if not horizon > 0:
         raise ValueError("horizon must be positive")
-    if h_noise <= 0:
+    if not h_noise > 0:
         raise ValueError("h_noise must be positive")
     if not horizon / h_noise < np.iinfo(np.intp).max:     # also inf
         raise ValueError(f"horizon = {horizon:g} over h_noise={h_noise:g} is "
@@ -371,10 +372,10 @@ def _path_statistics(process: NoiseProcess, paths: range, horizon: float,
 
 def _check_times(t_grid, delta: float) -> np.ndarray:
     """Sorted check times; each must be positive, and so must delta."""
-    if delta <= 0:
+    if not delta > 0:       # also NaN
         raise ValueError("delta must be positive")
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    if t_grid.size == 0 or np.any(t_grid <= 0):
+    if t_grid.size == 0 or not np.all(t_grid > 0):
         raise ValueError("check times must be non-empty and all positive")
     return t_grid
 
@@ -443,6 +444,8 @@ def check_noise(process: NoiseProcess, n_paths: int, horizon: float,
     Returns (estimate, half_width, fractions, max L1 ratio), the fractions
     in ascending order of the check times.
     """
+    if not 0 <= k_bound < math.inf:
+        raise ValueError(f"k_bound must be >= 0 and finite, got {k_bound}")
     t_grid = _check_times(t_grid, delta)
     parts = fan_out(lambda rows: _path_statistics(
         process, range(n_paths)[rows], horizon, h_noise, seed, t_grid,
@@ -481,8 +484,8 @@ def check_l1_bound(path: NoisePath, k_bound: float, t_min: float) -> float:
     budget that the decay envelope argument relies on.  No grid time at or
     after t_min gives 0.
     """
-    if k_bound <= 0:
-        raise ValueError("k_bound must be positive")
+    if not 0 < k_bound < math.inf:
+        raise ValueError(f"k_bound must be positive and finite, got {k_bound}")
     return float(_l1_max(np.sqrt(np.sum(path.values ** 2, axis=-1)), path.h,
                          k_bound, t_min))
 
@@ -491,7 +494,7 @@ def _l1_max(mags: np.ndarray, h: float, k_bound: float, t_min: float):
     """The largest L1 ratio (``l1_ratios``) of each row of held magnitudes
     mags[..., i] at the grid times i h at or after t_min; 0 where there
     is none (the ratios are >= 0)."""
-    if t_min <= 0:
-        raise ValueError("t_min must be positive")
+    if not t_min > 0:       # also NaN, at or after which no grid time lies
+        raise ValueError(f"t_min must be positive, got {t_min}")
     late = h * np.arange(mags.shape[-1]) >= t_min - 1e-12
     return np.max(l1_ratios(mags, h, k_bound)[0], -1, initial=0.0, where=late)

@@ -33,7 +33,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .defaults import DIVERGENCE_INCREMENT_FLOOR
-from .errors import QuadratureError
 
 
 def signed_power(x, p: float):
@@ -393,12 +392,17 @@ def check_osgood_divergence(kappa: Modulus, rho: Modulus,
                             gamma_upper: float) -> DivergenceReport:
     """Probe the divergence of the two Osgood integrals near zero.
 
-    Evaluates the truncated integrals at delta = 10^-k, k = 1..12, and calls
-    a sequence diverging when every extra decade of delta contributes at
-    least DIVERGENCE_INCREMENT_FLOOR (logarithmic-or-faster growth).
+    Cuts [0, gamma_upper] at delta = 10^-k, k = 1..12 (those below
+    gamma_upper) and integrates each segment between consecutive cuts once
+    (``log_quad``): every segment is one decade of delta, except the first,
+    which runs from gamma_upper down to the first delta.  The truncated
+    integrals I(delta) are the running sums of the segments, so they never
+    decrease.  A sequence is called diverging when every segment past the
+    first, the contribution of one extra decade of delta, is at least
+    DIVERGENCE_INCREMENT_FLOOR (logarithmic-or-faster growth).
     """
-    if gamma_upper <= 0:
-        raise ValueError("gamma_upper must be positive")
+    if not 0 < gamma_upper < math.inf:      # also NaN; ln(1/gamma_upper) is a cut
+        raise ValueError(f"gamma_upper must be positive and finite, got {gamma_upper}")
     # a concave modulus vanishing at 0 and positive at gamma_upper is
     # positive on (0, gamma_upper], so no denominator below is 0
     if not (rho(gamma_upper) > 0 and kappa(gamma_upper) > 0):
@@ -408,26 +412,11 @@ def check_osgood_divergence(kappa: Modulus, rho: Modulus,
     if len(deltas) < 3:
         raise ValueError("gamma_upper too small to probe divergence")
 
-    s_lo = math.log(1.0 / gamma_upper)
-    rho_vals, comb_vals = [], []
-    for d in deltas:
-        s_hi = math.log(1.0 / d)
-        rho_vals.append(log_quad(rho, s_lo, s_hi))
-        comb_vals.append(log_quad(lambda u: np.sqrt(rho(u)) + kappa(u), s_lo, s_hi))
-    rho_vals = np.asarray(rho_vals)
-    comb_vals = np.asarray(comb_vals)
-
-    for name, vals in (("rho", rho_vals), ("combined", comb_vals)):
-        if np.any(np.diff(vals) < -1e-9 * (1.0 + np.abs(vals[:-1]))):
-            raise QuadratureError(
-                f"truncated {name} integrals are not monotone in delta; "
-                "quadrature unreliable for this modulus")
-
-    def diverging(vals):
-        increments = np.diff(vals)
-        return bool(np.min(increments) >= DIVERGENCE_INCREMENT_FLOOR)
-
-    return DivergenceReport(deltas=deltas, rho_integral=rho_vals,
-                            combined_integral=comb_vals,
-                            rho_diverging=diverging(rho_vals),
-                            combined_diverging=diverging(comb_vals))
+    cuts = [math.log(1.0 / u) for u in (gamma_upper, *deltas)]   # s = -ln u
+    rho_seg, comb_seg = ([log_quad(denom, a, b) for a, b in zip(cuts, cuts[1:])]
+                         for denom in (rho, lambda u: np.sqrt(rho(u)) + kappa(u)))
+    return DivergenceReport(
+        deltas=deltas, rho_integral=np.cumsum(rho_seg),
+        combined_integral=np.cumsum(comb_seg),
+        rho_diverging=min(rho_seg[1:]) >= DIVERGENCE_INCREMENT_FLOOR,
+        combined_diverging=min(comb_seg[1:]) >= DIVERGENCE_INCREMENT_FLOOR)

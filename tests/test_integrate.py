@@ -8,7 +8,8 @@ import pytest
 
 import settlekit as sk
 from settlekit.integrate import (BatchResult, Trajectory, chatter_floor,
-                                 integrate_batch, rk4_step, steps_per_cell)
+                                 check_run, integrate_batch, rk4_step,
+                                 steps_per_cell)
 
 
 def scalar_model(f, name="scalar"):
@@ -54,6 +55,38 @@ class TestConfig:
         # absorption radius would turn absorption off
         with pytest.raises(ValueError, match=match):
             sk.IntegratorConfig(**{"h": 1e-3, "horizon": 1.0, name: math.nan})
+
+    @pytest.mark.parametrize("name, match", [
+        ("h", "step h must be finite"),
+        ("eps_settle", "eps_settle must be finite"),
+    ])
+    def test_infinity_is_rejected(self, name, match):
+        # an infinite step would be reported as an absorption radius above
+        # eps_settle; an infinite settle radius would settle every path at 0
+        with pytest.raises(ValueError, match=match):
+            sk.IntegratorConfig(**{"h": 1e-3, "horizon": 1.0, name: math.inf})
+
+
+class TestRunGridNames:
+    """Each run-grid guard names the argument that is NaN or infinite."""
+
+    @pytest.mark.parametrize("horizon", [math.nan, -math.inf], ids=["nan", "-inf"])
+    def test_horizon(self, horizon):
+        cfg = sk.IntegratorConfig(h=1e-3, horizon=horizon)
+        with pytest.raises(ValueError, match=f"horizon = {horizon:g} must be a "
+                                             "positive integer multiple of h=0.001"):
+            check_run(sk.make_example1(), [1.0, 1.0], 2, 0.01, cfg)
+
+    def test_steps_per_cell_names_h_noise(self):
+        with pytest.raises(ValueError, match="noise grid step h_noise=nan"):
+            steps_per_cell(1e-3, math.nan)
+
+    def test_settle_study_names_h_noise(self):
+        cfg = sk.McConfig(n_paths=2, master_seed=0, h_noise=math.nan,
+                          integrator=sk.IntegratorConfig(h=1e-3, horizon=1.0))
+        with pytest.raises(ValueError, match="noise grid step h_noise=nan"):
+            sk.estimate_settling(scalar_model(lambda x, t: -x),
+                                 sk.zero_process(1), [1.0], cfg)
 
 
 class TestIntegratePath:

@@ -218,8 +218,11 @@ class TestGridPoints:
         (1e5, 1e-14, sk.zero_process(1), "more cells than an array can index"),
         (5.0, 0.01, sk.make_random_phase_cosine([0.3, 0.3], [1.0, 4e307]),
          "noise omega 4e\\+307 times the noise grid's last time 5 overflows"),
+        (math.nan, 0.01, sk.zero_process(1), "horizon must be positive"),
+        (1.0, math.nan, sk.zero_process(1), "h_noise must be positive"),
     ], ids=["empty", "backwards", "h-0", "h-negative", "unindexable",
-            "unindexable-inf", "unindexable-finite", "phase-overflow"])
+            "unindexable-inf", "unindexable-finite", "phase-overflow",
+            "horizon-nan", "h-nan"])
     def test_unsampleable_grid_raises(self, horizon, h_noise, process, message):
         with pytest.raises(ValueError, match=message):
             noise.grid_points(process, horizon, h_noise)
@@ -470,6 +473,19 @@ class TestL1Bound:
         with pytest.raises(ValueError):
             sk.check_l1_bound(path, 1.0, 0.0)
 
+    @pytest.mark.parametrize("k_bound, t_min, match", [
+        (0.09, math.nan, "t_min must be positive, got nan"),
+        (math.nan, 1.0, "k_bound must be positive and finite, got nan"),
+        (math.inf, 1.0, "k_bound must be positive and finite, got inf"),
+    ], ids=["t_min-nan", "k_bound-nan", "k_bound-inf"])
+    def test_non_finite_arguments_are_named(self, k_bound, t_min, match):
+        # a NaN t_min reads no grid time and an infinite K scales every
+        # ratio to 0, so each would report 0, which passes
+        path = sk.sample_path(sk.make_random_phase_cosine([1.0], [1.0]), 0.0,
+                              5.0, 0.1, seed=0)
+        with pytest.raises(ValueError, match=match):
+            sk.check_l1_bound(path, k_bound, t_min)
+
     def test_batch_ratios_match_per_path_loop(self):
         p = sk.make_random_phase_cosine([0.3, 0.3], [1.0, 2.0])
         paths = [sk.sample_path(p, 0.0, 9.5, 0.01, seed) for seed in range(4)]
@@ -480,6 +496,27 @@ class TestL1Bound:
             cum = np.concatenate([[0.0], np.cumsum(mags[:-1]) * q.h])
             ref = cum[1:] / (2.0 * math.sqrt(0.09) * q.times()[1:])
             assert np.isnan(row[0]) and np.array_equal(row[1:], ref)
+
+
+class TestCheckNoiseArguments:
+    """check_noise rejects a NaN, negative or infinite statistic parameter
+    and names it, instead of reporting a statistic that passes."""
+
+    @pytest.mark.parametrize("change, match", [
+        ({"t_min": math.nan}, "t_min must be positive, got nan"),
+        ({"k_bound": math.nan}, "k_bound must be >= 0 and finite, got nan"),
+        ({"k_bound": -1.0}, "k_bound must be >= 0 and finite, got -1"),
+        ({"k_bound": math.inf}, "k_bound must be >= 0 and finite, got inf"),
+        ({"delta": math.nan}, "delta must be positive"),
+        ({"t_grid": [math.nan]}, "check times must be non-empty and all positive"),
+    ], ids=["t_min-nan", "k_bound-nan", "k_bound-negative", "k_bound-inf",
+            "delta-nan", "check_times-nan"])
+    def test_invalid_parameter_is_named(self, change, match):
+        args = {"t_grid": [5.0], "delta": 0.1, "k_bound": 0.5, "t_min": 1.0,
+                **change}
+        with pytest.raises(ValueError, match=match):
+            check_noise(sk.make_random_phase_cosine([1.0], [1.0]), 4, 5.0, 0.1,
+                        0, **args)
 
 
 class TestOnePass:
