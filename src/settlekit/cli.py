@@ -44,9 +44,9 @@ from .fileio import fmt, write_outputs
 from .integrate import IntegratorConfig, check_run, integrate_path, \
     steps_per_cell
 from .montecarlo import McConfig, estimate_settling
-from .noise import (check_noise, grid_points, make_filtered_white_noise,
-                    make_random_phase_cosine, path_seed, sample_path,
-                    zero_process)
+from .noise import (check_noise, grid_points, l1_window,
+                    make_filtered_white_noise, make_random_phase_cosine,
+                    path_seed, sample_path, zero_process)
 from .parallel import usable_cpus
 from .systems import get_model, stabilizing_controller
 
@@ -220,6 +220,11 @@ class ExperimentConfig:
         except ValueError as e:
             field = "horizon" if span == self.nc_horizon else "check_times"
             raise ConfigError(f"field noise_check.{field} = {span:g}: {e}")
+        try:    # a horizon within float jitter past a grid time ends there
+            l1_window(h_noise, grid_points(self.process or zero_process(),
+                                           self.nc_horizon, h_noise), self.nc_t_min)
+        except ValueError as e:
+            raise ConfigError(f"field noise_check.t_min: {e}")
 
         self.settled_threshold = _Block(raw, "settle").number(
             "settled_fraction_threshold", defaults.SETTLED_FRACTION_THRESHOLD)

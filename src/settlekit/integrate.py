@@ -33,6 +33,14 @@ the origin).  The config validator keeps the absorption radius above the
 chatter floor.  A row whose state holds inf or exceeds the blow-up threshold
 is a blow-up; NaN without inf is an evaluator fault and raises.  Absorbed
 and blown-up rows leave the active set and are not integrated further.
+
+The kernel marks every node j = 0 ... n_steps of the live rows by one rule,
+in this order: the rows' norms; for j > 0, the blow-up and NaN test of the
+step that led to the node (node 0 takes none, since no step led to it, so
+a start above the threshold is stepped once before it can blow up);
+absorption; the rows that left at the node set to 0; the ball exit; the
+kept states; and the compaction of the live rows.  Then the kernel stops at
+n_steps or once no row is live, or else takes the node's step.
 """
 
 from __future__ import annotations
@@ -213,7 +221,11 @@ def integrate_batch(model: SystemModel, x0: np.ndarray, blocks: Iterable,
 
     The first block is taken up front and each further one when the step
     loop reaches its first cell, so no block past the last live step is
-    drawn.  Only live rows are stepped: a row that enters the absorption
+    drawn.  Each node j = 0 ... n_steps is marked by the one rule of the
+    module note: the norms, the blow-up and NaN test (j > 0 only: no step
+    led to node 0), absorption, the leaving rows set to 0, the ball exit,
+    the kept states and the compaction, before the node's step is taken.
+    Only live rows are stepped: a row that enters the absorption
     ball or blows up leaves the active set and is held at exactly 0, and the
     sweep ends once no row is live.  ``radius`` (n_steps+1,) is the ball
     tested at each node, ``eps_settle`` at every node by default; a blown
@@ -229,24 +241,40 @@ def integrate_batch(model: SystemModel, x0: np.ndarray, blocks: Iterable,
     field = model.field if model.hold is None else model.field_fn
     b, start = block.shape[0], 0            # start: the block's first cell
     h, eps_absorb = cfg.h, cfg.eps_absorb
-    x = np.tile(x0, (b, 1))
-    norms = np.sqrt(np.add.reduce(x * x, 1))
-    absorb_step = np.full(b, -1)
-    if cfg.absorb_at_origin:
-        absorb_step[norms <= eps_absorb] = 0
-    rows = np.flatnonzero(absorb_step < 0)
-    x = x[rows]
-    out = (norms > radius[0]) & (absorb_step < 0)
-    last_out = np.where(out, 0, -1)
+    rows, x = np.arange(b), np.tile(x0, (b, 1))
+    last_out, blow_step, absorb_step = np.full((3, b), -1)
     n_out = np.zeros(n_steps + 1, dtype=int)
-    n_out[0] = np.count_nonzero(out)
-    blow_step = np.full(b, -1)
-    states = None
-    if keep_states:
-        states = np.zeros((n_steps + 1, b, x0.shape[0]))
-        states[0, rows] = x
-    for j in range(n_steps):
-        if not rows.size:
+    states = np.zeros((n_steps + 1, b, x0.shape[0])) if keep_states else None
+    for j in range(n_steps + 1):
+        # node j, at time j h, marked on the live rows' states x
+        nrm = np.sqrt(np.add.reduce(x * x, 1))
+        gone = None
+        # no step led to node 0, so it takes no blow-up test; |x| bounds
+        # every component, and NaN or inf anywhere fails the test
+        if j and not nrm.max() <= defaults.BLOWUP_THRESHOLD:
+            gone = ~(np.abs(x).max(1) <= defaults.BLOWUP_THRESHOLD)
+            nan = np.isnan(x).any(1) & ~np.isinf(x).any(1)
+            if nan.any():
+                r = int(np.argmax(nan))
+                raise EvaluatorError(f"evaluator returned NaN at t={t + h:g}",
+                                     x=x_prev[r].copy(), t=t)
+            blow_step[rows[gone]] = j
+        # min() is NaN when a blown row holds NaN; nrm <= eps is exact
+        if cfg.absorb_at_origin and not nrm.min() > eps_absorb:
+            hit = nrm <= eps_absorb
+            absorb_step[rows[hit]] = j
+            gone = hit if gone is None else gone | hit
+        if gone is not None:
+            nrm[gone] = 0.0
+            x[gone] = 0.0
+        outside = rows[nrm > radius[j]]
+        last_out[outside] = j
+        n_out[j] = outside.size
+        if keep_states:
+            states[j, rows] = x
+        if gone is not None:
+            rows, x = rows[~gone], x[~gone]
+        if j == n_steps or not rows.size:
             break
         t = j * h
         if j % m == 0 or xi.shape[0] != rows.size:
@@ -255,34 +283,7 @@ def integrate_batch(model: SystemModel, x0: np.ndarray, blocks: Iterable,
                 start, c = start + c, 0
                 block = _next_block(blocks, model.hold, start, b)
             xi = block[rows, c]
-        x_next = rk4_step(field, x, t, h, xi)
-        nrm = np.sqrt(np.add.reduce(x_next * x_next, 1))
-        gone = None
-        # |x| bounds every component; NaN or inf anywhere fails the test
-        if not nrm.max() <= defaults.BLOWUP_THRESHOLD:
-            gone = ~(np.abs(x_next).max(1) <= defaults.BLOWUP_THRESHOLD)
-            nan = np.isnan(x_next).any(1) & ~np.isinf(x_next).any(1)
-            if nan.any():
-                r = int(np.argmax(nan))
-                raise EvaluatorError(f"evaluator returned NaN at t={t + h:g}",
-                                     x=x[r].copy(), t=t)
-            blow_step[rows[gone]] = j + 1
-        # min() is NaN when a blown row holds NaN; nrm <= eps is exact
-        if cfg.absorb_at_origin and not nrm.min() > eps_absorb:
-            hit = nrm <= eps_absorb
-            absorb_step[rows[hit]] = j + 1
-            gone = hit if gone is None else gone | hit
-        if gone is not None:
-            nrm[gone] = 0.0
-            x_next[gone] = 0.0
-        outside = rows[nrm > radius[j + 1]]
-        last_out[outside] = j + 1
-        n_out[j + 1] = outside.size
-        if keep_states:
-            states[j + 1, rows] = x_next
-        if gone is not None:
-            rows, x_next = rows[~gone], x_next[~gone]
-        x = x_next
+        x_prev, x = x, rk4_step(field, x, t, h, xi)
     blown = blow_step >= 0
     last_out[blown] = n_steps
     n_out += np.cumsum(np.bincount(blow_step[blown], minlength=n_steps + 1))

@@ -41,7 +41,8 @@ Monte Carlo sweep and the CLI's config check all call it.
 Every statistic of |xi| reads it one way: |xi|^2 is
 ``np.sum(values ** 2, axis=-1)`` over a time-major view, which adds the
 channels in order over the sampler's memory, the accumulated-|xi| ratio
-is ``l1_ratios``, and its largest value from t_min on is ``_l1_max``.
+is ``l1_ratios``, and its largest value from t_min on (``l1_window``) is
+``_l1_max``.
 
 The noise checks return what they measured, as plain numbers:
 ``estimate_mean_square`` the pair (estimate, half_width), ``check_wlln``
@@ -188,8 +189,8 @@ def grid_points(process: NoiseProcess, horizon: float, h_noise: float) -> int:
     # each test is written so that NaN fails it
     if not horizon > 0:
         raise ValueError("horizon must be positive")
-    if not h_noise > 0:
-        raise ValueError("h_noise must be positive")
+    if not 0 < h_noise < math.inf:
+        raise ValueError(f"h_noise must be positive and finite, got {h_noise}")
     if not horizon / h_noise < np.iinfo(np.intp).max:     # also inf
         raise ValueError(f"horizon = {horizon:g} over h_noise={h_noise:g} is "
                          "more cells than an array can index")
@@ -371,9 +372,10 @@ def _path_statistics(process: NoiseProcess, paths: range, horizon: float,
 
 
 def _check_times(t_grid, delta: float) -> np.ndarray:
-    """Sorted check times; each must be positive, and so must delta."""
-    if not delta > 0:       # also NaN
-        raise ValueError("delta must be positive")
+    """Sorted check times; each must be positive, and delta positive and
+    finite."""
+    if not 0 < delta < math.inf:       # also NaN
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
     if t_grid.size == 0 or not np.all(t_grid > 0):
         raise ValueError("check times must be non-empty and all positive")
@@ -441,12 +443,15 @@ def check_noise(process: NoiseProcess, n_paths: int, horizon: float,
 
     ``k_bound`` is the bound K on the mean square that scales the L1
     budget; with K = 0 there is no L1 budget and the ratio is reported as 0.
+    Whatever K is, a t_min past the last grid time of [0, horizon] raises
+    ValueError before any path is sampled.
     Returns (estimate, half_width, fractions, max L1 ratio), the fractions
     in ascending order of the check times.
     """
     if not 0 <= k_bound < math.inf:
         raise ValueError(f"k_bound must be >= 0 and finite, got {k_bound}")
     t_grid = _check_times(t_grid, delta)
+    l1_window(h_noise, grid_points(process, horizon, h_noise), t_min)
     parts = fan_out(lambda rows: _path_statistics(
         process, range(n_paths)[rows], horizon, h_noise, seed, t_grid,
         k_bound, t_min), n_paths, jobs)
@@ -481,8 +486,8 @@ def check_l1_bound(path: NoisePath, k_bound: float, t_min: float) -> float:
     """Max over grid times t >= t_min of integral_0^t |xi| ds / (2 sqrt(K) t).
 
     A value <= 1 certifies the path stays within the accumulated-magnitude
-    budget that the decay envelope argument relies on.  No grid time at or
-    after t_min gives 0.
+    budget that the decay envelope argument relies on.  A t_min past the
+    path's last grid time raises ValueError.
     """
     if not 0 < k_bound < math.inf:
         raise ValueError(f"k_bound must be positive and finite, got {k_bound}")
@@ -492,9 +497,20 @@ def check_l1_bound(path: NoisePath, k_bound: float, t_min: float) -> float:
 
 def _l1_max(mags: np.ndarray, h: float, k_bound: float, t_min: float):
     """The largest L1 ratio (``l1_ratios``) of each row of held magnitudes
-    mags[..., i] at the grid times i h at or after t_min; 0 where there
-    is none (the ratios are >= 0)."""
-    if not t_min > 0:       # also NaN, at or after which no grid time lies
-        raise ValueError(f"t_min must be positive, got {t_min}")
-    late = h * np.arange(mags.shape[-1]) >= t_min - 1e-12
+    mags[..., i] at the grid times i h at or after t_min (``l1_window``)."""
+    late = l1_window(h, mags.shape[-1], t_min)
     return np.max(l1_ratios(mags, h, k_bound)[0], -1, initial=0.0, where=late)
+
+
+def l1_window(h: float, n_points: int, t_min: float) -> np.ndarray:
+    """Which grid times i h, i < n_points, the L1 check reads: those at or
+    after t_min, within 1e-12 of float jitter.  Raises ValueError if t_min
+    is not positive or lies past the last, where no ratio would be read and
+    the largest would be 0, which passes."""
+    if not t_min > 0:       # also NaN
+        raise ValueError(f"t_min must be positive, got {t_min}")
+    late = h * np.arange(n_points) >= t_min - 1e-12
+    if not late[-1]:
+        raise ValueError(f"t_min = {t_min} lies past the last grid time "
+                         f"{h * (n_points - 1)}")
+    return late

@@ -267,6 +267,42 @@ class TestIntegrateBatch:
             integrate_batch(m, np.array([1.0]), blocks, 4000, 10, cfg)
 
 
+class TestStartNode:
+    """Node 0 is marked by the rule of every later node, less the blow-up
+    test: no step led to it."""
+
+    CFG = sk.IntegratorConfig(h=1e-3, horizon=1.0)
+
+    def run(self, x0, blocks, keep_states=False):
+        m = scalar_model(lambda x, t: -x)
+        return integrate_batch(m, np.array([x0]), blocks, 1000, 10, self.CFG,
+                               keep_states=keep_states)
+
+    def test_start_at_the_origin_is_absorbed_at_node_0(self):
+        def one_block():
+            yield np.zeros((3, 1, 1))
+            raise AssertionError("a block was taken after the first")
+        res = self.run(0.0, one_block(), keep_states=True)
+        assert res.absorb_step.tolist() == [0, 0, 0]
+        assert res.last_out.tolist() == [-1, -1, -1]
+        assert res.blow_step.tolist() == [-1, -1, -1]
+        assert not res.n_out.any()
+        assert res.states.shape == (1001, 3, 1) and not res.states.any()
+
+    def test_start_above_the_threshold_blows_up_at_node_1(self):
+        res = self.run(2e12, [np.zeros((2, 100, 1))])
+        assert res.blow_step.tolist() == [1, 1]
+        assert res.absorb_step.tolist() == [-1, -1]
+        assert res.last_out.tolist() == [1000, 1000]
+        assert np.all(res.n_out == 2)
+
+    def test_nan_start_raises_from_the_first_step(self):
+        with pytest.raises(sk.EvaluatorError, match="NaN at t=0.001") as e:
+            self.run(math.nan, [np.zeros((2, 100, 1))])
+        assert e.value.t == 0
+        assert e.value.x.shape == (1,) and np.isnan(e.value.x[0])
+
+
 def parent_closed_field(x, t, xi):
     """example2-closed's field with its noise factor formed in every call,
     as before the model had a hold map."""

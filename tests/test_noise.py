@@ -519,6 +519,72 @@ class TestCheckNoiseArguments:
                         0, **args)
 
 
+class TestUnboundedArguments:
+    """A t_min past the last grid time, an infinite delta and an infinite
+    h_noise are rejected by name: each would otherwise read no grid time,
+    count no path outside the band or hide the fault behind another."""
+
+    COSINE = sk.make_random_phase_cosine([1.0], [1.0])
+
+    @pytest.mark.parametrize("k_bound", [0.5, 0.0])
+    @pytest.mark.parametrize("t_min", [5.05, math.inf])
+    def test_check_noise_t_min_past_the_grid(self, t_min, k_bound, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("a path was sampled")
+        monkeypatch.setattr(noise, "BatchSampler", no_sampling)
+        with pytest.raises(ValueError, match=f"t_min = {t_min} lies past the "
+                                             "last grid time 5.0"):
+            check_noise(self.COSINE, 4, 5.0, 0.1, 0, [5.0], 0.1, k_bound,
+                        t_min=t_min)
+
+    @pytest.mark.parametrize("t_min", [5.2, math.inf])
+    def test_check_l1_bound_t_min_past_the_grid(self, t_min):
+        path = sk.sample_path(self.COSINE, 0.0, 5.0, 0.1, seed=0)
+        with pytest.raises(ValueError, match=f"t_min = {t_min} lies past the "
+                                             "last grid time 5.0"):
+            sk.check_l1_bound(path, 0.5, t_min)
+
+    def test_cli_t_min_past_the_grid_is_a_config_error(self, tmp_path, capsys):
+        # 5e-12 past 30 opens no cell of 10, so the grid ends at 30, before
+        # a t_min equal to the horizon
+        horizon = 30.000000000005
+        cfg = {"noise": {"kind": "filtered-white-noise", "intensity": 0.5,
+                         "tau_f": 1.0, "h_noise": 10.0},
+               "noise_check": {"n_paths": 4, "horizon": horizon,
+                               "t_min": horizon, "check_times": [horizon]},
+               "out_dir": str(tmp_path / "out")}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "config.json"),
+                     "noise-check"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: field noise_check.t_min: t_min = "
+            "30.000000000005 lies past the last grid time 30.0\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_t_min_at_the_last_grid_time_is_read(self):
+        max_ratio = check_noise(self.COSINE, 4, 5.0, 0.1, 0, [5.0], 0.1, 0.5,
+                                t_min=5.0)[-1]
+        assert max_ratio == pytest.approx(0.5065, abs=1e-4)
+
+    @pytest.mark.parametrize("check", [
+        lambda p: check_noise(p, 4, 5.0, 0.1, 0, [5.0], math.inf, 0.5),
+        lambda p: sk.check_wlln(p, [5.0], math.inf, 4, 0.1, 0),
+    ], ids=["check_noise", "check_wlln"])
+    def test_infinite_delta(self, check):
+        with pytest.raises(ValueError, match="delta must be positive and "
+                                             "finite, got inf"):
+            check(self.COSINE)
+
+    @pytest.mark.parametrize("process", [sk.zero_process(1), COSINE],
+                             ids=["zero", "cosine"])
+    def test_infinite_h_noise(self, process):
+        match = "h_noise must be positive and finite, got inf"
+        with pytest.raises(ValueError, match=match):
+            noise.grid_points(process, 1.0, math.inf)
+        with pytest.raises(ValueError, match=match):
+            sk.sample_path(process, 0.0, 1.0, math.inf, 0)
+
+
 class TestOnePass:
     @pytest.mark.parametrize("times,n", [
         pytest.param([5.0, 12.5], 12, id="times0"),
