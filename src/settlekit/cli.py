@@ -46,7 +46,7 @@ from .integrate import IntegratorConfig, check_run, integrate_path, \
 from .montecarlo import McConfig, estimate_settling
 from .noise import (check_noise, grid_points, l1_window,
                     make_filtered_white_noise, make_random_phase_cosine,
-                    path_seed, sample_path, zero_process)
+                    path_seed, sample_path, stats_block, zero_process)
 from .parallel import usable_cpus
 from .systems import get_model, stabilizing_controller
 
@@ -211,12 +211,9 @@ class ExperimentConfig:
                                for t in times)
         self.nc_k_bound = nc.number("k_bound", None, above=0)
         self.nc_t_min = nc.number("t_min", defaults.L1_T_MIN, above=0)
-        if self.nc_t_min > self.nc_horizon:    # no grid time would be checked
-            raise ConfigError(f"field noise_check.t_min = {self.nc_t_min:g} must not "
-                              f"exceed noise_check.horizon = {self.nc_horizon:g}")
         span = max(self.nc_horizon, *self.nc_times)    # noise-check's grid
         try:
-            grid_points(self.process or zero_process(), span, h_noise)
+            n_points = grid_points(self.process or zero_process(), span, h_noise)
         except ValueError as e:
             field = "horizon" if span == self.nc_horizon else "check_times"
             raise ConfigError(f"field noise_check.{field} = {span:g}: {e}")
@@ -225,6 +222,10 @@ class ExperimentConfig:
                                            self.nc_horizon, h_noise), self.nc_t_min)
         except ValueError as e:
             raise ConfigError(f"field noise_check.t_min: {e}")
+        try:    # the noise checks' sampler blocks, as check_noise checks them
+            stats_block(self.process or zero_process(), self.nc_paths, n_points)
+        except ValueError as e:
+            raise ConfigError(f"field noise.dimension: {e}")
 
         self.settled_threshold = _Block(raw, "settle").number(
             "settled_fraction_threshold", defaults.SETTLED_FRACTION_THRESHOLD)

@@ -19,7 +19,7 @@ settling ball, stability in probability reads ``last_out`` for the level
 gamma(|x0|), and envelope coverage reads ``last_out`` and ``n_out`` for the
 decay envelope, with each path's L1 start index read from the blocks as
 they pass, by the channel sum and ``noise.l1_ratios`` that the noise checks
-use.
+use, and from the blocks after the sweep's last until every start is known.
 
 The studies return what they measured and decide no verdict: the CLI's
 ``settle`` compares the settled fraction with its threshold and the settle
@@ -176,7 +176,10 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
 
     The whole-path fraction is given twice: from t = 0, and from the first
     noise-grid time at which the path's accumulated-|xi| ratio drops below 1
-    (the envelope argument only applies from such a time on).
+    (the envelope argument only applies from such a time on), or the last
+    grid time if none does.  The blocks the sweep pulled are read for these
+    starts as they pass, and after the sweep the same block source is read
+    on until every path's start is known or the grid ends.
     """
     run = _BatchRun(model, process, x0, cfg)
     x0_norm = float(np.linalg.norm(run.x0))
@@ -184,17 +187,14 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
     grid = cfg.integrator.h * np.arange(run.n_steps + 1)
     env_vals = np.array([env.value(tj) for tj in grid])
     slack = 1e-12 * max(1.0, x0_norm)
-    k_bound = max(cert.noise_bound, 1e-300)
     first = np.full(cfg.n_paths, -1)        # each path's first L1-good index
-    read = 0                                # grid points read
 
     def blocks():
         """The sweep's blocks, each read for L1-good indices as it passes."""
-        nonlocal read
-        total = 0.0                         # per path, sum of |xi| read
+        read, total = 0, 0.0        # grid points read; per path, the sum of |xi|
         for block in run.blocks():
             ratios, total = l1_ratios(np.sqrt(np.sum(block ** 2, axis=-1)),
-                                      cfg.h_noise, k_bound, read, total)
+                                      cfg.h_noise, cert.noise_bound, read, total)
             good = ratios <= 1.0
             new = (first < 0) & good.any(1)
             first[new] = read + good[new].argmax(1)
@@ -203,13 +203,8 @@ def envelope_coverage(model: SystemModel, process: NoiseProcess, x0,
 
     l1 = blocks()
     res = run.sweep(env_vals + slack, l1)
-    # a path's last exit precedes its L1 start iff no grid index up to
-    # last_out // m is L1-good; the kernel leaves a blown row's cells unread
-    # after its blow-up, though its last exit is the last node, so those
-    # paths are drawn on here (need <= n_cells < n_points ends the loop)
-    need = res.last_out // run.m
-    while np.any((first < 0) & (need >= read)):
-        next(l1)
+    while np.any(first < 0) and next(l1, None) is not None:
+        pass
     start_idx = np.where(first >= 0, first, run.n_points - 1)
 
     return ((cfg.n_paths - res.n_out) / cfg.n_paths,

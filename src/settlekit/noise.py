@@ -36,13 +36,17 @@ Every noise grid starts at 0, as every run does: the grid is 0, h, 2h, ...
 grid covering a horizon: it gives the grid's point count and raises
 ValueError for an empty grid, a grid no array can index and a random-phase
 cosine whose phase overflows on it.  ``sample_path``, the noise checks, the
-Monte Carlo sweep and the CLI's config check all call it.
+Monte Carlo sweep and the CLI's config check all call it.  ``stats_block``
+is the one rule for whether numpy can size the noise checks' sampler
+blocks; ``check_noise`` and the CLI's config check call it.
 
 Every statistic of |xi| reads it one way: |xi|^2 is
 ``np.sum(values ** 2, axis=-1)`` over a time-major view, which adds the
 channels in order over the sampler's memory, the accumulated-|xi| ratio
 is ``l1_ratios``, and its largest value from t_min on (``l1_window``) is
-``_l1_max``.
+``_l1_max``.  These own the L1 budget's rules: ``l1_window`` which grid
+times a t_min reads, and ``l1_ratios`` the ratio for every K, K = 0
+included; the CLI and ``montecarlo.envelope_coverage`` keep no copy.
 
 The noise checks return what they measured, as plain numbers:
 ``estimate_mean_square`` the pair (estimate, half_width), ``check_wlln``
@@ -108,9 +112,6 @@ class NoisePath:
     @property
     def dimension(self) -> int:
         return self.values.shape[1]
-
-    def times(self) -> np.ndarray:
-        return self.h * np.arange(self.values.shape[0])
 
 
 def make_random_phase_cosine(amplitudes, omegas) -> NoiseProcess:
@@ -324,17 +325,32 @@ _STATS_PATHS = 4
 _STATS_BLOCK = 1024
 
 
+def stats_block(process: NoiseProcess, n_paths: int, n_points: int) -> tuple:
+    """The shape (b, l, k) of the largest sampler block the noise checks
+    draw for n_paths paths of ``process`` on a grid of n_points points.
+    Raises ValueError if numpy cannot size it: more bytes than
+    ``np.intp`` can count.  A block that numpy can size but memory cannot
+    hold is not caught."""
+    shape = (min(_STATS_PATHS, n_paths), process.dimension,
+             min(_STATS_BLOCK, n_points))
+    if not math.prod(shape) <= np.iinfo(np.intp).max // 8:    # float64
+        raise ValueError("noise blocks of {} x {} x {} floats are more bytes "
+                         "than an array can hold".format(*shape))
+    return shape
+
+
 def _path_statistics(process: NoiseProcess, paths: range, horizon: float,
                      h_noise: float, seed: int, t_grid=(),
-                     l1_bound: float = 0.0, t_min: float = 0.0):
+                     l1_bound: Optional[float] = None, t_min: float = 0.0):
     """Sample each path i of ``paths`` once, from path_seed(seed, i), over
     [0, max(horizon, t_grid)] and reduce it to per-path statistics.
 
     Returns (means, averages, ratios), in the order of ``paths``: the mean
     of |xi|^2 over the left endpoints of [0, horizon); the running time
     average of |xi|^2 at each time in ``t_grid``, shape (len(t_grid),
-    len(paths)); and, when ``l1_bound`` > 0, ``check_l1_bound`` of the
-    [0, horizon] prefix (else 0), read from the squares already summed.
+    len(paths)); and, when a bound K is given as ``l1_bound``, the largest
+    L1 ratio (``_l1_max``) of the [0, horizon] prefix from t_min on (else
+    0), read from the squares already summed.
     A longer path extends a shorter one exactly, so each statistic has the
     bits it has on a path sampled to its own horizon.  The paths are drawn
     _STATS_PATHS seeds to a ``BatchSampler``, and each statistic is a
@@ -365,7 +381,7 @@ def _path_statistics(process: NoiseProcess, paths: range, horizon: float,
             for j, (t, k) in enumerate(zip(t_grid, cells)):
                 averages[j, rows] = (cum[:, k] * h_noise + (t - k * h_noise)
                                      * sq[:, k]) / t
-            if l1_bound > 0:
+            if l1_bound is not None:
                 mags = np.sqrt(sq[:, :n_cells + 1], out=sq[:, :n_cells + 1])
                 ratios[rows] = _l1_max(mags, h_noise, l1_bound, t_min)
     return means, averages, ratios
@@ -442,9 +458,14 @@ def check_noise(process: NoiseProcess, n_paths: int, horizon: float,
     process; the first failing slice's exception, in path order, is raised.
 
     ``k_bound`` is the bound K on the mean square that scales the L1
-    budget; with K = 0 there is no L1 budget and the ratio is reported as 0.
-    Whatever K is, a t_min past the last grid time of [0, horizon] raises
-    ValueError before any path is sampled.
+    budget 2 sqrt(K) t; ``l1_ratios`` reads K = 0 as it reads any K, and
+    the CLI passes K = 0 for the zero process, whose declared mean square it
+    is.  ``check_l1_bound`` still requires K > 0: it checks one path against
+    a stated bound, and with K = 0 its answer does not need the path (0 if
+    no |xi| accumulates, else inf), so a 0 there is taken for a missing
+    bound and named.  Before any path is sampled, a t_min past the last grid
+    time of [0, horizon] (``l1_window``) and a noise dimension whose sampler
+    block numpy cannot size (``stats_block``) raise ValueError.
     Returns (estimate, half_width, fractions, max L1 ratio), the fractions
     in ascending order of the check times.
     """
@@ -452,6 +473,8 @@ def check_noise(process: NoiseProcess, n_paths: int, horizon: float,
         raise ValueError(f"k_bound must be >= 0 and finite, got {k_bound}")
     t_grid = _check_times(t_grid, delta)
     l1_window(h_noise, grid_points(process, horizon, h_noise), t_min)
+    stats_block(process, n_paths, grid_points(process, max(horizon, *t_grid),
+                                              h_noise))
     parts = fan_out(lambda rows: _path_statistics(
         process, range(n_paths)[rows], horizon, h_noise, seed, t_grid,
         k_bound, t_min), n_paths, jobs)
@@ -466,6 +489,10 @@ def l1_ratios(mags: np.ndarray, h: float, k_bound: float, start: int = 0,
     t = (start + i) h of held magnitudes |xi| mags[..., i], NaN at 0,
     given the sum ``total`` of the magnitudes before grid index ``start``.
 
+    This is the one rule of the L1 budget, K = 0 included: with K = 0 the
+    budget is 0, so a ratio at t > 0 is 0 while no |xi| has accumulated and
+    inf once any has.
+
     Returns (ratios, the sum through the last magnitude).  A path passed in
     blocks, each given the sum the last one returned, gets the bits of one
     pass, since np.cumsum adds in sequence.  The ratios are scaled in place
@@ -476,10 +503,13 @@ def l1_ratios(mags: np.ndarray, h: float, k_bound: float, start: int = 0,
     cum[..., 1:] = mags
     np.cumsum(cum, axis=-1, out=cum)
     t = h * np.arange(start, start + mags.shape[-1])
+    ratios = cum[..., :-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        cum[..., :-1] *= h
-        cum[..., :-1] /= 2.0 * math.sqrt(k_bound) * t
-    return cum[..., :-1], cum[..., -1].copy()
+        ratios *= h
+        # with K = 0 an integral of 0 over t > 0 is left 0, not 0/0
+        np.divide(ratios, 2.0 * math.sqrt(k_bound) * t, out=ratios,
+                  where=True if k_bound else (ratios != 0) | (t == 0))
+    return ratios, cum[..., -1].copy()
 
 
 def check_l1_bound(path: NoisePath, k_bound: float, t_min: float) -> float:

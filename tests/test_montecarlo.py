@@ -267,6 +267,47 @@ class TestEnvelopeCoverage:
                 model, proc, np.array([1.0, 1.0]), cert, cfg)[1])
         assert overall[1] >= overall[0]
 
+    @pytest.mark.parametrize("amplitude, omega, k, seed, n_paths, horizon, kinds", [
+        (0.5, 2.0, 0.05, 8, 8, 3.0, {"absorbed", "censored", "blown"}),
+        (1.0, 1.0, 0.12, 23, 6, 2.995, {"absorbed", "blown"}),
+    ], ids=["absorbed-censored-blown", "start-after-the-sweep"])
+    def test_l1_start_fraction_matches_a_path_by_path_reference(
+            self, amplitude, omega, k, seed, n_paths, horizon, kinds):
+        # x0 = 1 is the unstable rest point of -sqrt(x) + x^3; the noise,
+        # scaled by x, sends each path to absorption at 0, to blow-up, or
+        # to neither by the horizon.  With no censored path the sweep stops
+        # early; a blown path's last exit is the last node, 2995, before the
+        # last grid time, 3.0, so a start read after the sweep decides it.
+        model = sk.SystemModel(n=1, l=1,
+                               f=lambda x, t: -sk.signed_power(x, 0.5) + x ** 3,
+                               g=lambda x, t: x[..., None], name="sqrt-cubic")
+        proc = sk.make_random_phase_cosine([amplitude], [omega])
+        cert, x0 = ex1_cert(k, 1), np.array([1.0])
+        cfg = mc_config(n_paths, horizon, seed)
+        n_steps, m = round(horizon / 1e-3), 10
+        env = sk.Envelope(cert, 1.0)
+        radius = np.array([env.value(1e-3 * j) for j in range(n_steps + 1)]) + 1e-12
+        found, starts, ends, covered = set(), [], [], 0
+        for i in range(n_paths):
+            path = sk.sample_path(proc, 0.0, horizon, 0.01, sk.path_seed(seed, i))
+            mags = np.sqrt(np.sum(path.values ** 2, axis=-1))
+            good = noise.l1_ratios(mags, 0.01, k)[0] <= 1.0
+            starts.append(good.argmax() if good.any() else path.values.shape[0] - 1)
+            res = integrate.integrate_batch(model, x0, [path.values[None]], n_steps,
+                                            m, cfg.integrator, radius)
+            absorb, blow = res.absorb_step[0], res.blow_step[0]
+            found.add("absorbed" if absorb >= 0 else "blown" if blow >= 0
+                      else "censored")
+            ends.append(max(absorb, blow))
+            covered += int(res.last_out[0] < starts[-1] * m)
+        cov = sk.envelope_coverage(model, proc, x0, cert, cfg)
+        assert found == kinds
+        assert cov[2] == covered / n_paths
+        if "censored" in kinds:     # some path's L1 start decides its coverage
+            assert cov[2] > cov[1]
+        else:                       # and here a start past the sweep's last step
+            assert max(ends) < max(starts) * m <= n_steps
+
 
 class TestPinnedResults:
     """Results of the last-exit studies, pinned to their bits; the

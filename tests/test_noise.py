@@ -160,7 +160,7 @@ class TestSamplePath:
     def test_grid_covers_horizon(self):
         p = sk.zero_process(1)
         path = sk.sample_path(p, 0.0, 1.0, 0.3, seed=0)
-        assert path.times()[-1] >= 1.0
+        assert (path.h * np.arange(path.values.shape[0]))[-1] >= 1.0
 
     def test_preconditions(self):
         p = sk.zero_process(1)
@@ -187,7 +187,8 @@ class TestSamplePath:
             n = short.values.shape[0]
             assert long.values.shape[0] > n
             assert np.array_equal(long.values[:n], short.values)
-            assert np.array_equal(long.times()[:n], short.times())
+            assert np.array_equal((long.h * np.arange(long.values.shape[0]))[:n],
+                                  short.h * np.arange(short.values.shape[0]))
 
 
 class TestGridPoints:
@@ -377,7 +378,8 @@ class TestChannelMajorSampling:
             for i in range(n):
                 path = sk.sample_path(process, 0.0, horizon, h, sk.path_seed(seed, i))
                 sq = np.sum(np.ascontiguousarray(path.values) ** 2, axis=1)
-                ref = l1_ratios(np.sqrt(sq), h, k)[0][path.times() >= t_min - 1e-12]
+                times = path.h * np.arange(path.values.shape[0])
+                ref = l1_ratios(np.sqrt(sq), h, k)[0][times >= t_min - 1e-12]
                 assert means[i].view(np.uint64) == np.mean(sq[:n_cells]).view(np.uint64)
                 assert ratios[i] == np.max(ref)
                 assert sk.check_l1_bound(path, k, t_min) == np.max(ref)
@@ -494,8 +496,29 @@ class TestL1Bound:
         for row, q in zip(batch, paths):
             mags = np.sqrt(np.sum(q.values ** 2, axis=1))
             cum = np.concatenate([[0.0], np.cumsum(mags[:-1]) * q.h])
-            ref = cum[1:] / (2.0 * math.sqrt(0.09) * q.times()[1:])
+            times = q.h * np.arange(q.values.shape[0])
+            ref = cum[1:] / (2.0 * math.sqrt(0.09) * times[1:])
             assert np.isnan(row[0]) and np.array_equal(row[1:], ref)
+
+    def test_zero_bound_is_zero_until_any_magnitude_then_inf(self):
+        mags = np.array([0.0, 0.0, 0.5, 0.0, 1.0])
+        ratios, total = l1_ratios(mags, 0.1, 0.0)
+        assert np.isnan(ratios[0])
+        assert np.array_equal(ratios[1:], [0.0, 0.0, math.inf, math.inf])
+        # in blocks, each given the sum the last one returned
+        first, head = l1_ratios(mags[:3], 0.1, 0.0)
+        rest, tail = l1_ratios(mags[3:], 0.1, 0.0, 3, head)
+        assert np.array_equal(np.concatenate([first, rest]), ratios, equal_nan=True)
+        assert tail == total == 1.5
+
+    @pytest.mark.parametrize("process, max_ratio", [
+        (sk.make_random_phase_cosine([1.0], [1.0]), math.inf),
+        (sk.zero_process(1), 0.0),
+    ], ids=["cosine", "zero"])
+    def test_check_noise_with_zero_bound(self, process, max_ratio):
+        # K = 0 leaves no budget: any accumulated |xi| exceeds it
+        assert check_noise(process, 4, 5.0, 0.1, 0, [5.0], 0.1, 0.0,
+                           t_min=1.0)[-1] == max_ratio
 
 
 class TestCheckNoiseArguments:
@@ -561,6 +584,34 @@ class TestUnboundedArguments:
             "30.000000000005 lies past the last grid time 30.0\n")
         assert not (tmp_path / "out").exists()
 
+    FILTERED = {"kind": "filtered-white-noise", "intensity": 0.5, "tau_f": 1.0,
+                "h_noise": 0.01}
+
+    def off_grid_config(self, tmp_path, t_min):
+        """noise-check on a horizon of 50.005, whose grid ends at 50.01."""
+        cfg = {"noise": self.FILTERED,
+               "noise_check": {"n_paths": 4, "horizon": 50.005,
+                               "check_times": [50.005], "t_min": t_min},
+               "out_dir": str(tmp_path / "out")}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        return ["--config", str(tmp_path / "config.json"), "--jobs", "1",
+                "noise-check"]
+
+    def test_cli_t_min_up_to_the_last_grid_time_is_read(self, tmp_path):
+        # past the horizon, but not past the grid time 50.01 that ends it
+        assert main(self.off_grid_config(tmp_path, 50.008)) == 0
+        report = json.loads((tmp_path / "out" / "noise_check.json").read_text())
+        process = sk.make_filtered_white_noise(0.5, 1.0)
+        assert report["l1"]["max_ratio"] == check_noise(
+            process, 4, 50.005, 0.01, 0, [50.005], 0.1, 0.25, t_min=50.008)[-1]
+
+    def test_cli_t_min_past_the_off_grid_horizon_grid(self, tmp_path, capsys):
+        assert main(self.off_grid_config(tmp_path, 50.02)) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: field noise_check.t_min: t_min = 50.02 lies "
+            "past the last grid time 50.01\n")
+        assert not (tmp_path / "out").exists()
+
     def test_t_min_at_the_last_grid_time_is_read(self):
         max_ratio = check_noise(self.COSINE, 4, 5.0, 0.1, 0, [5.0], 0.1, 0.5,
                                 t_min=5.0)[-1]
@@ -583,6 +634,47 @@ class TestUnboundedArguments:
             noise.grid_points(process, 1.0, math.inf)
         with pytest.raises(ValueError, match=match):
             sk.sample_path(process, 0.0, 1.0, math.inf, 0)
+
+
+class TestStatsBlock:
+    """A noise dimension whose sampler block numpy cannot size is rejected
+    before anything is sampled."""
+
+    HUGE = 2 ** 62
+
+    def test_largest_sizable_block(self):
+        floats = np.iinfo(np.intp).max // 8
+        l = floats // (4 * 1024)
+        assert noise.stats_block(sk.zero_process(l), 100, 5001) == (4, l, 1024)
+        with pytest.raises(ValueError, match="more bytes than an array can hold"):
+            noise.stats_block(sk.zero_process(l + 1), 100, 5001)
+        # two paths on a grid of 3 points draw a 2 x l x 3 block
+        assert noise.stats_block(sk.zero_process(floats // 6), 2, 3)[1] == floats // 6
+
+    @pytest.mark.parametrize("process", [
+        sk.zero_process(HUGE), sk.make_filtered_white_noise(0.5, 1.0, HUGE)],
+        ids=["zero", "filtered"])
+    def test_check_noise_raises_before_sampling(self, process, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("a path was sampled")
+        monkeypatch.setattr(noise, "BatchSampler", no_sampling)
+        with pytest.raises(ValueError, match="noise blocks of 4 x "
+                                             f"{self.HUGE} x 501 floats"):
+            check_noise(process, 4, 5.0, 0.01, 0, [5.0], 0.1, 0.5)
+
+    @pytest.mark.parametrize("noise_block", [
+        {"kind": "filtered-white-noise", "intensity": 0.5, "tau_f": 1.0},
+        {"kind": "zero"}], ids=["filtered", "zero"])
+    def test_cli_config_error(self, tmp_path, capsys, noise_block):
+        out = tmp_path / "out"
+        cfg = {"noise": dict(noise_block, dimension=self.HUGE), "out_dir": str(out)}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        assert main(["--config", str(tmp_path / "config.json"), "noise-check"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("configuration error: field noise.dimension: noise blocks "
+                       f"of 4 x {self.HUGE} x 1024 floats are more bytes than an "
+                       "array can hold\n")
+        assert not out.exists()
 
 
 class TestOnePass:
