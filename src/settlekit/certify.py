@@ -114,14 +114,18 @@ class Certificate:
             raise ValueError("c1 and c2 must be positive and finite")
         if not 0 <= self.noise_bound < math.inf:
             raise ValueError("noise bound K must be nonnegative and finite")
-        if self.c1 <= 2.0 * self.c2 * math.sqrt(self.noise_bound):
+        if self.c1 <= self.two_c2_sqrt_k:
             raise ConstantConditionError(
                 f"constant condition violated: need c1 > 2 c2 sqrt(K), got "
-                f"c1={self.c1:g}, 2 c2 sqrt(K)={2 * self.c2 * math.sqrt(self.noise_bound):g}")
+                f"c1={self.c1:g}, 2 c2 sqrt(K)={self.two_c2_sqrt_k:g}")
         zero = np.zeros(self.state_dim)
         if abs(float(self.V(zero))) > 1e-12:
             raise ValueError("V(0) must vanish (within 1e-12)")
-        if float(np.max(np.abs(self.gradV(zero)))) > 1e-12:
+        grad = self.gradV(zero)
+        if np.shape(grad) != zero.shape:
+            raise ValueError(f"gradV(0) has shape {np.shape(grad)}, not the "
+                             f"state's shape {zero.shape}")
+        if float(np.max(np.abs(grad))) > 1e-12:
             raise ValueError("gradV(0) must vanish (within 1e-12)")
         s = np.logspace(-6, 3, 37)
         with np.errstate(over="ignore"):    # an overflowing alpha reads inf
@@ -129,9 +133,14 @@ class Certificate:
                 raise ValueError("alpha1 must not exceed alpha2")
 
     @property
+    def two_c2_sqrt_k(self) -> float:
+        """The noise's share 2 c2 sqrt(K) of the drift, which c1 must exceed."""
+        return 2.0 * self.c2 * math.sqrt(self.noise_bound)
+
+    @property
     def decay_rate(self) -> float:
         """The positive envelope slope c1 - 2 c2 sqrt(K)."""
-        return self.c1 - 2.0 * self.c2 * math.sqrt(self.noise_bound)
+        return self.c1 - self.two_c2_sqrt_k
 
     def rate(self, v):
         if self.gamma is not None:

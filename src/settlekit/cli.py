@@ -25,6 +25,10 @@ names the field once by its key: it reports the field as ``<block>.<key>``,
 applies the default, raises "missing required field" for an absent field
 without one, and reads null as absent for a field whose default is None.
 All of a block's fields are read before any object is built from them.
+A library's ``ValueError`` or ``TypeError`` while an object is built
+becomes, by the one rule ``_named``, a ``ConfigError`` that names the
+field (``field <where>: <message>``), while a rejected certificate's
+``ConstantConditionError`` keeps its exit 1.
 """
 
 from __future__ import annotations
@@ -100,6 +104,20 @@ def _numbers(value, where: str) -> list:
     return [_number(v, where) for v in (value if isinstance(value, list) else [value])]
 
 
+def _named(where, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a library's ``ValueError`` or
+    ``TypeError`` raised as a ``ConfigError`` that names the field
+    ``where`` (or keeps its message when ``where`` is None, for an error
+    that names its fields itself).  A ``ConfigError`` and a
+    ``ConstantConditionError`` pass unchanged."""
+    try:
+        return make(*args, **kwargs)
+    except (ConfigError, ConstantConditionError):
+        raise
+    except (ValueError, TypeError) as e:
+        raise ConfigError(str(e) if where is None else f"field {where}: {e}")
+
+
 def _out_dir(raw: dict, override) -> str:
     """``override`` unless it is None, else ``raw``'s out_dir or "out"."""
     out_dir = raw.get("out_dir", "out") if override is None else override
@@ -161,10 +179,7 @@ class ExperimentConfig:
 
         self.model = None
         if "model" in raw:
-            try:
-                self.model = get_model(raw["model"])
-            except ValueError as e:
-                raise ConfigError(f"field model: {e}")
+            self.model = _named("model", get_model, raw["model"])
 
         self.x0 = None
         if "x0" in raw:
@@ -183,19 +198,17 @@ class ExperimentConfig:
         if seed_override is not None:
             master_seed = _number(seed_override, "mc.master_seed", int, above=-1)
         n_paths = mc.count("n_paths", 100, above=1)
+        self.mc = McConfig(n_paths=n_paths, master_seed=master_seed,
+                           integrator=integrator, h_noise=h_noise)
         # when the config has a run: x0, the noise dimension, h | h_noise
         # and the horizon grid via the integrator's own check, and the noise
-        # on the run's grid via the noise grid rule, as noise-check's below
-        try:
-            self.mc = McConfig(n_paths=n_paths, master_seed=master_seed,
-                               integrator=integrator, h_noise=h_noise)
-            if (self.model is not None and self.x0 is not None
-                    and self.process is not None):
-                check_run(self.model, self.x0, self.process.dimension,
-                          h_noise, integrator)
-                grid_points(self.process, integrator.horizon, h_noise)
-        except ValueError as e:
-            raise ConfigError(str(e))
+        # on the run's grid via the noise grid rule, as noise-check's below;
+        # the errors name their fields themselves
+        if (self.model is not None and self.x0 is not None
+                and self.process is not None):
+            _named(None, check_run, self.model, self.x0, self.process.dimension,
+                   h_noise, integrator)
+            _named(None, grid_points, self.process, integrator.horizon, h_noise)
 
         self.certificate = (self._parse_certificate(_Block(raw, "certificate"))
                             if "certificate" in raw else None)
@@ -211,21 +224,16 @@ class ExperimentConfig:
                                for t in times)
         self.nc_k_bound = nc.number("k_bound", None, above=0)
         self.nc_t_min = nc.number("t_min", defaults.L1_T_MIN, above=0)
+        process = self.process or zero_process()
         span = max(self.nc_horizon, *self.nc_times)    # noise-check's grid
-        try:
-            n_points = grid_points(self.process or zero_process(), span, h_noise)
-        except ValueError as e:
-            field = "horizon" if span == self.nc_horizon else "check_times"
-            raise ConfigError(f"field noise_check.{field} = {span:g}: {e}")
-        try:    # a horizon within float jitter past a grid time ends there
-            l1_window(h_noise, grid_points(self.process or zero_process(),
-                                           self.nc_horizon, h_noise), self.nc_t_min)
-        except ValueError as e:
-            raise ConfigError(f"field noise_check.t_min: {e}")
-        try:    # the noise checks' sampler blocks, as check_noise checks them
-            stats_block(self.process or zero_process(), self.nc_paths, n_points)
-        except ValueError as e:
-            raise ConfigError(f"field noise.dimension: {e}")
+        end = "horizon" if span == self.nc_horizon else "check_times"
+        n_points = _named(f"noise_check.{end} = {span:g}", grid_points,
+                          process, span, h_noise)
+        # a horizon within float jitter past a grid time ends there
+        _named("noise_check.t_min", l1_window, h_noise,
+               grid_points(process, self.nc_horizon, h_noise), self.nc_t_min)
+        # the noise checks' sampler blocks, as check_noise checks them
+        _named("noise.dimension", stats_block, process, self.nc_paths, n_points)
 
         self.settled_threshold = _Block(raw, "settle").number(
             "settled_fraction_threshold", defaults.SETTLED_FRACTION_THRESHOLD)
@@ -248,10 +256,7 @@ class ExperimentConfig:
             make, args = zero_process, (noise.count("dimension", 1, above=0),)
         else:
             raise ConfigError(f"field noise.kind: unknown kind {kind!r}")
-        try:
-            return make(*args), h_noise
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"field noise: {e}")
+        return _named("noise", make, *args), h_noise
 
     @staticmethod
     def _parse_integrator(integrator: _Block):
@@ -262,15 +267,11 @@ class ExperimentConfig:
         fields = {key: integrator.number(key, default) for key, default in (
             ("h", defaults.STEP), ("horizon", 10.0),
             ("eps_settle", defaults.EPS_SETTLE), ("eps_absorb", None))}
-        try:
-            return IntegratorConfig(absorb_at_origin=absorb, **fields)
-        except ValueError as e:
-            raise ConfigError(f"field integrator: {e}")
+        return _named("integrator", IntegratorConfig, absorb_at_origin=absorb, **fields)
 
     def _parse_certificate(self, cert: _Block):
         if self.model is None:
             raise ConfigError("field certificate requires a model")
-        # every field is read before the try, as ConfigError is a ValueError
         gamma, c1, c2, noise_bound = map(cert.number, ("gamma", "c1", "c2", "K"))
         # the alphas are checked, not converted: certify_report.json echoes
         # their JSON values
@@ -281,19 +282,18 @@ class ExperimentConfig:
                 _number(v, f"certificate.{key}.{k}")
         name = cert.get("V", "half-square-arctan" if self.model.n == 1
                         else "half-square-norm")
-        try:
+
+        def make():     # a V that is a list fails the lookup with a TypeError
             if name not in LYAPUNOV_FUNCTIONS:
-                raise ValueError(f"unknown Lyapunov function name: {name!r} "
-                                 f"(known: {sorted(LYAPUNOV_FUNCTIONS)})")
+                raise ConfigError(
+                    f"field certificate: unknown Lyapunov function name: {name!r} "
+                    f"(known: {sorted(LYAPUNOV_FUNCTIONS)})")
             v_fn, grad_fn = LYAPUNOV_FUNCTIONS[name]
             return Certificate(
                 state_dim=self.model.n, V=v_fn, gradV=grad_fn, c1=c1, c2=c2,
                 noise_bound=noise_bound, alpha1=PowerLaw(**alpha["alpha1"]),
                 alpha2=PowerLaw(**alpha["alpha2"]), gamma=gamma, lyapunov_name=name)
-        except ConstantConditionError:
-            raise
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"field certificate: {e}")
+        return _named("certificate", make)
 
 
 def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig:
@@ -345,8 +345,7 @@ def cmd_certify(cfg: ExperimentConfig, jobs: int):
     drift_ok = drift.passed and gain.passed
     bound = settling_bound_at(cert, cfg.x0)
     report = {
-        "constant_condition": {"c1": cert.c1,
-                               "two_c2_sqrt_k": 2.0 * cert.c2 * cert.noise_bound ** 0.5,
+        "constant_condition": {"c1": cert.c1, "two_c2_sqrt_k": cert.two_c2_sqrt_k,
                                "passed": True},
         "sandwich": {"lower": lower.to_dict(), "upper": upper.to_dict(),
                      "passed": sandwich_ok},

@@ -36,7 +36,7 @@ def _column_text(column) -> list:
     if kind == "b":
         return np.where(values, "true", "false").tolist()
     if kind == "f":
-        return ["" if v != v else format(v, ".17g") for v in values.tolist()]
+        return ["" if v != v else fmt(v) for v in values.tolist()]
     return [str(v) for v in values.tolist()]
 
 

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import settlekit as sk
 from settlekit import defaults, noise, parallel
 from settlekit.certify import LYAPUNOV_FUNCTIONS, Certificate, PowerLaw
-from settlekit.cli import cmd_settle, load_config, main
+from settlekit.cli import _named, cmd_settle, load_config, main
+from settlekit.errors import ConfigError, ConstantConditionError
 from settlekit.fileio import write_json, write_outputs
 from test_imports import readme_config
 
@@ -480,6 +481,73 @@ class TestConfigErrors:
             "configuration error: field out_dir must be a non-empty string\n")
         assert not (tmp_path / "out").exists()
 
+    MODELS = ("(known: ['example1', 'example2-closed', 'example2-open', "
+              "'unstable-cubic'])")
+
+    @pytest.mark.parametrize("field,value,code,err", [
+        ("model", "example99", 2,
+         f"configuration error: field model: unknown model name: 'example99' {MODELS}"),
+        ("model", 3, 2,
+         f"configuration error: field model: unknown model name: 3 {MODELS}"),
+        ("integrator.eps_absorb", 1e-9, 2,
+         "configuration error: field integrator: eps_absorb=1e-09 sits below the "
+         "chatter floor 3.16228e-05 for h=0.002; absorption would never trigger"),
+        ("integrator.eps_absorb", 1e-4, 2,
+         "configuration error: field integrator: eps_absorb must be smaller "
+         "than eps_settle"),
+        ("certificate.alpha1", 3, 2,
+         "configuration error: field certificate: settlekit.certify.PowerLaw() "
+         "argument after ** must be a mapping, not int"),
+        ("certificate.alpha1", {"a": 0.5, "b": 2, "c": 1}, 2,
+         "configuration error: field certificate: PowerLaw.__init__() got an "
+         "unexpected keyword argument 'c'"),
+        ("certificate.alpha2", {"a": 0.5}, 2,
+         "configuration error: field certificate: PowerLaw.__init__() missing 1 "
+         "required positional argument: 'b'"),
+        ("certificate.K", 1e308, 1,
+         "certificate rejected: constant condition violated: need c1 > 2 c2 "
+         "sqrt(K), got c1=1.5874, 2 c2 sqrt(K)=3.1748e+154"),
+    ], ids=["model-unknown", "model-not-a-string", "eps_absorb-below-floor",
+            "eps_absorb-not-below-eps_settle", "alpha-not-an-object",
+            "alpha-unexpected-key", "alpha-missing-b", "K-1e308"])
+    def test_library_error_is_named_once(self, tmp_path, capsys, field, value,
+                                         code, err):
+        # a library error is named by its field once, and a rejected
+        # certificate still exits 1
+        out = tmp_path / "out"
+        cfg = base_config(out)
+        cfg["certificate"] = TestCertify().cert_block()
+        *blocks, key = field.split(".")
+        node = cfg
+        for block in blocks:
+            node = node[block]
+        node[key] = value
+        assert main(["--config", write_config(tmp_path, cfg), "certify"]) == code
+        assert capsys.readouterr().err == err + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where,error,message", [
+        ("x", ConfigError("field y: bad"), None),
+        ("certificate", ConstantConditionError("violated"), None),
+        ("x", ValueError("bad"), "field x: bad"),
+        ("x", TypeError("bad"), "field x: bad"),
+        (None, ValueError("bad"), "bad"),
+    ], ids=["config-error", "constant-condition", "value-error", "type-error",
+            "unnamed"])
+    def test_named_rule(self, where, error, message):
+        # a ConfigError or ConstantConditionError (message None) comes out
+        # unchanged, not as "field x: field y: bad"
+        def make():
+            raise error
+
+        with pytest.raises(ValueError) as raised:
+            _named(where, make)
+        if message is None:
+            assert raised.value is error
+        else:
+            assert type(raised.value) is ConfigError
+            assert str(raised.value) == message
+
 
 class TestNoiseCheck:
     def test_zero_noise_passes(self, tmp_path):
@@ -673,6 +741,31 @@ class TestCertify:
         assert main(["--config", write_config(tmp_path, cfg), "certify"]) == 0
         assert file_digests(out, "certify_report.json") == [
             "711a7d97d8069c5f1375ced8eea0bc12a998651c243ab3231d4dafe9f71b6b00"]
+
+    def test_lyapunov_function_must_fit_the_model(self, tmp_path, capsys):
+        # the scalar half-square-arctan ignores x_2 of the 2-state example1
+        out = tmp_path / "out"
+        cfg = readme_config()
+        cfg["certificate"]["V"] = "half-square-arctan"
+        cfg["out_dir"] = str(out)
+        assert main(["--config", write_config(tmp_path, cfg), "certify"]) == 2
+        assert capsys.readouterr() == ("", (
+            "configuration error: field certificate: gradV(0) has shape (1,), "
+            "not the state's shape (2,)\n"))
+        assert not out.exists()
+
+    def test_report_shows_the_constant_condition_it_checked(self, tmp_path):
+        # K ** 0.5 and math.sqrt(K) differ in the last bit at K = 9.26
+        out = tmp_path / "out"
+        cfg = readme_config()
+        cfg["certificate"].update(c1=5.0, c2=0.1, K=9.26)
+        cfg["out_dir"] = str(out)
+        assert main(["--config", write_config(tmp_path, cfg), "certify"]) == 1
+        report = json.loads((out / "certify_report.json").read_text())
+        two_c2_sqrt_k = report["constant_condition"]["two_c2_sqrt_k"]
+        assert two_c2_sqrt_k == 2.0 * 0.1 * math.sqrt(9.26) == 0.6086049621881177
+        assert 5.0 - two_c2_sqrt_k == load_config(write_config(
+            tmp_path, cfg)).certificate.decay_rate
 
     @pytest.mark.parametrize("x0,alphas,code,line,err", [
         ([1e200, 0], {}, 1, "settling bound at x0 = inf", ""),
