@@ -197,7 +197,7 @@ class ExperimentConfig:
         master_seed = mc.number("master_seed", 0, int, above=-1)
         if seed_override is not None:
             master_seed = _number(seed_override, "mc.master_seed", int, above=-1)
-        n_paths = mc.count("n_paths", 100, above=1)
+        n_paths = mc.count("n_paths", defaults.N_PATHS, above=1)
         self.mc = McConfig(n_paths=n_paths, master_seed=master_seed,
                            integrator=integrator, h_noise=h_noise)
         # when the config has a run: x0, the noise dimension, h | h_noise
@@ -265,7 +265,7 @@ class ExperimentConfig:
             raise ConfigError("field integrator.absorb_at_origin must be "
                               f"true or false, got {absorb!r}")
         fields = {key: integrator.number(key, default) for key, default in (
-            ("h", defaults.STEP), ("horizon", 10.0),
+            ("h", defaults.STEP), ("horizon", defaults.HORIZON),
             ("eps_settle", defaults.EPS_SETTLE), ("eps_absorb", None))}
         return _named("integrator", IntegratorConfig, absorb_at_origin=absorb, **fields)
 
@@ -282,18 +282,15 @@ class ExperimentConfig:
                 _number(v, f"certificate.{key}.{k}")
         name = cert.get("V", "half-square-arctan" if self.model.n == 1
                         else "half-square-norm")
-
-        def make():     # a V that is a list fails the lookup with a TypeError
-            if name not in LYAPUNOV_FUNCTIONS:
-                raise ConfigError(
-                    f"field certificate: unknown Lyapunov function name: {name!r} "
-                    f"(known: {sorted(LYAPUNOV_FUNCTIONS)})")
-            v_fn, grad_fn = LYAPUNOV_FUNCTIONS[name]
-            return Certificate(
-                state_dim=self.model.n, V=v_fn, gradV=grad_fn, c1=c1, c2=c2,
-                noise_bound=noise_bound, alpha1=PowerLaw(**alpha["alpha1"]),
-                alpha2=PowerLaw(**alpha["alpha2"]), gamma=gamma, lyapunov_name=name)
-        return _named("certificate", make)
+        if not isinstance(name, str) or name not in LYAPUNOV_FUNCTIONS:
+            raise ConfigError(
+                f"field certificate: unknown Lyapunov function name: {name!r} "
+                f"(known: {sorted(LYAPUNOV_FUNCTIONS)})")
+        v_fn, grad_fn = LYAPUNOV_FUNCTIONS[name]
+        return _named("certificate", lambda: Certificate(
+            state_dim=self.model.n, V=v_fn, gradV=grad_fn, c1=c1, c2=c2,
+            noise_bound=noise_bound, alpha1=PowerLaw(**alpha["alpha1"]),
+            alpha2=PowerLaw(**alpha["alpha2"]), gamma=gamma, lyapunov_name=name))
 
 
 def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig:

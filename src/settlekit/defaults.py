@@ -7,6 +7,7 @@ mirrors this table.
 
 # Integrator
 STEP = 1e-3                    # RK4 step h
+HORIZON = 10.0                 # integration horizon
 EPS_SETTLE = 1e-4              # settling ball radius
 EPS_ABSORB_MIN = 1e-6          # lower bound of the absorption ball
 BLOWUP_THRESHOLD = 1e12        # per-component magnitude that aborts a path
@@ -15,6 +16,7 @@ BLOWUP_THRESHOLD = 1e12        # per-component magnitude that aborts a path
 H_NOISE = 1e-2                 # noise grid step (must be an integer multiple of STEP)
 
 # Statistics
+N_PATHS = 100                  # Monte Carlo paths of settle (mc.n_paths)
 CONFIDENCE_Z = 1.959963984540054   # two-sided 95% normal quantile
 MIN_PATHS_FOR_BOUND = 100      # n_paths needed before a settling-bound check
 SETTLED_FRACTION_THRESHOLD = 0.99

@@ -59,7 +59,7 @@ from .systems import ConditionReport, SystemModel
 @dataclass(frozen=True)
 class IntegratorConfig:
     h: float = defaults.STEP
-    horizon: float = 10.0
+    horizon: float = defaults.HORIZON
     eps_settle: float = defaults.EPS_SETTLE
     eps_absorb: Optional[float] = None   # None -> max(1e-6, (h/2)^(3/2))
     absorb_at_origin: bool = True

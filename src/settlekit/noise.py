@@ -398,13 +398,20 @@ def _check_times(t_grid, delta: float) -> np.ndarray:
     return t_grid
 
 
+def _check_paths(n_paths: int) -> int:
+    """n_paths, or ValueError for fewer than two paths: a sample of one
+    value per path has a half-width only from two on.  The noise checks
+    call it before they sample."""
+    if n_paths < 2:
+        raise ValueError("n_paths must be >= 2")
+    return n_paths
+
+
 def mean_half_width(values: np.ndarray):
     """(mean, 95% central-limit half-width) of a sample of one value per
     path, such as the per-path means of |xi|^2 or the settle times; either
     is inf or NaN, without a warning, if it overflows."""
-    n_paths = len(values)
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
+    n_paths = _check_paths(len(values))
     with np.errstate(over="ignore", invalid="ignore"):
         return (float(np.mean(values)),
                 float(CONFIDENCE_Z * np.std(values, ddof=1) / math.sqrt(n_paths)))
@@ -425,9 +432,10 @@ def estimate_mean_square(process: NoiseProcess, n_paths: int, horizon: float,
     Per-path time averages use left-rectangle cells (exact for zero-order
     hold); the 95% half-width is the central-limit interval over per-path
     averages.  Either is inf or NaN, without a warning, if it overflows.
+    Fewer than two paths raise ValueError before any is sampled.
     """
-    return mean_half_width(_path_statistics(process, range(n_paths), horizon,
-                                            h_noise, seed)[0])
+    return mean_half_width(_path_statistics(
+        process, range(_check_paths(n_paths)), horizon, h_noise, seed)[0])
 
 
 def check_wlln(process: NoiseProcess, t_grid, delta: float, n_paths: int,
@@ -438,10 +446,11 @@ def check_wlln(process: NoiseProcess, t_grid, delta: float, n_paths: int,
 
     The running integral is the left-rectangle sum on the noise grid (exact
     under zero-order hold); a partial final cell is included pro rata.
+    Fewer than two paths raise ValueError before any is sampled.
     """
     t_grid = _check_times(t_grid, delta)
-    averages = _path_statistics(process, range(n_paths), t_grid[-1], h_noise,
-                                seed, t_grid)[1]
+    averages = _path_statistics(process, range(_check_paths(n_paths)),
+                                t_grid[-1], h_noise, seed, t_grid)[1]
     return _wlln_report(process, averages, delta)
 
 
@@ -465,7 +474,8 @@ def check_noise(process: NoiseProcess, n_paths: int, horizon: float,
     no |xi| accumulates, else inf), so a 0 there is taken for a missing
     bound and named.  Before any path is sampled, a t_min past the last grid
     time of [0, horizon] (``l1_window``) and a noise dimension whose sampler
-    block numpy cannot size (``stats_block``) raise ValueError.
+    block numpy cannot size (``stats_block``) raise ValueError, as do fewer
+    than two paths.
     Returns (estimate, half_width, fractions, max L1 ratio), the fractions
     in ascending order of the check times.
     """
@@ -475,6 +485,7 @@ def check_noise(process: NoiseProcess, n_paths: int, horizon: float,
     l1_window(h_noise, grid_points(process, horizon, h_noise), t_min)
     stats_block(process, n_paths, grid_points(process, max(horizon, *t_grid),
                                               h_noise))
+    _check_paths(n_paths)
     parts = fan_out(lambda rows: _path_statistics(
         process, range(n_paths)[rows], horizon, h_noise, seed, t_grid,
         k_bound, t_min), n_paths, jobs)

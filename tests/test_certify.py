@@ -322,3 +322,21 @@ class TestFitConstants:
         c1, _ = sk.fit_constants(m, V_NORM, GRAD_NORM, 0.5, box_radius=2.0,
                                  n=500, t_grid=[0.0], seed=3)
         assert not c1 > 0
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call,match", [
+        (lambda: Certificate(state_dim=1, V=V_ATAN, gradV=lambda x: GRAD_ATAN(x) + 1.0,
+                             gamma=0.5, c1=1.0, c2=0.1, noise_bound=0.0,
+                             alpha1=PowerLaw(0.5, 2), alpha2=PowerLaw(0.5, 2)),
+         r"gradV\(0\) must vanish"),
+        # theta(v) = 2 sqrt(v) is 2e6 at v = 1e12
+        (lambda: sk.theta_inverse(general_rate_cert(0.5), 1e7),
+         "theta_inverse target 1e[+]07 not bracketed below v=1e12"),
+        (lambda: sk.verify_sandwich(quad_cert(), box_radius=1.0, n=0, tol=1e-9,
+                                    seed=0),
+         "n must be >= 1"),
+    ], ids=["gradV-not-vanishing", "theta_inverse-not-bracketed", "no-samples"])
+    def test_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()

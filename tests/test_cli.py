@@ -93,6 +93,22 @@ class TestConfigErrors:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", [
+        "mystery", 3, ["half-square-norm"], {"a": 1}],
+        ids=["unknown", "int", "list", "dict"])
+    def test_lyapunov_name_is_checked_as_the_model_name_is(self, tmp_path, capsys,
+                                                           name):
+        # a V that is not a string is an unknown name, as for model; it is
+        # reported before the malformed alpha1 that the build would reject
+        out = tmp_path / "out"
+        cfg = base_config(out)
+        cfg["certificate"] = dict(TestCertify().cert_block(), V=name, alpha1=3)
+        assert main(["--config", write_config(tmp_path, cfg), "certify"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: field certificate: unknown Lyapunov function "
+            f"name: {name!r} (known: ['half-square-arctan', 'half-square-norm'])\n")
+        assert not out.exists()
+
     def test_no_partial_outputs_on_config_error(self, tmp_path):
         out = tmp_path / "out"
         cfg = base_config(out)

@@ -651,3 +651,19 @@ class TestUniquenessProbe:
         ta = sk.integrate_path(m, path, x0, cfg)
         tb = sk.integrate_path(m, path, xb, cfg)
         assert np.linalg.norm(ta.states[-1] - tb.states[-1]) == 0.0
+
+
+class TestInputChecks:
+    def test_integral_form_of_a_blown_path(self):
+        m, path = sk.get_model("unstable-cubic"), zero_path(10.0)
+        traj = sk.integrate_path(m, path, np.array([10.0]),
+                                 sk.IntegratorConfig(h=1e-3, horizon=10.0))
+        assert traj.blowup
+        with pytest.raises(ValueError, match="cannot check a blown-up trajectory"):
+            sk.check_integral_form(traj, m, path, tol=1e-6)
+
+    def test_negative_perturbation(self):
+        with pytest.raises(ValueError, match="delta0 must be nonnegative"):
+            sk.uniqueness_probe(sk.make_example1(), zero_path(1.0, dim=2),
+                                np.array([1.0, 1.0]), -1e-3,
+                                sk.IntegratorConfig(h=1e-3, horizon=1.0))

@@ -413,3 +413,8 @@ class TestFigures:
     def test_unknown_name(self, tmp_path):
         with pytest.raises(ValueError):
             sk.reproduce_figure("fig9", tmp_path)
+
+
+def test_config_needs_two_paths():
+    with pytest.raises(ValueError, match="n_paths must be >= 2"):
+        mc_config(n_paths=1)

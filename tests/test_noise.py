@@ -730,3 +730,35 @@ class TestOnePass:
         small, large = peak(16), peak(64)
         assert large <= small + 64 * 1024
         assert max(small, large) < 3 * 1024 * 1024
+
+
+class TestTooFewPaths:
+    """A mean and half-width need two paths: the noise checks reject fewer
+    before they sample any."""
+
+    @pytest.mark.parametrize("n_paths", [-3, 0, 1])
+    @pytest.mark.parametrize("check", [
+        lambda p, n: sk.estimate_mean_square(p, n, 5.0, 0.01, 0),
+        lambda p, n: sk.check_wlln(p, [5.0], 0.1, n, 0.01, 0),
+        lambda p, n: check_noise(p, n, 5.0, 0.01, 0, [5.0], 0.1, 0.5),
+    ], ids=["estimate_mean_square", "check_wlln", "check_noise"])
+    def test_raises_before_sampling(self, check, n_paths, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("a path was sampled")
+        monkeypatch.setattr(noise, "BatchSampler", no_sampling)
+        with pytest.raises(ValueError, match="n_paths must be >= 2"):
+            check(sk.make_random_phase_cosine([1.0], [1.0]), n_paths)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call,match", [
+        (lambda: sk.make_filtered_white_noise(0.5, 1.0, 0),
+         "dimension must be >= 1, got 0"),
+        (lambda: sk.zero_process(0), "dimension must be >= 1, got 0"),
+        (lambda: noise.BatchSampler(noise.NoiseProcess(kind="pink", dimension=1),
+                                    0.01, [0]),
+         "unknown noise kind: pink"),
+    ], ids=["filtered-dimension-0", "zero-dimension-0", "unknown-kind"])
+    def test_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()

@@ -410,3 +410,48 @@ class TestOsgoodDivergence:
 def test_unstable_cubic_grows():
     m = make_unstable_cubic()
     assert m.f(np.array([2.0]), 0.0)[0] == 8.0
+
+
+def test_osgood_violation_is_located_by_its_pair_and_time():
+    # example1's cube-root drift is not Lipschitz with constant 1e-3: each
+    # violation gives its pair (x1, x2) and time, where the margin is negative
+    m = sk.make_example1()
+    kappa = Modulus.linear(1e-3)
+    f_cond, _ = sk.check_osgood(m, kappa, kappa, 1.0, 20, [0.0], 1e-6, 0)
+    assert not f_cond.passed and len(f_cond.violations) == 10
+    for x1, x2, t in f_cond.violations:
+        x1, x2 = np.array(x1), np.array(x2)
+        assert x1.shape == x2.shape == (2,) and t == 0.0
+        df = np.linalg.norm(m.f(x1, t) - m.f(x2, t))
+        assert kappa(np.linalg.norm(x1 - x2)) - df < -1e-6
+
+
+def _model(f, g=lambda x, t: np.zeros(np.shape(x) + (1,))):
+    return lambda: sk.SystemModel(n=1, l=1, f=f, g=g)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call,match", [
+        (_model(lambda x, t: np.zeros(2)),
+         r"evaluator shapes inconsistent with n=1, l=1: f -> \(2,\)"),
+        (_model(lambda x, t: np.zeros(1), lambda x, t: np.zeros((1, 1))),
+         "evaluators must broadcast over leading batch axes"),
+        (_model(lambda x, t: np.full(np.shape(x), np.nan)),
+         "evaluators returned non-finite values at the origin"),
+        (lambda: Modulus([("cubic", 1.0, 0.5)]), "unknown modulus term kind: cubic"),
+        (lambda: Modulus([("root", 1.0, 1e-300)]),
+         r"modulus must be strictly increasing on \(0, 0.3\]"),
+        (lambda: sk.check_origin(sk.make_example1(), [0.0], 0.0),
+         "tol must be positive"),
+        (lambda: sk.check_osgood(sk.make_example1(), Modulus.linear(1.0),
+                                 Modulus.linear(1.0), 1.0, 0, [0.0], 1e-6, 0),
+         "n_pairs must be >= 1"),
+        (lambda: sk.check_osgood_divergence(Modulus.linear(1.0),
+                                            Modulus.linear(1.0), 1e-11),
+         "gamma_upper too small to probe divergence"),
+    ], ids=["evaluator-shapes", "no-batch-broadcast", "not-finite-at-origin",
+            "modulus-kind", "modulus-not-increasing", "origin-tol-0",
+            "osgood-no-pairs", "gamma_upper-too-small"])
+    def test_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
